@@ -15,7 +15,6 @@ from devexplain.attribution import responsible_scores, shapley_values
 from devexplain.dataset import Dataset, generate_synthetic, trimodal_benchmark_spec
 from devexplain.inverse import default_budget, reference_point
 from devexplain.mixtures import (
-    fit_gmm,
     mode_z_score,
     modes,
     priors_from_specs,
@@ -43,10 +42,9 @@ full = Dataset(
 
 # the label distribution is multimodal, so one global z-score understates
 # how strange the outlier is; fit a mixture and score against each mode
-k = select_k(full.labels, 6, SEED)
-gmm = fit_gmm(full.labels, k, SEED)
+gmm = select_k(full.labels, 6, SEED)
 mode_list = modes(gmm)
-print(f"\nselected k={k}; modes (by density):")
+print(f"\nselected k={gmm.k}; modes (by density):")
 for i, m in enumerate(mode_list):
     print(f"  mode {i}: location {m.location:7.3f}  sigma_m {m.sigma_m:.3f}  "
           f"weight {m.weight:.3f}")

@@ -11,7 +11,12 @@ explanation: the same year is far from the densest label bump.
 
 import numpy as np
 
-from devexplain.attribution import ExplainSettings, explain, report_rows
+from devexplain.attribution import (
+    ExplainSettings,
+    explain,
+    report_rows,
+    report_to_json,
+)
 from devexplain.dataset import load_csv, river_fixture_path
 from devexplain.mixtures import fit_priors
 from devexplain.models import fit_linear
@@ -38,6 +43,6 @@ print(f"\nmean reference: degenerate = {report.scores.degenerate}, "
 report = explain(model, priors, data, idx, ("mode", 0), settings)
 print(f"mode 0 reference at y* = {report.y_ref:.3f}: "
       f"degenerate = {report.scores.degenerate}")
-for row in report_rows(report):
+for row in report_rows(report_to_json(report)):
     print(f"  {row['feature']}: delta {row['delta']:8.4f}  score {row['score']:.3f}")
 print(f"  z = {report.z:.2f}, z_m = {report.z_m:.2f}")

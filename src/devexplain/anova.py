@@ -16,6 +16,7 @@ the contract is deliberately loose so tests can use closed-form stubs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,10 +92,39 @@ def _check_model(model, bg: BackgroundSample) -> None:
         )
 
 
+def _pinned_rows(model, bg: BackgroundSample, x, features) -> np.ndarray:
+    """f per background row with ``features`` set from ``x``: the summands of v(S, x).
+
+    ``x`` is anything indexed by feature, a full vector or a dict of pins.
+    """
+    if not features:
+        return model.predict_batch(bg.points)
+    pinned = bg.points.copy()
+    for i in features:
+        pinned[:, i] = x[i]
+    return model.predict_batch(pinned)
+
+
+def _term_rows(model, bg: BackgroundSample, x, term: tuple, rows: dict) -> np.ndarray:
+    """Inclusion-exclusion summands of ``term``: g_I - g or g_IJ - g_I - g_J + g.
+
+    ``rows`` maps the coalitions already pinned at this ``x`` to their
+    ``_pinned_rows``; missing ones are predicted and added to it.
+    """
+    for size in range(len(term) + 1):
+        for coalition in itertools.combinations(term, size):
+            if coalition not in rows:
+                rows[coalition] = _pinned_rows(model, bg, x, coalition)
+    if len(term) == 1:
+        return rows[term] - rows[()]
+    i, j = term
+    return rows[term] - rows[(i,)] - rows[(j,)] + rows[()]
+
+
 def f_zero(model, bg: BackgroundSample) -> float:
     """Grand mean f0: average prediction over the background."""
     _check_model(model, bg)
-    return float(np.mean(model.predict_batch(bg.points)))
+    return float(np.mean(_pinned_rows(model, bg, None, ())))
 
 
 def _mean_and_stderr(summands: np.ndarray) -> tuple[float, float]:
@@ -118,10 +148,8 @@ def first_order_effect(
         raise ValidationError(f"feature index {feature_index} out of range")
     if not math.isfinite(value):
         raise ValidationError("pinned value must be finite")
-    pinned = bg.points.copy()
-    pinned[:, feature_index] = value
-    summands = model.predict_batch(pinned) - model.predict_batch(bg.points)
-    return _mean_and_stderr(summands)
+    pins = {feature_index: value}
+    return _mean_and_stderr(_term_rows(model, bg, pins, (feature_index,), {}))
 
 
 def second_order_effect(
@@ -146,18 +174,8 @@ def second_order_effect(
         raise ValidationError("second-order effect needs two distinct features")
     if not (math.isfinite(value_i) and math.isfinite(value_j)):
         raise ValidationError("pinned values must be finite")
-    base = model.predict_batch(bg.points)
-    pin_i = bg.points.copy()
-    pin_i[:, feature_i] = value_i
-    g_i = model.predict_batch(pin_i)
-    pin_j = bg.points.copy()
-    pin_j[:, feature_j] = value_j
-    g_j = model.predict_batch(pin_j)
-    pin_ij = pin_i.copy()
-    pin_ij[:, feature_j] = value_j
-    g_ij = model.predict_batch(pin_ij)
-    summands = g_ij - g_i - g_j + base
-    return _mean_and_stderr(summands)
+    pins = {feature_i: value_i, feature_j: value_j}
+    return _mean_and_stderr(_term_rows(model, bg, pins, (feature_i, feature_j), {}))
 
 
 @dataclass(frozen=True)
@@ -203,8 +221,9 @@ def decompose_deviation(
 ) -> DeviationDecomposition:
     """Deviation terms delta_I (and delta_IJ) between observation and reference.
 
-    delta_I = f_I(x_obs_I) - f_I(x_ref_I) on the common background; the
-    reported stderr is the quadrature sum of the two effects' stderrs.
+    delta_I = f_I(x_obs_I) - f_I(x_ref_I) on the common background.  Both
+    sides average the same rows, so the reported stderr is that of the
+    paired per-row differences.  Each pinned coalition is predicted once.
     """
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
@@ -214,29 +233,25 @@ def decompose_deviation(
     d = bg.d_x
     if x_obs.size != d or x_ref.size != d:
         raise ValidationError("observation/reference length must match background")
+    if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
+        raise ValidationError("pinned value must be finite")
     total_delta = float(y_obs) - float(y_ref)
+    base = _pinned_rows(model, bg, None, ())
+    obs_rows, ref_rows = {(): base}, {(): base}
     first = np.empty(d)
     first_se = np.empty(d)
-    for i in range(d):
-        est_obs, se_obs = first_order_effect(model, bg, i, float(x_obs[i]))
-        est_ref, se_ref = first_order_effect(model, bg, i, float(x_ref[i]))
-        first[i] = est_obs - est_ref
-        first_se[i] = math.hypot(se_obs, se_ref)
-    second = None
-    second_se = None
+    second = second_se = None
+    terms = list(itertools.combinations(range(d), 1))
     if order == 2:
         second = np.zeros((d, d))
         second_se = np.zeros((d, d))
-        for i in range(d):
-            for j in range(i + 1, d):
-                est_obs, se_obs = second_order_effect(
-                    model, bg, i, j, float(x_obs[i]), float(x_obs[j])
-                )
-                est_ref, se_ref = second_order_effect(
-                    model, bg, i, j, float(x_ref[i]), float(x_ref[j])
-                )
-                second[i, j] = est_obs - est_ref
-                second_se[i, j] = math.hypot(se_obs, se_ref)
+        terms += itertools.combinations(range(d), 2)
+    for term in terms:
+        obs = _term_rows(model, bg, x_obs, term, obs_rows)
+        ref = _term_rows(model, bg, x_ref, term, ref_rows)
+        est, se = (first, first_se) if len(term) == 1 else (second, second_se)
+        est[term] = float(obs.mean()) - float(ref.mean())
+        se[term] = _mean_and_stderr(obs - ref)[1]
     term_total = float(first.sum()) + (float(second.sum()) if second is not None else 0.0)
     residual = total_delta - term_total
     return DeviationDecomposition(
@@ -246,7 +261,7 @@ def decompose_deviation(
         first_order=first,
         second_order=second,
         residual=residual,
-        f0=f_zero(model, bg),
+        f0=float(np.mean(base)),
         np_used=bg.np_used,
         stderr_first_order=first_se,
         stderr_second_order=second_se,

@@ -21,10 +21,10 @@ import numpy as np
 from .anova import (
     BackgroundSample,
     DeviationDecomposition,
+    _pinned_rows,
     decompose_deviation,
     decomposition_to_json,
     draw_background,
-    f_zero,
 )
 from .dataset import Dataset
 from .errors import DevexplainError, ValidationError
@@ -38,7 +38,6 @@ from .inverse import (
 from .mixtures import (
     FeaturePriors,
     ModeInfo,
-    fit_gmm,
     mode_z_score,
     modes,
     select_k,
@@ -135,18 +134,10 @@ def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
         raise ValidationError("model and background disagree on d_x")
     full = (1 << d) - 1
     v = np.empty(1 << d)
-    for mask in range(1 << d):
-        if mask == full:
-            v[mask] = predict(model, x_obs)
-            continue
-        if mask == 0:
-            pts = bg.points
-        else:
-            pts = bg.points.copy()
-            for i in range(d):
-                if mask >> i & 1:
-                    pts[:, i] = x_obs[i]
-        v[mask] = float(np.mean(model.predict_batch(pts)))
+    for mask in range(full):
+        coalition = [i for i in range(d) if mask >> i & 1]
+        v[mask] = float(np.mean(_pinned_rows(model, bg, x_obs, coalition)))
+    v[full] = predict(model, x_obs)
     fact = [math.factorial(i) for i in range(d + 1)]
     weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
     values = np.empty(d)
@@ -319,9 +310,7 @@ def explain_many(
         x_ref = data.features.mean(axis=0)
     else:
         with _stage("label-mixture"):
-            k = select_k(data.labels, settings.k_max, gmm_seed)
-            label_gmm = fit_gmm(data.labels, k, gmm_seed)
-            mode_list = modes(label_gmm)
+            mode_list = modes(select_k(data.labels, settings.k_max, gmm_seed))
             if mode_index >= len(mode_list):
                 raise ValidationError(
                     f"mode {mode_index} requested but only {len(mode_list)} found"
@@ -449,26 +438,27 @@ def report_to_json(report: ExplanationReport) -> dict:
     }
 
 
-def report_rows(report: ExplanationReport) -> list[dict]:
-    """One flat dict per feature, for CSV export and cross-report tables."""
-    rows = []
-    for i, name in enumerate(report.feature_names):
-        rows.append(
-            {
-                "observation_index": report.observation_index,
-                "feature": name,
-                "reference_kind": report.reference_kind,
-                "mode_index": "" if report.mode_index is None else report.mode_index,
-                "y_obs": report.y_obs,
-                "y_ref": report.y_ref,
-                "z": report.z,
-                "z_m": "" if report.z_m is None else report.z_m,
-                "delta": report.decomposition.first_order[i],
-                "score": ""
-                if report.scores.degenerate
-                else report.scores.first_order[i],
-                "shap": report.shap.values[i],
-                "degenerate": report.scores.degenerate,
-            }
-        )
-    return rows
+def report_rows(doc: dict) -> list[dict]:
+    """One flat dict per feature of a report document (``report_to_json``),
+    for CSV export and cross-report tables."""
+    scores = doc["scores"]
+    degenerate = scores["degenerate"]
+    return [
+        {
+            "observation_index": doc["observation_index"],
+            "feature": name,
+            "reference_kind": doc["reference_kind"],
+            "mode_index": "" if doc["mode_index"] is None else doc["mode_index"],
+            "y_obs": doc["y_obs"],
+            "y_ref": doc["y_ref"],
+            "z": doc["z"],
+            "z_m": "" if doc["z_m"] is None else doc["z_m"],
+            "delta": doc["decomposition"]["first_order"][i],
+            "score": ""
+            if degenerate or scores["first_order"][i] is None
+            else scores["first_order"][i],
+            "shap": doc["shap"]["values"][i],
+            "degenerate": degenerate,
+        }
+        for i, name in enumerate(doc["feature_names"])
+    ]

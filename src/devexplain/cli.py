@@ -17,6 +17,7 @@ import datetime
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,7 +47,6 @@ from .errors import (
 )
 from .inverse import default_budget
 from .mixtures import (
-    fit_gmm,
     fit_priors,
     mixture_to_json,
     modes,
@@ -113,10 +113,14 @@ def _read_json(path: str | Path):
         raise IngestionError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _log_run(out: Path, command: str, argv: list[str]) -> None:
+def _log_run(args, argv: list[str], code: int, elapsed: float) -> None:
+    """Append one line for this invocation to run.log under --out."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    with open(out / "run.log", "a") as fh:
-        fh.write(f"{stamp} {command} {argv}\n")
+    try:
+        with open(Path(args.out) / "run.log", "a") as fh:
+            fh.write(f"{stamp} {args.cmd} {argv} exit={code} elapsed={elapsed:.3f}s\n")
+    except OSError as exc:
+        print(f"warning: cannot append to run.log: {exc}", file=sys.stderr)
 
 
 def _echo_config(out: Path, command: str, params: dict) -> None:
@@ -146,7 +150,6 @@ def cmd_synth(args) -> None:
             "name": args.name,
         },
     )
-    _log_run(out, "synth", sys.argv[1:])
     print(
         f"wrote {out / args.name}: {data.n} rows, {data.d_x} features, "
         f"label mean {data.labels.mean():.4f}, std {data.labels.std():.4f}"
@@ -202,7 +205,6 @@ def cmd_fit(args) -> None:
             "min_leaf": args.min_leaf,
         },
     )
-    _log_run(out, "fit", sys.argv[1:])
     test_part = (
         "" if stats.r_squared_test is None else f", test R^2 {stats.r_squared_test:.4f}"
     )
@@ -216,11 +218,10 @@ def cmd_modes(args) -> None:
     out = _out_dir(args)
     seed = _resolve_seed(args.seed)
     data = _load_dataset(args.data, args.label)
-    k = select_k(data.labels, args.k_max, seed)
-    gmm = fit_gmm(data.labels, k, seed)
+    gmm = select_k(data.labels, args.k_max, seed)
     mode_list = modes(gmm)
     doc = {
-        "k": k,
+        "k": gmm.k,
         "mixture": mixture_to_json(gmm),
         "modes": [
             {
@@ -239,8 +240,7 @@ def cmd_modes(args) -> None:
         "modes",
         {"data": args.data, "label": args.label, "k_max": args.k_max, "seed": seed},
     )
-    _log_run(out, "modes", sys.argv[1:])
-    print(f"fitted k={k} mixture; {len(mode_list)} mode(s):")
+    print(f"fitted k={gmm.k} mixture; {len(mode_list)} mode(s):")
     for i, m in enumerate(mode_list):
         print(f"  mode {i}: location {m.location:.4f}, sigma_m {m.sigma_m:.4f}")
 
@@ -335,8 +335,9 @@ def cmd_explain(args) -> None:
     rows = []
     for report, mean_report in zip(reports, mean_reports):
         index = report.observation_index
-        _write_json(out / f"report_{index}.json", report_to_json(report))
-        rows.extend(report_rows(report))
+        doc = report_to_json(report)
+        _write_json(out / f"report_{index}.json", doc)
+        rows.extend(report_rows(doc))
         if args.svg:
             chart = _chart_for_report(report, mean_report)
             if chart is not None:
@@ -379,7 +380,6 @@ def cmd_explain(args) -> None:
             "svg": bool(args.svg),
         },
     )
-    _log_run(out, "explain", sys.argv[1:])
 
 
 def cmd_compare(args) -> None:
@@ -389,28 +389,7 @@ def cmd_compare(args) -> None:
         doc = _read_json(path)
         if doc.get("schema") != 1:
             raise IngestionError(f"{path}: unsupported report schema")
-        names = doc["feature_names"]
-        scores = doc["scores"]
-        degenerate = scores["degenerate"]
-        for i, name in enumerate(names):
-            rows.append(
-                {
-                    "observation_index": doc["observation_index"],
-                    "feature": name,
-                    "reference_kind": doc["reference_kind"],
-                    "mode_index": "" if doc["mode_index"] is None else doc["mode_index"],
-                    "y_obs": doc["y_obs"],
-                    "y_ref": doc["y_ref"],
-                    "z": doc["z"],
-                    "z_m": "" if doc["z_m"] is None else doc["z_m"],
-                    "delta": doc["decomposition"]["first_order"][i],
-                    "score": ""
-                    if degenerate or scores["first_order"][i] is None
-                    else scores["first_order"][i],
-                    "shap": doc["shap"]["values"][i],
-                    "degenerate": degenerate,
-                }
-            )
+        rows.extend(report_rows(doc))
     with open(out / args.name, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
         writer.writeheader()
@@ -418,7 +397,6 @@ def cmd_compare(args) -> None:
     _echo_config(
         out, "compare", {"reports": list(args.reports), "name": args.name}
     )
-    _log_run(out, "compare", sys.argv[1:])
     print(f"wrote {out / args.name} ({len(rows)} rows from {len(args.reports)} reports)")
 
 
@@ -497,8 +475,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    start = time.perf_counter()
+    code = _run(args)
+    _log_run(args, argv, code, time.perf_counter() - start)
+    return code
+
+
+def _run(args) -> int:
     try:
         args.func(args)
         return 0

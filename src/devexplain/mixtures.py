@@ -261,19 +261,24 @@ def bic(gmm: GaussianMixture1D) -> float:
     return -2.0 * gmm.log_likelihood + (3 * gmm.k - 1) * math.log(gmm.fitted_n)
 
 
-def select_k(samples, k_max: int, seed: int) -> int:
-    """Number of components minimizing BIC over k = 1..k_max."""
+def select_k(samples, k_max: int, seed: int) -> GaussianMixture1D:
+    """The ``fit_gmm`` fit minimizing BIC over k = 1..k_max (at most n/2).
+
+    k=1 is always fitted, so fewer than 2 samples raise its ValidationError.
+    """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     samples = np.asarray(samples, dtype=float).reshape(-1)
-    best_k, best_bic = 1, math.inf
-    for k in range(1, k_max + 1):
+    best = fit_gmm(samples, 1, seed)
+    best_bic = bic(best)
+    for k in range(2, k_max + 1):
         if samples.size < 2 * k:
             break  # larger k has no data support
-        score = bic(fit_gmm(samples, k, seed))
+        gmm = fit_gmm(samples, k, seed)
+        score = bic(gmm)
         if score < best_bic:
-            best_k, best_bic = k, score
-    return best_k
+            best, best_bic = gmm, score
+    return best
 
 
 def _mean_shift(gmm: GaussianMixture1D, y0: float) -> float:
@@ -354,9 +359,7 @@ def fit_priors(data: Dataset, k_max: int, seed: int) -> FeaturePriors:
     fitted = []
     for i in range(data.d_x):
         col_seed = int(children[i].generate_state(1)[0])
-        col = data.features[:, i]
-        k = select_k(col, k_max, col_seed)
-        fitted.append(fit_gmm(col, k, col_seed))
+        fitted.append(select_k(data.features[:, i], k_max, col_seed))
     return FeaturePriors(per_feature=tuple(fitted))
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devexplain.anova import (
     DATASET_RESAMPLED,
@@ -16,8 +18,10 @@ from devexplain.anova import (
     first_order_effect,
     second_order_effect,
 )
+from devexplain.dataset import Dataset
 from devexplain.errors import ValidationError
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D
+from devexplain.models import GbtParams, fit_gbt
 
 TABLE_OBS = np.array([-2.5, -1.7, -2.0])
 TABLE_REF = np.array([7.97, 7.94, -0.11])
@@ -41,6 +45,18 @@ class ProductModel:
 
     def predict_batch(self, x):
         return x[:, 0] * x[:, 1]
+
+
+class CountingModel:
+    """Stub: f(x) = sum_i (i + 1) x_i, counting its predict_batch calls."""
+
+    def __init__(self, d_x: int):
+        self.d_x = d_x
+        self.calls = 0
+
+    def predict_batch(self, x):
+        self.calls += 1
+        return x @ np.arange(1.0, self.d_x + 1)
 
 
 def standard_normal_priors(d: int) -> FeaturePriors:
@@ -231,17 +247,53 @@ class TestDecomposeDeviation:
                 decomp.total_delta, abs=1e-12
             )
 
-    def test_stderr_quadrature(self, gbt10k, outlier_data):
+    def test_stderr_paired(self, gbt10k, outlier_data):
+        # common random numbers: the error bar of delta is the stderr of the
+        # per-row differences between the observation and reference terms
         bg = draw_background(outlier_data, 400, seed=15)
         x_obs, y_obs = outlier_data.row(3)
         x_ref, y_ref = outlier_data.row(77)
-        decomp = decompose_deviation(gbt10k, bg, x_obs, x_ref, y_obs, y_ref)
+        decomp = decompose_deviation(
+            gbt10k, bg, x_obs, x_ref, y_obs, y_ref, order=2
+        )
+
+        def pinned(x, features):
+            pts = bg.points.copy()
+            for f in features:
+                pts[:, f] = x[f]
+            return gbt10k.predict_batch(pts)
+
+        def paired_stderr(diffs):
+            return diffs.std(ddof=1) / math.sqrt(bg.np_used)
+
         for i in range(3):
-            _, se_obs = first_order_effect(gbt10k, bg, i, float(x_obs[i]))
-            _, se_ref = first_order_effect(gbt10k, bg, i, float(x_ref[i]))
+            diffs = pinned(x_obs, [i]) - pinned(x_ref, [i])
             assert decomp.stderr_first_order[i] == pytest.approx(
-                math.hypot(se_obs, se_ref)
+                paired_stderr(diffs)
             )
+            for j in range(i + 1, 3):
+                diffs = (
+                    pinned(x_obs, [i, j]) - pinned(x_obs, [i]) - pinned(x_obs, [j])
+                ) - (
+                    pinned(x_ref, [i, j]) - pinned(x_ref, [i]) - pinned(x_ref, [j])
+                )
+                assert decomp.stderr_second_order[i, j] == pytest.approx(
+                    paired_stderr(diffs)
+                )
+
+    @pytest.mark.parametrize("order, calls", [(1, 7), (2, 13)])
+    def test_each_coalition_predicted_once(self, exact_priors, order, calls):
+        # the plain rows once, then each singleton (and pair) at x_obs and x_ref
+        bg = draw_background(exact_priors, 20, seed=17)
+        model = CountingModel(3)
+        decompose_deviation(model, bg, TABLE_OBS, TABLE_REF, 1.0, 0.0, order=order)
+        assert model.calls == calls
+
+    def test_non_finite_pin_rejected(self, linear_outlier, exact_priors):
+        bg = draw_background(exact_priors, 10, seed=0)
+        x_ref = np.array([1.0, math.inf, 0.0])
+        with pytest.raises(ValidationError, match="finite"):
+            decompose_deviation(linear_outlier, bg, TABLE_OBS, x_ref, 0.0, 0.0)
 
     def test_validation(self, linear_outlier, exact_priors):
         bg = draw_background(exact_priors, 10, seed=0)
@@ -263,3 +315,52 @@ class TestDecomposeDeviation:
         assert doc["background"] == {"source": PRIOR_SAMPLED, "seed": 16, "np": 50}
         assert doc["np_used"] == 50
         assert doc["second_order"] is None
+
+
+@pytest.fixture(scope="module")
+def small_gbt(synth10k):
+    rows = slice(0, 300)
+    data = Dataset(
+        features=synth10k.features[rows],
+        labels=synth10k.labels[rows],
+        feature_names=synth10k.feature_names,
+    )
+    return fit_gbt(data, GbtParams(n_trees=20, max_depth=3))
+
+
+def pin_vectors(d: int):
+    value = st.floats(-4.0, 12.0, allow_nan=False, allow_infinity=False)
+    return st.lists(value, min_size=d, max_size=d).map(np.array)
+
+
+class TestDecomposeMatchesEffects:
+    """decompose_deviation's terms are the per-term estimators' differences."""
+
+    @staticmethod
+    def check(model, bg, x_obs, x_ref):
+        decomp = decompose_deviation(model, bg, x_obs, x_ref, 1.0, 0.0, order=2)
+        d = bg.d_x
+        for i in range(d):
+            est_obs, _ = first_order_effect(model, bg, i, float(x_obs[i]))
+            est_ref, _ = first_order_effect(model, bg, i, float(x_ref[i]))
+            assert decomp.first_order[i] == est_obs - est_ref
+            for j in range(i + 1, d):
+                est_obs, _ = second_order_effect(
+                    model, bg, i, j, float(x_obs[i]), float(x_obs[j])
+                )
+                est_ref, _ = second_order_effect(
+                    model, bg, i, j, float(x_ref[i]), float(x_ref[j])
+                )
+                assert decomp.second_order[i, j] == est_obs - est_ref
+
+    @settings(max_examples=25, deadline=None)
+    @given(x_obs=pin_vectors(3), x_ref=pin_vectors(3))
+    def test_small_gbt(self, small_gbt, exact_priors, x_obs, x_ref):
+        bg = draw_background(exact_priors, 50, seed=18)
+        self.check(small_gbt, bg, x_obs, x_ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(x_obs=pin_vectors(2), x_ref=pin_vectors(2))
+    def test_product_model(self, x_obs, x_ref):
+        bg = draw_background(standard_normal_priors(2), 50, seed=19)
+        self.check(ProductModel(), bg, x_obs, x_ref)

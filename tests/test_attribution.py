@@ -226,7 +226,7 @@ class TestExplainMeanReference:
         doc = report_to_json(report)
         assert doc["scores"]["first_order"] == [None, None, None]
         assert doc["scores"]["residual_share"] is None
-        rows = report_rows(report)
+        rows = report_rows(doc)
         assert all(row["score"] == "" for row in rows)
 
     def test_report_is_deterministic(
@@ -409,7 +409,7 @@ class TestReportRows:
         report = explain(
             linear_outlier, exact_priors, outlier_data, 10000, "mean", settings
         )
-        rows = report_rows(report)
+        rows = report_rows(report_to_json(report))
         assert [r["feature"] for r in rows] == list(report.feature_names)
         for i, row in enumerate(rows):
             assert row["observation_index"] == 10000

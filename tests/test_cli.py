@@ -391,3 +391,20 @@ class TestTopLevel:
             assert rc == 0
         log = (tmp_path / "run.log").read_text().splitlines()
         assert len(log) == 2
+
+    def test_run_log_records_failure(self, river_ws, tmp_path):
+        # a constant feature column collapses its fitted prior: exit 4
+        flat = tmp_path / "flat.csv"
+        flat.write_text(
+            "h,hp,ww,njr\n"
+            + "".join(f"5.0,{i}.0,{i % 3}.5,{12 + i}.0\n" for i in range(10))
+        )
+        argv = [
+            "explain", "--data", str(flat), "--label", "njr",
+            "--model", str(river_ws / "model.json"), "--index", "0", "--mean",
+            "--out", str(tmp_path),
+        ]
+        assert run(*argv) == 4
+        log = (tmp_path / "run.log").read_text().splitlines()
+        assert len(log) == 1
+        assert f" explain {argv} exit=4 elapsed=" in log[0]

@@ -24,7 +24,6 @@ from devexplain.inverse import (
 from devexplain.mixtures import (
     FeaturePriors,
     GaussianMixture1D,
-    fit_gmm,
     fit_priors,
     log_prior,
     modes,
@@ -262,8 +261,7 @@ class TestDirectSearchMap:
         sigma2 = clamp_sigma_e_squared(
             residual_stats(model, data).sigma_e_squared, data.labels
         )
-        k = select_k(data.labels, 6, seed=3)
-        dominant = modes(fit_gmm(data.labels, k, seed=3))[0]
+        dominant = modes(select_k(data.labels, 6, seed=3))[0]
         result = reference_point(
             model, priors, sigma2, dominant, default_budget(priors), seed=0
         )

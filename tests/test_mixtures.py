@@ -172,9 +172,8 @@ class TestFitGmm:
             [rng.normal(12.0, 0.5, 15), rng.normal(20.0, 0.3, 3), [12.3, 12.3]]
         )
         for seed in range(10):
-            k = select_k(samples, 6, seed)
-            gmm = fit_gmm(samples, k, seed)
-            assert k <= 3
+            gmm = select_k(samples, 6, seed)
+            assert gmm.k <= 3
             # every component keeps a real share of mass
             assert np.all(gmm.weights * samples.size >= 1.5)
 
@@ -194,22 +193,26 @@ class TestFitGmm:
 class TestSelectK:
     def test_single_gaussian_picks_one(self):
         samples = np.random.default_rng(5).standard_normal(2000)
-        assert select_k(samples, 4, 0) == 1
+        assert select_k(samples, 4, 0).k == 1
 
     def test_three_separated_components(self):
         rng = np.random.default_rng(6)
         samples = np.concatenate(
             [rng.normal(-10, 1, 700), rng.normal(0, 1, 700), rng.normal(10, 1, 700)]
         )
-        assert select_k(samples, 5, 0) == 3
+        assert select_k(samples, 5, 0).k == 3
 
     def test_k_max_one(self):
         samples = two_bump_samples(500, 7)
-        assert select_k(samples, 1, 0) == 1
+        assert select_k(samples, 1, 0).k == 1
 
     def test_k_max_domain(self):
         with pytest.raises(ValidationError):
             select_k(np.arange(10.0), 0, 0)
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            select_k(np.array([1.0]), 3, 0)
 
     def test_bic_formula(self):
         samples = two_bump_samples(400, 9)
