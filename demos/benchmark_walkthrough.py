@@ -15,9 +15,9 @@ from devexplain.attribution import responsible_scores, shapley_values
 from devexplain.dataset import Dataset, generate_synthetic, trimodal_benchmark_spec
 from devexplain.inverse import default_budget, reference_point
 from devexplain.mixtures import (
+    FeaturePriors,
     mode_z_score,
     modes,
-    priors_from_specs,
     select_k,
     z_score,
 )
@@ -59,7 +59,7 @@ print(f"\noutlier y={outlier_y}: global z = {z:.2f}, but z_m = {z_m:.2f} "
 model = fit_linear(full)
 stats = residual_stats(model, full)
 sigma2 = clamp_sigma_e_squared(stats.sigma_e_squared, full.labels)
-priors = priors_from_specs(spec.feature_specs)
+priors = FeaturePriors(spec.feature_specs)
 budget = default_budget(priors)
 print(f"\nlinear fit: R^2 {stats.r_squared_train:.4f}; MAP budget "
       f"{budget.n_runs} restarts (assumed {budget.assumed_k} basins)")

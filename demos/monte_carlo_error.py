@@ -14,12 +14,12 @@ import numpy as np
 
 from devexplain.anova import draw_background, first_order_effect
 from devexplain.dataset import generate_synthetic, trimodal_benchmark_spec
-from devexplain.mixtures import priors_from_specs
+from devexplain.mixtures import FeaturePriors
 from devexplain.models import GbtParams, fit_gbt, fit_linear
 
 spec = trimodal_benchmark_spec()
 data = generate_synthetic(spec, 10000, 3)
-priors = priors_from_specs(spec.feature_specs)
+priors = FeaturePriors(spec.feature_specs)
 
 gbt = fit_gbt(data, GbtParams(n_trees=300, max_depth=3, learning_rate=0.1))
 linear = fit_linear(data)

@@ -31,7 +31,6 @@ from .attribution import (
 )
 from .dataset import (
     Dataset,
-    MixtureSpec,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -69,7 +68,6 @@ from .mixtures import (
     log_prior,
     mode_z_score,
     modes,
-    priors_from_specs,
     select_k,
     z_score,
 )
@@ -86,7 +84,6 @@ from .models import (
     model_from_json,
     model_to_json,
     predict,
-    predict_batch,
     residual_stats,
     save_model,
 )

@@ -25,13 +25,14 @@ import numpy as np
 
 from . import __version__
 from .attribution import (
+    REPORT_SCHEMA,
     ExplainSettings,
     explain_many,
     report_rows,
     report_to_json,
 )
 from .dataset import (
-    Dataset,
+    _read_json,
     generate_synthetic,
     load_csv,
     load_synthetic_spec,
@@ -47,10 +48,10 @@ from .errors import (
 )
 from .inverse import default_budget
 from .mixtures import (
+    FeaturePriors,
     fit_priors,
     mixture_to_json,
     modes,
-    priors_from_specs,
     select_k,
 )
 from .models import (
@@ -103,16 +104,6 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _read_json(path: str | Path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise IngestionError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"{path}: invalid JSON ({exc})") from exc
-
-
 def _log_run(args, argv: list[str], code: int, elapsed: float) -> None:
     """Append one line for this invocation to run.log under --out."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -125,10 +116,6 @@ def _log_run(args, argv: list[str], code: int, elapsed: float) -> None:
 
 def _echo_config(out: Path, command: str, params: dict) -> None:
     _write_json(out / f"{command}_config.json", {"command": command, **params})
-
-
-def _load_dataset(path: str, label: str) -> Dataset:
-    return load_csv(path, label)
 
 
 def cmd_synth(args) -> None:
@@ -159,7 +146,7 @@ def cmd_synth(args) -> None:
 def cmd_fit(args) -> None:
     out = _out_dir(args)
     seed = _resolve_seed(args.seed)
-    data = _load_dataset(args.data, args.label)
+    data = load_csv(args.data, args.label)
     if not 0 < args.split <= 1:
         raise ValidationError("--split must be in (0, 1]")
     if args.split < 1:
@@ -217,7 +204,7 @@ def cmd_fit(args) -> None:
 def cmd_modes(args) -> None:
     out = _out_dir(args)
     seed = _resolve_seed(args.seed)
-    data = _load_dataset(args.data, args.label)
+    data = load_csv(args.data, args.label)
     gmm = select_k(data.labels, args.k_max, seed)
     mode_list = modes(gmm)
     doc = {
@@ -293,7 +280,7 @@ def _chart_for_report(report, mean_report) -> str | None:
 def cmd_explain(args) -> None:
     out = _out_dir(args)
     seed = _resolve_seed(args.seed)
-    data = _load_dataset(args.data, args.label)
+    data = load_csv(args.data, args.label)
     model = load_model(args.model)
     if args.index is not None:
         indices = [args.index]
@@ -307,7 +294,7 @@ def cmd_explain(args) -> None:
         for child in np.random.SeedSequence(seed).spawn(2)
     )
     if args.priors:
-        priors = priors_from_specs(load_synthetic_spec(args.priors).feature_specs)
+        priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors
     else:
         priors = fit_priors(data, args.k_max, priors_seed)
@@ -387,9 +374,12 @@ def cmd_compare(args) -> None:
     rows = []
     for path in args.reports:
         doc = _read_json(path)
-        if doc.get("schema") != 1:
+        if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
             raise IngestionError(f"{path}: unsupported report schema")
-        rows.extend(report_rows(doc))
+        try:
+            rows.extend(report_rows(doc))
+        except (KeyError, IndexError, TypeError) as exc:
+            raise IngestionError(f"{path}: malformed report ({exc!r})") from exc
     with open(out / args.name, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
         writer.writeheader()

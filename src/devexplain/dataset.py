@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestionError, ValidationError
-
-_WEIGHT_TOL = 1e-12
+from .mixtures import GaussianMixture1D, mixture_from_json, mixture_to_json
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -92,50 +91,10 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class MixtureSpec:
-    """Exact 1-D Gaussian mixture: list of (weight, mean, std) components."""
-
-    components: tuple[tuple[float, float, float], ...]
-
-    def __post_init__(self):
-        comps = tuple((float(w), float(m), float(s)) for w, m, s in self.components)
-        object.__setattr__(self, "components", comps)
-        if not comps:
-            raise ValidationError("mixture needs at least one component")
-        total = math.fsum(w for w, _, _ in comps)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
-        if any(w < 0 for w, _, _ in comps):
-            raise ValidationError("mixture weights must be nonnegative")
-        if any(s <= 0 for _, _, s in comps):
-            raise ValidationError("mixture stds must be positive")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _, _ in self.components])
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([m for _, m, _ in self.components])
-
-    @property
-    def stds(self) -> np.ndarray:
-        return np.array([s for _, _, s in self.components])
-
-    def mean(self) -> float:
-        """Mixture mean sum_k w_k * mu_k."""
-        return float(np.dot(self.weights, self.means))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        comps = rng.choice(len(self.components), size=n, p=self.weights)
-        return self.means[comps] + self.stds[comps] * rng.standard_normal(n)
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     """Additive generator: each feature from its mixture, y = sum_I x_I + noise."""
 
-    feature_specs: tuple[MixtureSpec, ...]
+    feature_specs: tuple[GaussianMixture1D, ...]
     label_noise_std: float = 0.0
 
     def __post_init__(self):
@@ -252,47 +211,37 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     )
 
 
-def mixture_spec_to_json(spec: MixtureSpec) -> dict:
-    return {
-        "weights": list(spec.weights),
-        "means": list(spec.means),
-        "stds": list(spec.stds),
-    }
-
-
-def mixture_spec_from_json(doc: dict) -> MixtureSpec:
-    try:
-        triples = list(zip(doc["weights"], doc["means"], doc["stds"], strict=True))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad mixture document: {exc}") from exc
-    return MixtureSpec(components=tuple(triples))
-
-
 def synthetic_spec_to_json(spec: SyntheticSpec) -> dict:
     return {
-        "features": [mixture_spec_to_json(m) for m in spec.feature_specs],
+        "features": [mixture_to_json(m) for m in spec.feature_specs],
         "noise_std": spec.label_noise_std,
     }
 
 
 def synthetic_spec_from_json(doc: dict) -> SyntheticSpec:
-    if "features" not in doc:
+    if not isinstance(doc, dict) or "features" not in doc:
         raise ValidationError("synthetic spec document needs a 'features' list")
-    mixes = tuple(mixture_spec_from_json(m) for m in doc["features"])
-    return SyntheticSpec(
-        feature_specs=mixes, label_noise_std=float(doc.get("noise_std", 0.0))
-    )
+    mixes = tuple(mixture_from_json(m) for m in doc["features"])
+    try:
+        noise_std = float(doc.get("noise_std", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad noise_std: {exc}") from exc
+    return SyntheticSpec(feature_specs=mixes, label_noise_std=noise_std)
+
+
+def _read_json(path: str | Path):
+    """Parse a JSON file; a missing or unparsable file is an IngestionError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise IngestionError(f"no such file: {path}") from None
+    except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
+        raise IngestionError(f"{path}: unreadable or invalid JSON ({exc})") from exc
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise IngestionError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"{path}: invalid JSON ({exc})") from exc
-    return synthetic_spec_from_json(doc)
+    return synthetic_spec_from_json(_read_json(path))
 
 
 def river_fixture_path() -> Path:
@@ -315,7 +264,7 @@ def trimodal_benchmark_spec() -> SyntheticSpec:
     """
     stds = (0.5, 0.75, 1.0)
     mixes = tuple(
-        MixtureSpec(components=((0.3, 0.0, 1.0), (0.3, 4.0, 1.0), (0.4, 8.0, s)))
+        GaussianMixture1D(components=((0.3, 0.0, 1.0), (0.3, 4.0, 1.0), (0.4, 8.0, s * s)))
         for s in stds
     )
     return SyntheticSpec(feature_specs=mixes, label_noise_std=0.0)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NumericalError, SearchFailureError, ValidationError
-from .mixtures import FeaturePriors, ModeInfo
+from .mixtures import FeaturePriors, ModeInfo, _log_prior_sum
 from .models import PredictiveModel
 
 _FD_STEP_FRAC = 1e-6
@@ -84,35 +84,16 @@ class LocalSettings:
     smooth: bool = True
 
 
-def _fast_log_prior(priors: FeaturePriors | None):
-    """Closure evaluating the log-prior with per-feature constants hoisted."""
-    if priors is None:
-        return lambda x: 0.0
-    consts = []
-    for gmm in priors.per_feature:
-        log_w = np.log(gmm.weights) - 0.5 * np.log(2.0 * math.pi * gmm.variances)
-        consts.append((log_w, gmm.means, 2.0 * gmm.variances))
-
-    def log_prior(x: np.ndarray) -> float:
-        total = 0.0
-        for i, (log_w, means, two_var) in enumerate(consts):
-            terms = log_w - (x[i] - means) ** 2 / two_var
-            total += float(np.logaddexp.reduce(terms))
-        return total
-
-    return log_prior
-
-
 def make_objective_fn(obj: PosteriorObjective):
     """Plain callable x -> log-posterior value, shapes unchecked (hot path)."""
-    log_prior = _fast_log_prior(obj.priors)
+    per_feature = () if obj.priors is None else obj.priors.per_feature
     predict_one = obj.model.predict_one
     y = obj.y_target
     two_sigma2 = 2.0 * obj.sigma_e_squared
 
     def value(x: np.ndarray) -> float:
         misfit = y - predict_one(x)
-        return -misfit * misfit / two_sigma2 + log_prior(x)
+        return -misfit * misfit / two_sigma2 + _log_prior_sum(per_feature, x)
 
     return value
 

@@ -1,22 +1,21 @@
 """1-D Gaussian mixtures: EM fitting, BIC model selection, mode finding.
 
-Mixtures serve two roles here.  Fitted to the labels, their density modes
-are the reference values that deviations are measured against, each with a
-mode-local standard deviation for z-scoring.  Fitted to (or supplied for)
-each feature column, they form the independent prior p(x) = prod_I p(x_I).
+One type, :class:`GaussianMixture1D`, plays every mixture role.  Written
+in a generator spec, it draws the synthetic feature columns.  Supplied for
+(or fitted to) each feature column, it forms the independent prior
+p(x) = prod_I p(x_I).  Fitted to the labels, its density modes are the
+reference values that deviations are measured against, each with a
+mode-local standard deviation for z-scoring.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .dataset import Dataset, MixtureSpec
 from .errors import NumericalError, ValidationError
 
 _EM_REL_TOL = 1e-8
@@ -27,20 +26,29 @@ _EM_RESTARTS = 5
 _VARIANCE_FLOOR_FRAC = 1e-4
 _MODE_STEP_TOL = 1e-10
 _MODE_MAX_ITERS = 10_000
+_WEIGHT_TOL = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class GaussianMixture1D:
-    """Weighted sum of 1-D normals; components are (weight, mean, variance)."""
+    """Weighted sum of 1-D normals; components are (weight, mean, variance).
+
+    Weights are nonnegative and sum to 1 within 1e-12; variances are
+    positive.  The constants of every log-density evaluation,
+    log w_k - 0.5 log(2 pi var_k), mu_k and 2 var_k, are computed once here.
+    """
 
     components: tuple[tuple[float, float, float], ...]
     fitted_n: int = 0
     log_likelihood: float = math.nan
     # Total log-likelihood at each E-step of the winning restart;
-    # empty for mixtures built directly from a MixtureSpec.
+    # empty for mixtures that were not fitted.
     history: tuple[float, ...] = ()
+    _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
+    _mu: np.ndarray = field(init=False, repr=False, compare=False)
+    _two_var: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple((float(w), float(m), float(v)) for w, m, v in self.components)
@@ -48,10 +56,18 @@ class GaussianMixture1D:
         object.__setattr__(self, "history", tuple(self.history))
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        if abs(math.fsum(w for w, _, _ in comps) - 1.0) > 1e-9:
-            raise ValidationError("mixture weights must sum to 1 within 1e-9")
+        if any(w < 0 for w, _, _ in comps):
+            raise ValidationError("mixture weights must be nonnegative")
+        total = math.fsum(w for w, _, _ in comps)
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
         if any(v <= 0 for _, _, v in comps):
             raise ValidationError("component variances must be positive")
+        variances = self.variances
+        log_norm = np.log(self.weights) - 0.5 * np.log(2.0 * math.pi * variances)
+        object.__setattr__(self, "_log_norm", log_norm)
+        object.__setattr__(self, "_mu", self.means)
+        object.__setattr__(self, "_two_var", 2.0 * variances)
 
     @property
     def k(self) -> int:
@@ -72,6 +88,10 @@ class GaussianMixture1D:
     @property
     def stds(self) -> np.ndarray:
         return np.sqrt(self.variances)
+
+    def mean(self) -> float:
+        """Mixture mean sum_k w_k * mu_k."""
+        return float(np.dot(self.weights, self.means))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         comps = rng.choice(self.k, size=n, p=self.weights)
@@ -116,28 +136,22 @@ class FeaturePriors:
         return out
 
 
-def priors_from_specs(specs) -> FeaturePriors:
-    """Build exact priors from known generating mixtures (no fitting)."""
-    return FeaturePriors(per_feature=tuple(from_mixture_spec(s) for s in specs))
+def _component_log_pdfs(gmm: GaussianMixture1D, y) -> np.ndarray:
+    """log(w_k) + log phi_k(y): k entries for a scalar y, n x k for an n x 1 y."""
+    return gmm._log_norm - (y - gmm._mu) ** 2 / gmm._two_var
 
 
-def from_mixture_spec(spec: MixtureSpec) -> GaussianMixture1D:
-    comps = tuple((w, m, s * s) for w, m, s in spec.components)
-    return GaussianMixture1D(components=comps)
-
-
-def _component_log_pdfs(gmm: GaussianMixture1D, y: np.ndarray) -> np.ndarray:
-    """n x k matrix of log(w_k) + log phi_k(y)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    means = gmm.means
-    variances = gmm.variances
-    log_w = np.log(gmm.weights)
-    z2 = (y[:, None] - means[None, :]) ** 2 / variances[None, :]
-    return log_w[None, :] - 0.5 * (z2 + np.log(variances)[None, :] + _LOG_2PI)
+def _log_prior_sum(per_feature, x) -> float:
+    """sum_I ln p_I(x_I), unchecked: the MAP objective's hot path."""
+    total = 0.0
+    for gmm, v in zip(per_feature, x):
+        total += float(np.logaddexp.reduce(_component_log_pdfs(gmm, v)))
+    return total
 
 
 def log_density(gmm: GaussianMixture1D, y) -> np.ndarray | float:
-    lp = logsumexp(_component_log_pdfs(gmm, y), axis=1)
+    column = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
+    lp = logsumexp(_component_log_pdfs(gmm, column), axis=1)
     return float(lp[0]) if np.isscalar(y) else lp
 
 
@@ -291,7 +305,7 @@ def _mean_shift(gmm: GaussianMixture1D, y0: float) -> float:
     variances = gmm.variances
     y = float(y0)
     for _ in range(_MODE_MAX_ITERS):
-        log_r = _component_log_pdfs(gmm, y)[0] - np.log(variances)
+        log_r = _component_log_pdfs(gmm, y) - np.log(variances)
         r = np.exp(log_r - logsumexp(log_r))
         y_next = float(np.dot(r, means))
         if abs(y_next - y) < _MODE_STEP_TOL:
@@ -316,7 +330,7 @@ def modes(gmm: GaussianMixture1D) -> list[ModeInfo]:
         found.append(y)
     out = []
     for y in found:
-        resp = _component_log_pdfs(gmm, y)[0]
+        resp = _component_log_pdfs(gmm, y)
         comp = int(np.argmax(resp))
         sigma_m = float(gmm.stds[comp])
         # drop mean-shift fixed points that are not density maxima
@@ -353,8 +367,9 @@ def mode_z_score(y: float, mode: ModeInfo) -> float:
     return (float(y) - mode.location) / mode.sigma_m
 
 
-def fit_priors(data: Dataset, k_max: int, seed: int) -> FeaturePriors:
-    """Per-column BIC-selected mixture fits; one child seed stream per column."""
+def fit_priors(data, k_max: int, seed: int) -> FeaturePriors:
+    """Per-column BIC-selected mixture fits of a ``Dataset``'s features; one
+    child seed stream per column."""
     children = np.random.SeedSequence(seed).spawn(data.d_x)
     fitted = []
     for i in range(data.d_x):
@@ -368,9 +383,7 @@ def log_prior(priors: FeaturePriors, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != priors.d_x:
         raise ValidationError(f"x has {x.size} entries, priors expect {priors.d_x}")
-    return float(
-        sum(log_density(gmm, float(v)) for gmm, v in zip(priors.per_feature, x))
-    )
+    return _log_prior_sum(priors.per_feature, x)
 
 
 def mixture_to_json(gmm: GaussianMixture1D) -> dict:
@@ -383,20 +396,12 @@ def mixture_to_json(gmm: GaussianMixture1D) -> dict:
 
 def mixture_from_json(doc: dict) -> GaussianMixture1D:
     try:
-        triples = list(zip(doc["weights"], doc["means"], doc["stds"], strict=True))
+        triples = [
+            (float(w), float(m), float(s))
+            for w, m, s in zip(doc["weights"], doc["means"], doc["stds"], strict=True)
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad mixture document: {exc}") from exc
-    return GaussianMixture1D(
-        components=tuple((w, m, s * s) for w, m, s in triples)
-    )
-
-
-def save_mixture(gmm: GaussianMixture1D, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mixture_to_json(gmm), fh, indent=2)
-        fh.write("\n")
-
-
-def load_mixture(path: str | Path) -> GaussianMixture1D:
-    with open(path) as fh:
-        return mixture_from_json(json.load(fh))
+    if any(s <= 0 for _, _, s in triples):
+        raise ValidationError("mixture stds must be positive")
+    return GaussianMixture1D(components=tuple((w, m, s * s) for w, m, s in triples))

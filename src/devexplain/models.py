@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dataset import Dataset
+from .dataset import Dataset, _read_json
 from .errors import NumericalError, SingularFitError, ValidationError
 
 _RANK_TOL = 1e-10
@@ -298,13 +298,6 @@ def predict(model: PredictiveModel, x) -> float:
     return model.predict_one(x)
 
 
-def predict_batch(model: PredictiveModel, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != model.d_x:
-        raise ValidationError(f"x has {x.shape[1]} columns, model expects {model.d_x}")
-    return model.predict_batch(x)
-
-
 @dataclass(frozen=True)
 class ResidualStats:
     sigma_e_squared: float
@@ -392,21 +385,25 @@ def model_to_json(model: PredictiveModel) -> dict:
 
 
 def model_from_json(doc: dict) -> PredictiveModel:
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise ValidationError(f"unsupported model schema {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != MODEL_SCHEMA:
+        raise ValidationError(f"unsupported model schema {schema!r}")
     kind = doc.get("kind")
-    if kind == "linear":
-        return LinearModel(
-            intercept=float(doc["intercept"]),
-            coefficients=np.array(doc["coefficients"], dtype=float),
-        )
-    if kind == "gbt":
-        return GbtModel(
-            trees=tuple(_tree_from_json(t) for t in doc["trees"]),
-            learning_rate=float(doc["learning_rate"]),
-            base_score=float(doc["base_score"]),
-            n_features=int(doc["n_features"]),
-        )
+    try:
+        if kind == "linear":
+            return LinearModel(
+                intercept=float(doc["intercept"]),
+                coefficients=np.array(doc["coefficients"], dtype=float),
+            )
+        if kind == "gbt":
+            return GbtModel(
+                trees=tuple(_tree_from_json(t) for t in doc["trees"]),
+                learning_rate=float(doc["learning_rate"]),
+                base_score=float(doc["base_score"]),
+                n_features=int(doc["n_features"]),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {kind} model document: {exc!r}") from exc
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -417,5 +414,4 @@ def save_model(model: PredictiveModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PredictiveModel:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
+    return model_from_json(_read_json(path))

@@ -14,7 +14,7 @@ from devexplain.dataset import (
     trimodal_benchmark_spec,
     river_fixture_path,
 )
-from devexplain.mixtures import priors_from_specs
+from devexplain.mixtures import FeaturePriors
 from devexplain.models import GbtParams, fit_gbt, fit_linear
 
 # Master seed for the synthetic benchmark data used throughout the suite.
@@ -57,7 +57,7 @@ def gbt10k(synth10k):
 
 @pytest.fixture(scope="session")
 def exact_priors(trimodal_spec):
-    return priors_from_specs(trimodal_spec.feature_specs)
+    return FeaturePriors(trimodal_spec.feature_specs)
 
 
 @pytest.fixture(scope="session")

@@ -49,10 +49,10 @@ from devexplain.inverse import (
     required_runs,
 )
 from devexplain.mixtures import (
+    FeaturePriors,
     fit_gmm,
     mode_z_score,
     modes,
-    priors_from_specs,
     select_k,
     z_score,
 )
@@ -231,7 +231,7 @@ def test_criterion_07_monte_carlo_error_decay():
     spec = trimodal_benchmark_spec()
     data = generate_synthetic(spec, 10000, DATA_SEED)
     model = fit_gbt(data, GbtParams(n_trees=300, max_depth=3, learning_rate=0.1))
-    priors = priors_from_specs(spec.feature_specs)
+    priors = FeaturePriors(spec.feature_specs)
     stderr = {}
     for np_count in (250, 1000, 4000):
         estimates = []

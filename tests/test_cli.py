@@ -371,6 +371,34 @@ class TestCompare:
         assert rc == 3
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "command, content, code",
+        [
+            ("explain", None, 3),
+            ("explain", "not json", 3),
+            ("explain", '{"schema": 1, "kind": "linear", "coefficients": [1, 1, 1]}', 2),
+            ("compare", "[1]", 3),
+            ("compare", '{"schema": 1}', 3),
+            ("synth", '{"features": [{"weights": [1], "means": [0], "stds": [1]}], '
+                      '"noise_std": "abc"}', 2),
+        ],
+        ids=["model-missing", "model-not-json", "model-no-intercept",
+             "report-not-object", "report-schema-only", "spec-bad-noise"],
+    )
+    def test_exit_code(self, tmp_path, command, content, code):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        argv = {
+            "explain": ("explain", "--data", FIXTURE, "--label", "njr", "--model", str(path),
+                        "--index", "0", "--mean"),
+            "compare": ("compare", str(path)),
+            "synth": ("synth", "--spec", str(path), "--n", "5"),
+        }[command]
+        assert run(*argv, "--out", str(tmp_path)) == code
+
+
 class TestTopLevel:
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:

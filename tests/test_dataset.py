@@ -8,23 +8,21 @@ import pytest
 
 from devexplain.dataset import (
     Dataset,
-    MixtureSpec,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
     load_synthetic_spec,
-    mixture_spec_from_json,
-    mixture_spec_to_json,
     trimodal_benchmark_spec,
     split,
     synthetic_spec_from_json,
     synthetic_spec_to_json,
 )
 from devexplain.errors import IngestionError, ValidationError
+from devexplain.mixtures import GaussianMixture1D, mixture_from_json, mixture_to_json
 
 
 def standard_normal_spec(d: int) -> SyntheticSpec:
-    mix = MixtureSpec(components=((1.0, 0.0, 1.0),))
+    mix = GaussianMixture1D(components=((1.0, 0.0, 1.0),))
     return SyntheticSpec(feature_specs=(mix,) * d)
 
 
@@ -108,19 +106,19 @@ class TestGenerateSynthetic:
 class TestMixtureSpec:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
-            MixtureSpec(components=((0.5, 0.0, 1.0), (0.4, 1.0, 1.0)))
+            GaussianMixture1D(components=((0.5, 0.0, 1.0), (0.4, 1.0, 1.0)))
 
     def test_positive_stds(self):
         with pytest.raises(ValidationError):
-            MixtureSpec(components=((1.0, 0.0, 0.0),))
+            GaussianMixture1D(components=((1.0, 0.0, 0.0),))
 
     def test_mean(self):
-        mix = MixtureSpec(components=((0.3, 0.0, 1.0), (0.3, 4.0, 1.0), (0.4, 8.0, 1.0)))
+        mix = GaussianMixture1D(components=((0.3, 0.0, 1.0), (0.3, 4.0, 1.0), (0.4, 8.0, 1.0)))
         assert mix.mean() == pytest.approx(4.4)
 
     def test_json_roundtrip(self):
-        mix = MixtureSpec(components=((0.25, -1.0, 0.5), (0.75, 2.0, 1.5)))
-        again = mixture_spec_from_json(mixture_spec_to_json(mix))
+        mix = GaussianMixture1D(components=((0.25, -1.0, 0.25), (0.75, 2.0, 2.25)))
+        again = mixture_from_json(mixture_to_json(mix))
         assert again == mix
 
     def test_spec_json_roundtrip(self, trimodal_spec):

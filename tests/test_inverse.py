@@ -17,6 +17,7 @@ from devexplain.inverse import (
     direct_search_map,
     local_maximize,
     log_posterior,
+    make_objective_fn,
     map_result_to_json,
     reference_point,
     required_runs,
@@ -82,6 +83,17 @@ class TestLogPosterior:
         assert log_posterior(obj, x) == pytest.approx(
             log_prior(exact_priors, x), rel=1e-12
         )
+
+    def test_objective_reads_log_prior_exactly(self, linear_outlier, exact_priors, sigma2):
+        # at zero misfit the MAP objective is the log-prior, bit for bit
+        for x in np.random.default_rng(0).uniform(-2.0, 10.0, size=(20, 3)):
+            obj = PosteriorObjective(
+                model=linear_outlier,
+                priors=exact_priors,
+                y_target=predict(linear_outlier, x),
+                sigma_e_squared=sigma2,
+            )
+            assert make_objective_fn(obj)(x) == log_prior(exact_priors, x)
 
     def test_flat_prior_monotone_in_misfit(self, linear_outlier):
         obj = PosteriorObjective(

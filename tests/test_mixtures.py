@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from devexplain.dataset import Dataset, MixtureSpec
+from devexplain.dataset import Dataset
 from devexplain.errors import NumericalError, ValidationError
 from devexplain.mixtures import (
     _EM_MAX_ITERS,
@@ -18,14 +20,12 @@ from devexplain.mixtures import (
     density,
     fit_gmm,
     fit_priors,
-    from_mixture_spec,
     log_density,
     log_prior,
     mixture_from_json,
     mixture_to_json,
     mode_z_score,
     modes,
-    priors_from_specs,
     select_k,
     z_score,
 )
@@ -78,10 +78,38 @@ def textbook_em(samples, k, rng, floor):
         )
 
 
+@st.composite
+def mixtures(draw):
+    """1-4 components, weights normalized from positive draws."""
+    k = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    means = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    # std >= 1 keeps the density below 0.4, so its log is never near 0
+    stds = draw(st.lists(st.floats(1.0, 5.0), min_size=k, max_size=k))
+    total = math.fsum(raw)
+    return GaussianMixture1D(
+        components=tuple((r / total, m, s * s) for r, m, s in zip(raw, means, stds))
+    )
+
+
+def textbook_log_density(gmm, y: float) -> float:
+    """log sum_k w_k N(y; mu_k, var_k), shifted by the largest term."""
+    terms = [
+        math.log(w) - 0.5 * math.log(2.0 * math.pi * v) - (y - m) ** 2 / (2.0 * v)
+        for w, m, v in gmm.components
+    ]
+    peak = max(terms)
+    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
+
+
 class TestGaussianMixture1D:
     def test_weight_sum_validated(self):
         with pytest.raises(ValidationError):
             GaussianMixture1D(components=((0.6, 0.0, 1.0), (0.5, 1.0, 1.0)))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValidationError):
+            GaussianMixture1D(components=((1.5, 0.0, 1.0), (-0.5, 1.0, 1.0)))
 
     def test_positive_variances(self):
         with pytest.raises(ValidationError):
@@ -94,9 +122,19 @@ class TestGaussianMixture1D:
         assert np.array_equal(a, b)
 
     def test_from_spec_squares_stds(self):
-        spec = MixtureSpec(components=((1.0, 1.0, 3.0),))
-        gmm = from_mixture_spec(spec)
+        gmm = mixture_from_json({"weights": [1.0], "means": [1.0], "stds": [3.0]})
         assert gmm.variances[0] == 9.0
+
+
+class TestLogDensity:
+    @settings(max_examples=100, deadline=None)
+    @given(gmm=mixtures(), points=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=5))
+    def test_matches_textbook(self, gmm, points):
+        expected = [textbook_log_density(gmm, y) for y in points]
+        assert log_density(gmm, np.array(points)) == pytest.approx(expected, rel=1e-12)
+        for y, want in zip(points, expected):
+            assert log_density(gmm, y) == pytest.approx(want, rel=1e-12)
+            assert log_prior(FeaturePriors((gmm,)), [y]) == pytest.approx(want, rel=1e-12)
 
 
 class TestFitGmm:
@@ -354,7 +392,7 @@ class TestPriors:
         )
 
     def test_priors_from_specs_shape(self, trimodal_spec):
-        priors = priors_from_specs(trimodal_spec.feature_specs)
+        priors = FeaturePriors(trimodal_spec.feature_specs)
         assert priors.d_x == 3
         assert all(gmm.k == 3 for gmm in priors.per_feature)
 

@@ -14,7 +14,6 @@ from devexplain.models import (
     model_from_json,
     model_to_json,
     predict,
-    predict_batch,
     residual_stats,
 )
 
@@ -93,7 +92,7 @@ class TestPredict:
     def test_scalar_and_batch_paths_agree_bitwise(self, gbt10k):
         rng = np.random.default_rng(4)
         xs = rng.normal(4, 3, size=(100, 3))
-        batch = predict_batch(gbt10k, xs)
+        batch = gbt10k.predict_batch(xs)
         singles = np.array([predict(gbt10k, x) for x in xs])
         assert np.array_equal(batch, singles)
 
@@ -102,8 +101,6 @@ class TestPredict:
             predict(linear_outlier, [1.0, 2.0])
         with pytest.raises(ValidationError):
             predict(linear_outlier, [1.0, np.nan, 2.0])
-        with pytest.raises(ValidationError):
-            predict_batch(linear_outlier, np.ones((5, 2)))
 
 
 class TestFitGbt:
