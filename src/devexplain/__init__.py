@@ -47,7 +47,6 @@ from .errors import (
     ValidationError,
 )
 from .inverse import (
-    LocalSettings,
     MapResult,
     PosteriorObjective,
     SearchBudget,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -330,6 +330,15 @@ def explain_many(
         bg = draw_background(source, settings.np_count, bg_seed)
 
     label_std = float(data.labels.std())
+    echo = {
+        "seed": settings.seed,
+        "np": settings.np_count,
+        "order": settings.order,
+        "k_max": settings.k_max,
+        "degeneracy_tau": settings.degeneracy_tau,
+        "bg_source": settings.bg_source,
+        "budget": None if budget is None else asdict(budget),
+    }
     reports = []
     for observation_index in indices:
         x_obs, y_obs = data.row(observation_index)
@@ -351,22 +360,6 @@ def explain_many(
         with _stage("shapley"):
             shap = shapley_values(model, bg, x_obs)
 
-        echo = {
-            "seed": settings.seed,
-            "np": settings.np_count,
-            "order": settings.order,
-            "k_max": settings.k_max,
-            "degeneracy_tau": settings.degeneracy_tau,
-            "bg_source": settings.bg_source,
-            "budget": None
-            if budget is None
-            else {
-                "n_runs": budget.n_runs,
-                "assumed_k": budget.assumed_k,
-                "min_basin_prob": budget.min_basin_prob,
-                "failure_prob": budget.failure_prob,
-            },
-        }
         reports.append(
             ExplanationReport(
                 observation_index=observation_index,

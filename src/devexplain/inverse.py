@@ -11,16 +11,18 @@ number of basins and a minimum basin probability into a restart count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NumericalError, SearchFailureError, ValidationError
-from .mixtures import FeaturePriors, ModeInfo, _log_prior_sum
+from .mixtures import FeaturePriors, ModeInfo, _log_prior_sum, _log_prior_sum_and_grad
 from .models import PredictiveModel
 
-_FD_STEP_FRAC = 1e-6
+_GRAD_TOL = 1e-6
+_STEP_TOL = 1e-8
+_MAX_ITERS = 500
 _DEDUP_FRAC = 1e-3
 
 
@@ -76,14 +78,6 @@ class MapResult:
     n_converged: int
 
 
-@dataclass(frozen=True)
-class LocalSettings:
-    grad_tol: float = 1e-6
-    step_tol: float = 1e-8
-    max_iters: int = 500
-    smooth: bool = True
-
-
 def make_objective_fn(obj: PosteriorObjective):
     """Plain callable x -> log-posterior value, shapes unchecked (hot path)."""
     per_feature = () if obj.priors is None else obj.priors.per_feature
@@ -96,6 +90,28 @@ def make_objective_fn(obj: PosteriorObjective):
         return -misfit * misfit / two_sigma2 + _log_prior_sum(per_feature, x)
 
     return value
+
+
+def _negated_value_and_grad(obj: PosteriorObjective):
+    """x -> (-log-posterior, its gradient) for a linear model, unchecked.
+
+    The misfit term's gradient is (y - f(x)) theta / sigma_e^2; the value
+    is bit-equal to ``make_objective_fn(obj)(x)``.
+    """
+    per_feature = () if obj.priors is None else obj.priors.per_feature
+    predict_one = obj.model.predict_one
+    theta = obj.model.coefficients
+    y = obj.y_target
+    sigma2 = obj.sigma_e_squared
+    two_sigma2 = 2.0 * sigma2
+
+    def neg_value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        misfit = y - predict_one(x)
+        log_p, log_p_grad = _log_prior_sum_and_grad(per_feature, x)
+        value = -misfit * misfit / two_sigma2 + log_p
+        return -value, -(misfit / sigma2 * theta + log_p_grad)
+
+    return neg_value_and_grad
 
 
 def log_posterior(obj: PosteriorObjective, x) -> float:
@@ -144,38 +160,22 @@ def default_budget(priors: FeaturePriors, failure_prob: float = 0.01) -> SearchB
     )
 
 
-def _central_diff_grad(fn, x: np.ndarray) -> np.ndarray:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = _FD_STEP_FRAC * (1.0 + abs(x[i]))
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += h
-        lo[i] -= h
-        grad[i] = (fn(hi) - fn(lo)) / (2.0 * h)
-    return grad
-
-
-def local_maximize(
-    obj: PosteriorObjective, x0, settings: LocalSettings | None = None
-) -> tuple[np.ndarray, float, bool]:
+def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool]:
     """Polish one starting point; returns (point, value, converged).
 
-    Smooth path: BFGS with central-difference gradients, step
-    h_I = 1e-6 (1 + |x_I|), stopping at gradient inf-norm < grad_tol.  A
-    stop caused by line-search precision loss counts as converged: near the
-    clamped-likelihood ridge the gradient tolerance is unreachable while the
-    point is already stationary to machine precision.
+    Linear models: BFGS on the exact gradient (the misfit's plus the
+    mixture log-prior's), stopping at gradient inf-norm < 1e-6 or after
+    500 iterations.  A stop caused by line-search precision loss counts as
+    converged: near the clamped-likelihood ridge the gradient tolerance is
+    unreachable while the point is already stationary to machine precision.
 
-    Non-smooth path (trees): Nelder-Mead on the negated objective, stopping
-    at simplex diameter < step_tol; finite-difference gradients would be
-    zero almost everywhere on a piecewise-constant surface.
+    Trees: Nelder-Mead on the negated objective, stopping at simplex
+    diameter < 1e-8 or after 500 d iterations; the gradient is zero almost
+    everywhere on a piecewise-constant surface.
 
     An exhausted iteration budget returns converged=False, not an error.
     The returned value never falls below the value at x0.
     """
-    if settings is None:
-        settings = LocalSettings(smooth=obj.model.kind == "linear")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != obj.model.d_x:
         raise ValidationError(f"x0 has {x0.size} entries, model expects {obj.model.d_x}")
@@ -184,27 +184,24 @@ def local_maximize(
     if not math.isfinite(f0):
         raise NumericalError(f"objective is not finite at the starting point {x0}")
 
-    def neg(x):
-        return -fn(x)
-
-    if settings.smooth:
+    if obj.model.kind == "linear":
         res = minimize(
-            neg,
+            _negated_value_and_grad(obj),
             x0,
             method="BFGS",
-            jac=lambda x: -_central_diff_grad(fn, x),
-            options={"gtol": settings.grad_tol, "maxiter": settings.max_iters},
+            jac=True,
+            options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITERS},
         )
         converged = res.status in (0, 2)
     else:
         res = minimize(
-            neg,
+            lambda x: -fn(x),
             x0,
             method="Nelder-Mead",
             options={
-                "xatol": settings.step_tol,
+                "xatol": _STEP_TOL,
                 "fatol": math.inf,
-                "maxiter": settings.max_iters * x0.size,
+                "maxiter": _MAX_ITERS * x0.size,
             },
         )
         converged = res.status == 0
@@ -225,7 +222,6 @@ def direct_search_map(
     priors: FeaturePriors,
     budget: SearchBudget,
     seed: int,
-    settings: LocalSettings | None = None,
 ) -> MapResult:
     """Multistart MAP search with deduplication and hit counting.
 
@@ -243,7 +239,7 @@ def direct_search_map(
     for run in range(budget.n_runs):
         x0 = priors.sample(rng, 1)[0]
         try:
-            point, value, converged = local_maximize(obj, x0, settings)
+            point, value, converged = local_maximize(obj, x0)
         except NumericalError as exc:
             diagnostics.append({"run": run, "start": x0.tolist(), "error": str(exc)})
             continue
@@ -324,10 +320,5 @@ def map_result_to_json(result: MapResult, budget: SearchBudget | None = None) ->
         "n_converged": result.n_converged,
     }
     if budget is not None:
-        doc["budget"] = {
-            "n_runs": budget.n_runs,
-            "assumed_k": budget.assumed_k,
-            "min_basin_prob": budget.min_basin_prob,
-            "failure_prob": budget.failure_prob,
-        }
+        doc["budget"] = asdict(budget)
     return doc

@@ -149,6 +149,21 @@ def _log_prior_sum(per_feature, x) -> float:
     return total
 
 
+def _log_prior_sum_and_grad(per_feature, x) -> tuple[float, np.ndarray]:
+    """``_log_prior_sum`` (summed in the same order, so bit-equal) and its
+    gradient sum_k gamma_k (mu_k - x_I) / var_k, with gamma the component
+    responsibilities at x_I; unchecked.  A flat prior (no terms) gives 0."""
+    total = 0.0
+    grad = np.zeros(len(x))
+    for i, (gmm, v) in enumerate(zip(per_feature, x)):
+        log_pdfs = _component_log_pdfs(gmm, v)
+        log_p = np.logaddexp.reduce(log_pdfs)
+        total += float(log_p)
+        gamma = np.exp(log_pdfs - log_p)
+        grad[i] = 2.0 * np.dot(gamma, (gmm._mu - v) / gmm._two_var)
+    return total, grad
+
+
 def log_density(gmm: GaussianMixture1D, y) -> np.ndarray | float:
     column = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
     lp = logsumexp(_component_log_pdfs(gmm, column), axis=1)

@@ -305,8 +305,7 @@ class ResidualStats:
     r_squared_test: float | None = None
 
 
-def _r_squared(model: PredictiveModel, data: Dataset) -> float:
-    pred = model.predict_batch(data.features)
+def _r_squared(pred: np.ndarray, data: Dataset) -> float:
     sse = float(np.sum((data.labels - pred) ** 2))
     sst = float(np.sum((data.labels - data.labels.mean()) ** 2))
     if sst == 0:
@@ -326,8 +325,10 @@ def residual_stats(
     sigma2 = float(np.mean((pred - train.labels) ** 2))
     return ResidualStats(
         sigma_e_squared=sigma2,
-        r_squared_train=_r_squared(model, train),
-        r_squared_test=_r_squared(model, test) if test is not None else None,
+        r_squared_train=_r_squared(pred, train),
+        r_squared_test=None
+        if test is None
+        else _r_squared(model.predict_batch(test.features), test),
     )
 
 

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from devexplain import inverse
 from devexplain.dataset import Dataset, load_csv, river_fixture_path
 from devexplain.errors import NumericalError, SearchFailureError, ValidationError
 from devexplain.inverse import (
-    LocalSettings,
     PosteriorObjective,
     SearchBudget,
+    _negated_value_and_grad,
     default_budget,
     dedup_radius,
     direct_search_map,
@@ -31,6 +34,7 @@ from devexplain.mixtures import (
     select_k,
 )
 from devexplain.models import (
+    LinearModel,
     clamp_sigma_e_squared,
     fit_linear,
     predict,
@@ -119,6 +123,73 @@ class TestLogPosterior:
     def test_length_check(self, objective):
         with pytest.raises(ValidationError):
             log_posterior(objective, [1.0, 2.0])
+
+
+@st.composite
+def linear_objectives(draw):
+    """A linear model on 1-3 features under 1-3-component priors (or a flat
+    prior), with a point to evaluate at.  Stds >= 0.5 and sigma_e^2 in
+    [0.5, 2] keep the surface smooth enough for central differences."""
+    d = draw(st.integers(1, 3))
+    model = LinearModel(
+        intercept=draw(st.floats(-5.0, 5.0)),
+        coefficients=draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)),
+    )
+    per_feature = []
+    for _ in range(d):
+        k = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+        means = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+        stds = draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k))
+        total = math.fsum(raw)
+        per_feature.append(
+            GaussianMixture1D(
+                components=tuple((r / total, m, s * s) for r, m, s in zip(raw, means, stds))
+            )
+        )
+    obj = PosteriorObjective(
+        model=model,
+        priors=draw(st.sampled_from([None, FeaturePriors(per_feature)])),
+        y_target=draw(st.floats(-10.0, 10.0)),
+        sigma_e_squared=draw(st.floats(0.5, 2.0)),
+    )
+    x = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)))
+    return obj, x
+
+
+class TestExactGradient:
+    @settings(max_examples=200, deadline=None)
+    @given(case=linear_objectives())
+    def test_matches_central_differences(self, case):
+        obj, x = case
+        fn = make_objective_fn(obj)
+        neg_value, neg_grad = _negated_value_and_grad(obj)(x)
+        assert -neg_value == fn(x)
+        h = 1e-5
+        central = []
+        for i in range(x.size):
+            step = np.zeros(x.size)
+            step[i] = h
+            central.append((fn(x + step) - fn(x - step)) / (2.0 * h))
+        assert -neg_grad == pytest.approx(central, rel=1e-6, abs=1e-6)
+
+    def test_few_evaluations_per_start(self, objective, monkeypatch):
+        # the exact gradient costs no extra evaluations: central differences
+        # took about 290 per start from these corners
+        calls = [0]
+        predict_one = LinearModel.predict_one
+
+        def counting(self, x):
+            calls[0] += 1
+            return predict_one(self, x)
+
+        monkeypatch.setattr(LinearModel, "predict_one", counting)
+        per_start = []
+        for corner in LATTICE:
+            calls[0] = 0
+            local_maximize(objective, corner)
+            per_start.append(calls[0])
+        assert np.mean(per_start) <= 60
 
 
 class TestRequiredRuns:
@@ -255,11 +326,11 @@ class TestDirectSearchMap:
         b = direct_search_map(objective, exact_priors, budget, seed=11)
         assert map_result_to_json(a) == map_result_to_json(b)
 
-    def test_all_failures_raise_with_diagnostics(self, objective, exact_priors):
+    def test_all_failures_raise_with_diagnostics(self, objective, exact_priors, monkeypatch):
         budget = SearchBudget(n_runs=3, assumed_k=1, min_basin_prob=0.5, failure_prob=0.5)
-        strangled = LocalSettings(smooth=True, max_iters=0)
+        monkeypatch.setattr(inverse, "_MAX_ITERS", 0)
         with pytest.raises(SearchFailureError) as info:
-            direct_search_map(objective, exact_priors, budget, seed=0, settings=strangled)
+            direct_search_map(objective, exact_priors, budget, seed=0)
         assert len(info.value.diagnostics) == 3
 
     def test_dedup_radius_scales_with_point(self):
