@@ -52,28 +52,16 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class _Tree:
-    """Axis-aligned regression tree in flat arrays; feature -1 marks a leaf."""
+    """Axis-aligned regression tree in flat arrays; feature -1 marks a leaf.
+
+    Children come after their parent, so index order is a topological order.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        node = np.zeros(x.shape[0], dtype=np.intp)
-        feat = self.feature[node]
-        while (feat >= 0).any():
-            interior = feat >= 0
-            col = x[np.arange(x.shape[0]), np.maximum(feat, 0)]
-            go_left = col <= self.threshold[node]
-            node = np.where(
-                interior,
-                np.where(go_left, self.left[node], self.right[node]),
-                node,
-            )
-            feat = self.feature[node]
-        return self.value[node]
 
     def depth(self) -> int:
         def walk(i: int) -> int:
@@ -82,6 +70,115 @@ class _Tree:
             return 1 + max(walk(self.left[i]), walk(self.right[i]))
 
         return walk(0)
+
+    def leaf_numbers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, count): leaves are numbered left to right; node i's subtree
+        holds leaves first[i] .. first[i] + count[i] - 1."""
+        feature = self.feature.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        n = len(feature)
+        count = [1] * n
+        for i in range(n - 1, -1, -1):
+            if feature[i] >= 0:
+                count[i] = count[left[i]] + count[right[i]]
+        first = [0] * n
+        for i in range(n):
+            if feature[i] >= 0:
+                first[left[i]] = first[i]
+                first[right[i]] = first[i] + count[left[i]]
+        return np.array(first, dtype=np.intp), np.array(count, dtype=np.intp)
+
+
+# Trees per block of the batch evaluator: it bounds the (rows, trees, bytes)
+# temporaries of predict_batch.
+_BLOCK_TREES = 16
+# _LOWEST_BIT[b]: index of the lowest set bit of the byte b > 0
+_LOWEST_BIT = np.array(
+    [0] + [(b & -b).bit_length() - 1 for b in range(1, 256)], dtype=np.uint8
+)
+
+
+def _threshold_tables(trees: tuple[_Tree, ...], learning_rate: float):
+    """Tables for the bitmask traversal of QuickScorer (Lucchese et al. 2015).
+
+    A row goes right at a node exactly when the node's threshold is below its
+    value (``not x <= t``, also for NaN), and that rules out every leaf of the
+    node's left subtree.  Leaves are numbered left to right, one bit each; a
+    row's exit leaf is the lowest bit left once the masks of all the nodes it
+    goes right at are ANDed, whether they are on its path or not.
+
+    Returns ``(features, blocks)``: ``features`` holds (feature, sorted
+    distinct split thresholds of the ensemble) for each split feature, and
+    ``blocks`` one ``_block_tables`` per ``_BLOCK_TREES`` trees.
+    """
+    if not trees:
+        return (), ()
+    feature = np.concatenate([t.feature[t.feature >= 0] for t in trees])
+    threshold = np.concatenate([t.threshold[t.feature >= 0] for t in trees])
+    features = tuple(
+        (int(f), np.unique(threshold[feature == f])) for f in np.unique(feature)
+    )
+    blocks = tuple(
+        _block_tables(trees[i : i + _BLOCK_TREES], features, learning_rate)
+        for i in range(0, len(trees), _BLOCK_TREES)
+    )
+    return features, blocks
+
+
+def _block_tables(trees: tuple[_Tree, ...], features, learning_rate: float):
+    """``(splits, scaled)`` for one block of trees.
+
+    Each tree's mask is ``scaled.shape[1] // 8`` bytes, leaf j at bit j % 8
+    of byte j // 8.  ``splits`` has one ``(position, rank, table)`` per entry
+    of ``features`` that the block splits on: a row with k of that feature's
+    ensemble thresholds below its value has ``rank[k]`` of the block's below
+    it, and ``table[rank[k]]`` holds each tree's AND of their masks.
+    ``scaled[t, j]`` is learning_rate times the value of tree t's leaf j.
+    """
+    numbering = [tree.leaf_numbers() for tree in trees]
+    n_bytes = -(-max(int(count[0]) for _, count in numbering) // 8)
+    scaled = np.zeros((len(trees), 8 * n_bytes))
+    slot, feature, threshold, lo, hi = [], [], [], [], []
+    for j, (tree, (first, count)) in enumerate(zip(trees, numbering)):
+        leaf = tree.feature < 0
+        scaled[j, first[leaf]] = learning_rate * tree.value[leaf]
+        inner = np.flatnonzero(~leaf)
+        slot.append(np.full(inner.size, j))
+        feature.append(tree.feature[inner])
+        threshold.append(tree.threshold[inner])
+        lo.append(first[inner])
+        hi.append(first[inner] + count[tree.left[inner]])
+    slot, feature, threshold, lo, hi = map(
+        np.concatenate, (slot, feature, threshold, lo, hi)
+    )
+    leaf_no = np.arange(8 * n_bytes)
+    reach = (leaf_no < lo[:, None]) | (leaf_no >= hi[:, None])
+    masks = np.packbits(reach, axis=1, bitorder="little")
+    splits = []
+    for position, (f, ensemble_thresholds) in enumerate(features):
+        at = np.flatnonzero(feature == f)
+        if at.size == 0:
+            continue
+        at = at[np.argsort(threshold[at])]
+        table = np.full((at.size + 1, len(trees), n_bytes), 0xFF, dtype=np.uint8)
+        table[np.arange(1, at.size + 1), slot[at]] = masks[at]
+        np.bitwise_and.accumulate(table, axis=0, out=table)
+        rank = np.searchsorted(threshold[at], ensemble_thresholds, side="right")
+        # the narrowest type: these maps are most of the tables' memory
+        rank = np.concatenate([[0], rank]).astype(np.min_scalar_type(at.size))
+        splits.append((position, rank, table))
+    return tuple(splits), scaled
+
+
+def _exit_leaves(reach: np.ndarray) -> np.ndarray:
+    """Number of the lowest set bit of each (row, tree) over its mask bytes."""
+    leaves = None
+    for k in range(reach.shape[2] - 1, -1, -1):
+        byte = reach[..., k]
+        # uint8 + a Python int above 255 overflows, so add the offset as intp
+        at = _LOWEST_BIT[byte] if k == 0 else _LOWEST_BIT[byte] + np.intp(8 * k)
+        leaves = at if leaves is None else np.where(byte != 0, at, leaves)
+    return leaves
 
 
 @dataclass(frozen=True)
@@ -118,10 +215,27 @@ class GbtModel:
         return self.n_features
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
+        # leaf values are added one tree after another, in tree order, so the
+        # sum is the per-tree descent's to the last bit
         out = np.full(x.shape[0], self.base_score)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict_batch(x)
+        features, blocks = self._tables()
+        ranks = [np.searchsorted(thr, x[:, f], side="left") for f, thr in features]
+        for splits, scaled in blocks:
+            n_trees, n_leaves = scaled.shape
+            reach = np.full((x.shape[0], n_trees, n_leaves // 8), 0xFF, dtype=np.uint8)
+            for position, rank, table in splits:
+                reach &= np.take(table, rank[ranks[position]], axis=0)
+            for values, leaves in zip(scaled, _exit_leaves(reach).T):
+                out += np.take(values, leaves)
         return out
+
+    def _tables(self):
+        # built once per model, like _flat_trees
+        cache = getattr(self, "_table_cache", None)
+        if cache is None:
+            cache = _threshold_tables(self.trees, self.learning_rate)
+            object.__setattr__(self, "_table_cache", cache)
+        return cache
 
     def _flat_trees(self):
         # plain-list mirror of the trees, built once; scalar descent through
@@ -217,7 +331,11 @@ def _best_split(col: np.ndarray, residual: np.ndarray, min_leaf: int):
     return gain, threshold
 
 
-def _grow_tree(x: np.ndarray, residual: np.ndarray, params: GbtParams) -> _Tree:
+def _grow_tree(
+    x: np.ndarray, residual: np.ndarray, params: GbtParams
+) -> tuple[_Tree, np.ndarray]:
+    """One tree fitted to ``residual``, and its value at every training row."""
+    fitted = np.empty(x.shape[0])
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -235,14 +353,14 @@ def _grow_tree(x: np.ndarray, residual: np.ndarray, params: GbtParams) -> _Tree:
     def build(idx: np.ndarray, depth: int) -> int:
         node = add_node()
         value[node] = float(residual[idx].mean())
-        if depth >= params.max_depth:
-            return node
         best = None
-        for f in range(x.shape[1]):  # lowest feature index wins ties
-            cand = _best_split(x[idx, f], residual[idx], params.min_samples_leaf)
-            if cand is not None and (best is None or cand[0] > best[1]):
-                best = (f, cand[0], cand[1])
+        if depth < params.max_depth:
+            for f in range(x.shape[1]):  # lowest feature index wins ties
+                cand = _best_split(x[idx, f], residual[idx], params.min_samples_leaf)
+                if cand is not None and (best is None or cand[0] > best[1]):
+                    best = (f, cand[0], cand[1])
         if best is None:
+            fitted[idx] = value[node]
             return node
         f, _, thr = best
         go_left = x[idx, f] <= thr
@@ -253,13 +371,14 @@ def _grow_tree(x: np.ndarray, residual: np.ndarray, params: GbtParams) -> _Tree:
         return node
 
     build(np.arange(x.shape[0]), 0)
-    return _Tree(
+    tree = _Tree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold),
         left=np.array(left, dtype=np.intp),
         right=np.array(right, dtype=np.intp),
         value=np.array(value),
     )
+    return tree, fitted
 
 
 def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
@@ -277,8 +396,8 @@ def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
     residual = train.labels - base
     trees = []
     for _ in range(params.n_trees):
-        tree = _grow_tree(train.features, residual, params)
-        residual = residual - params.learning_rate * tree.predict_batch(train.features)
+        tree, fitted = _grow_tree(train.features, residual, params)
+        residual = residual - params.learning_rate * fitted
         trees.append(tree)
     return GbtModel(
         trees=tuple(trees),
@@ -355,8 +474,8 @@ def _tree_to_json(tree: _Tree) -> dict:
     }
 
 
-def _tree_from_json(doc: dict) -> _Tree:
-    return _Tree(
+def _tree_from_json(doc: dict, n_features: int, index: int) -> _Tree:
+    tree = _Tree(
         feature=np.array(doc["feature"], dtype=np.intp),
         threshold=np.array(
             [math.nan if t is None else float(t) for t in doc["threshold"]]
@@ -365,6 +484,36 @@ def _tree_from_json(doc: dict) -> _Tree:
         right=np.array(doc["right"], dtype=np.intp),
         value=np.array(doc["value"], dtype=float),
     )
+    problem = _tree_problem(tree, n_features)
+    if problem:
+        raise ValidationError(f"tree {index}: {problem}")
+    return tree
+
+
+def _tree_problem(tree: _Tree, n_features: int) -> str | None:
+    """Why ``tree`` is not a binary tree rooted at node 0, or None.
+
+    Children must come after their parent (so no path cycles) and every node
+    but the root must be the child of exactly one node.
+    """
+    n = tree.feature.size
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        return "the tree's arrays must be non-empty and of equal length"
+    leaf = tree.feature == -1
+    if np.any(tree.left[leaf] != -1) or np.any(tree.right[leaf] != -1):
+        return "a leaf (feature -1) has a child"
+    inner = np.flatnonzero(~leaf)
+    children = np.concatenate([tree.left[inner], tree.right[inner]])
+    if np.any(children <= np.tile(inner, 2)) or np.any(children >= n):
+        return "a child index is out of range or not after its parent"
+    if not np.array_equal(np.sort(children), np.arange(1, n)):
+        return "a node other than the root is not the child of exactly one node"
+    if np.any(tree.feature[inner] >= n_features) or np.any(tree.feature[inner] < 0):
+        return f"a split feature is outside [0, {n_features})"
+    if np.any(np.isnan(tree.threshold[inner])):
+        return "a split threshold is null"
+    return None
 
 
 def model_to_json(model: PredictiveModel) -> dict:
@@ -397,11 +546,15 @@ def model_from_json(doc: dict) -> PredictiveModel:
                 coefficients=np.array(doc["coefficients"], dtype=float),
             )
         if kind == "gbt":
+            n_features = int(doc["n_features"])
             return GbtModel(
-                trees=tuple(_tree_from_json(t) for t in doc["trees"]),
+                trees=tuple(
+                    _tree_from_json(t, n_features, i)
+                    for i, t in enumerate(doc["trees"])
+                ),
                 learning_rate=float(doc["learning_rate"]),
                 base_score=float(doc["base_score"]),
-                n_features=int(doc["n_features"]),
+                n_features=n_features,
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad {kind} model document: {exc!r}") from exc

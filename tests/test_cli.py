@@ -371,6 +371,15 @@ class TestCompare:
         assert rc == 3
 
 
+# one split on the fixture's first feature; the malformed cases edit it
+GBT_STUMP = (
+    '{"schema": 1, "kind": "gbt", "learning_rate": 0.1, "base_score": 12.0, '
+    '"n_features": 3, "trees": [{"feature": [0, -1, -1], '
+    '"threshold": [4.5, null, null], "left": [1, -1, -1], "right": [2, -1, -1], '
+    '"value": [0.0, -1.0, 1.0]}]}'
+)
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "command, content, code",
@@ -378,12 +387,16 @@ class TestMalformedInput:
             ("explain", None, 3),
             ("explain", "not json", 3),
             ("explain", '{"schema": 1, "kind": "linear", "coefficients": [1, 1, 1]}', 2),
+            ("explain", GBT_STUMP.replace('"feature": [0', '"feature": [7'), 2),
+            ("explain", GBT_STUMP.replace(", 1.0]", "]"), 2),  # value one short
+            ("explain", GBT_STUMP.replace('"threshold": [4.5', '"threshold": [null'), 2),
             ("compare", "[1]", 3),
             ("compare", '{"schema": 1}', 3),
             ("synth", '{"features": [{"weights": [1], "means": [0], "stds": [1]}], '
                       '"noise_std": "abc"}', 2),
         ],
         ids=["model-missing", "model-not-json", "model-no-intercept",
+             "gbt-feature-out-of-range", "gbt-short-value", "gbt-null-split-threshold",
              "report-not-object", "report-schema-only", "spec-bad-noise"],
     )
     def test_exit_code(self, tmp_path, command, content, code):

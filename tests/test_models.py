@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from devexplain.dataset import Dataset
 from devexplain.errors import NumericalError, SingularFitError, ValidationError
@@ -92,6 +94,15 @@ class TestPredict:
     def test_scalar_and_batch_paths_agree_bitwise(self, gbt10k):
         rng = np.random.default_rng(4)
         xs = rng.normal(4, 3, size=(100, 3))
+        # rows exactly at a split threshold, which x <= t sends left
+        at_threshold = xs[:50].copy()
+        for row, tree in zip(at_threshold, gbt10k.trees[::6]):
+            node = rng.choice(np.flatnonzero(tree.feature >= 0))
+            row[tree.feature[node]] = tree.threshold[node]
+        # background rows with two features pinned, as the coalition values make them
+        pinned = xs.copy()
+        pinned[:, [0, 2]] = at_threshold[3, [0, 2]]
+        xs = np.vstack([xs, at_threshold, pinned])
         batch = gbt10k.predict_batch(xs)
         singles = np.array([predict(gbt10k, x) for x in xs])
         assert np.array_equal(batch, singles)
@@ -101,6 +112,102 @@ class TestPredict:
             predict(linear_outlier, [1.0, 2.0])
         with pytest.raises(ValidationError):
             predict(linear_outlier, [1.0, np.nan, 2.0])
+
+
+def random_gbt_doc(
+    seed, n_trees, max_depth, split_prob, n_features, n_split, n_thresholds
+):
+    """A model document of random, often unbalanced trees.
+
+    Splits use features 0..n_split-1 only, with thresholds from a pool of
+    ``n_thresholds`` values (so trees share them) that may hold +-inf.
+    """
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(0, 1, size=n_thresholds)
+    pool[rng.random(n_thresholds) < 0.1] = np.inf
+    pool[rng.random(n_thresholds) < 0.1] = -np.inf
+
+    def tree():
+        arrays = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+        def grow(depth):
+            node = len(arrays["feature"])
+            for key in ("feature", "left", "right"):
+                arrays[key].append(-1)
+            arrays["threshold"].append(None)
+            arrays["value"].append(float(rng.normal()))
+            if depth < max_depth and rng.random() < split_prob:
+                arrays["feature"][node] = int(rng.integers(n_split))
+                arrays["threshold"][node] = float(rng.choice(pool))
+                arrays["left"][node] = grow(depth + 1)
+                arrays["right"][node] = grow(depth + 1)
+            return node
+
+        grow(0)
+        return arrays
+
+    return {
+        "schema": 1,
+        "kind": "gbt",
+        "learning_rate": float(rng.uniform(0.01, 1.0)),
+        "base_score": float(rng.normal(0, 10)),
+        "n_features": n_features,
+        "trees": [tree() for _ in range(n_trees)],
+    }, pool
+
+
+def textbook_predict(model, xs):
+    """Per-tree descent, one row at a time; NaN fails x <= t and goes right."""
+    out = np.full(len(xs), model.base_score)
+    for tree in model.trees:
+        leaf_values = []
+        for row in xs:
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            leaf_values.append(tree.value[node])
+        out += model.learning_rate * np.array(leaf_values)
+    return out
+
+
+class TestBatchEvaluator:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trees=st.integers(0, 40),
+        max_depth=st.integers(0, 8),
+        split_prob=st.floats(0.3, 1.0),
+        n_split=st.integers(1, 3),
+        n_unsplit=st.integers(0, 2),
+        n_thresholds=st.integers(1, 30),
+    )
+    @example(seed=0, n_trees=0, max_depth=3, split_prob=1.0, n_split=2, n_unsplit=0,
+             n_thresholds=5)
+    @example(seed=1, n_trees=20, max_depth=0, split_prob=1.0, n_split=2, n_unsplit=0,
+             n_thresholds=5)
+    # full depth-8 trees: 256 leaves, four 64-bit words per tree
+    @example(seed=2, n_trees=3, max_depth=8, split_prob=1.0, n_split=3, n_unsplit=1,
+             n_thresholds=5)
+    def test_matches_textbook_walk(
+        self, seed, n_trees, max_depth, split_prob, n_split, n_unsplit, n_thresholds
+    ):
+        n_features = n_split + n_unsplit
+        doc, pool = random_gbt_doc(
+            seed, n_trees, max_depth, split_prob, n_features, n_split, n_thresholds
+        )
+        model = model_from_json(doc)
+        rng = np.random.default_rng(seed + 1)
+        xs = rng.normal(0, 1.5, size=(40, n_features))
+        # exactly at thresholds, infinite, NaN, and pinned constant columns
+        xs[:10] = rng.choice(pool, size=(10, n_features))
+        xs[10:20][rng.random((10, n_features)) < 0.3] = np.inf
+        xs[20:30][rng.random((10, n_features)) < 0.3] = -np.inf
+        xs[30:35][rng.random((5, n_features)) < 0.3] = np.nan
+        pinned = xs.copy()
+        pinned[:, rng.random(n_features) < 0.5] = xs[0, 0]
+        xs = np.vstack([xs, pinned])
+        assert np.array_equal(model.predict_batch(xs), textbook_predict(model, xs))
 
 
 class TestFitGbt:
@@ -240,6 +347,34 @@ class TestModelJson:
     def test_schema_guard(self):
         with pytest.raises(ValidationError):
             model_from_json({"schema": 99, "kind": "linear"})
+
+    @pytest.mark.parametrize(
+        "field, index, bad",
+        [
+            ("left", 0, 0),  # node 0 is its own child: predict would loop forever
+            ("right", 1, 0),  # a leaf with a child
+            ("right", 0, 1),  # node 1 has two parents
+            ("left", 0, 3),  # child index out of range
+            ("feature", 0, 7),
+            ("feature", 0, -2),
+            ("value", None, None),  # shortened array
+            ("threshold", 0, None),  # null threshold at a split
+        ],
+        ids=["cycle", "leaf-child", "two-parents", "child-out-of-range",
+             "feature-too-large", "feature-negative", "short-value",
+             "null-split-threshold"],
+    )
+    def test_malformed_tree_rejected(self, field, index, bad):
+        tree = {"feature": [1, -1, -1], "threshold": [0.5, None, None],
+                "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
+        if index is None:
+            tree[field].pop()
+        else:
+            tree[field][index] = bad
+        doc = {"schema": 1, "kind": "gbt", "learning_rate": 0.1, "base_score": 0.0,
+               "n_features": 3, "trees": [tree]}
+        with pytest.raises(ValidationError, match="tree 0: "):
+            model_from_json(doc)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
