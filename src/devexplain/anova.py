@@ -225,6 +225,19 @@ def decompose_deviation(
     sides average the same rows, so the reported stderr is that of the
     paired per-row differences.  Each pinned coalition is predicted once.
     """
+    return _decompose(model, bg, x_obs, x_ref, y_obs, y_ref, order, {}, {})
+
+
+def _decompose(
+    model, bg: BackgroundSample, x_obs, x_ref, y_obs, y_ref, order, obs_rows, ref_rows
+) -> DeviationDecomposition:
+    """``decompose_deviation`` on the coalitions pinned at x_obs and at x_ref
+    that ``obs_rows`` and ``ref_rows`` already hold (see ``_term_rows``).
+
+    The missing ones are predicted and added, so a caller that keeps
+    ``ref_rows`` across observations predicts the reference side, and the
+    plain rows, once.
+    """
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
@@ -236,8 +249,9 @@ def decompose_deviation(
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
         raise ValidationError("pinned value must be finite")
     total_delta = float(y_obs) - float(y_ref)
-    base = _pinned_rows(model, bg, None, ())
-    obs_rows, ref_rows = {(): base}, {(): base}
+    if () not in ref_rows:
+        ref_rows[()] = _pinned_rows(model, bg, None, ())
+    base = obs_rows[()] = ref_rows[()]
     first = np.empty(d)
     first_se = np.empty(d)
     second = second_se = None

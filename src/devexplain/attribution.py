@@ -21,8 +21,8 @@ import numpy as np
 from .anova import (
     BackgroundSample,
     DeviationDecomposition,
+    _decompose,
     _pinned_rows,
-    decompose_deviation,
     decomposition_to_json,
     draw_background,
 )
@@ -122,6 +122,12 @@ def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
     S pinned to the observation; every subset shares the same background
     rows.  v(empty) is f0 and v(full) is the plain prediction at x_obs.
     """
+    return _shapley(model, bg, x_obs, {})
+
+
+def _shapley(model, bg: BackgroundSample, x_obs, rows: dict) -> ShapleyAttribution:
+    """``shapley_values``, reading v(S) from ``rows`` (coalitions already
+    pinned at x_obs, as ``_term_rows`` keeps them) where it can."""
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
     d = bg.d_x
     if x_obs.size != d:
@@ -135,8 +141,10 @@ def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
     full = (1 << d) - 1
     v = np.empty(1 << d)
     for mask in range(full):
-        coalition = [i for i in range(d) if mask >> i & 1]
-        v[mask] = float(np.mean(_pinned_rows(model, bg, x_obs, coalition)))
+        coalition = tuple(i for i in range(d) if mask >> i & 1)
+        if coalition not in rows:
+            rows[coalition] = _pinned_rows(model, bg, x_obs, coalition)
+        v[mask] = float(np.mean(rows[coalition]))
     v[full] = predict(model, x_obs)
     fact = [math.factorial(i) for i in range(d + 1)]
     weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
@@ -339,13 +347,17 @@ def explain_many(
         "bg_source": settings.bg_source,
         "budget": None if budget is None else asdict(budget),
     }
+    # the plain rows and the reference-side coalitions, predicted once for
+    # all rows; each row's own coalitions serve its decomposition and Shapley
+    ref_rows = {}
     reports = []
     for observation_index in indices:
         x_obs, y_obs = data.row(observation_index)
+        obs_rows = {}
 
         with _stage("decompose"):
-            decomp = decompose_deviation(
-                model, bg, x_obs, x_ref, y_obs, y_ref, order=settings.order
+            decomp = _decompose(
+                model, bg, x_obs, x_ref, y_obs, y_ref, settings.order, obs_rows, ref_rows
             )
 
         with _stage("scores"):
@@ -358,7 +370,7 @@ def explain_many(
             )
 
         with _stage("shapley"):
-            shap = shapley_values(model, bg, x_obs)
+            shap = _shapley(model, bg, x_obs, obs_rows)
 
         reports.append(
             ExplanationReport(

@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NumericalError, SearchFailureError, ValidationError
 from .mixtures import FeaturePriors, ModeInfo, _log_prior_sum, _log_prior_sum_and_grad
@@ -176,6 +175,9 @@ def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool
     An exhausted iteration budget returns converged=False, not an error.
     The returned value never falls below the value at x0.
     """
+    # imported here, not at module level: only the MAP search needs scipy
+    from scipy.optimize import minimize
+
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != obj.model.d_x:
         raise ValidationError(f"x0 has {x0.size} entries, model expects {obj.model.d_x}")

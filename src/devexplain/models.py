@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .dataset import Dataset, _read_json
 from .errors import NumericalError, SingularFitError, ValidationError
@@ -283,6 +282,9 @@ def fit_linear(train: Dataset) -> LinearModel:
         column (intercept or feature) that is linearly dependent on the
         columns before it.
     """
+    # imported here, not at module level: no other command needs scipy.linalg
+    from scipy.linalg import solve_triangular
+
     if train.n <= train.d_x:
         raise ValidationError(
             f"need more than d_x={train.d_x} observations, got {train.n}"
@@ -301,15 +303,14 @@ def fit_linear(train: Dataset) -> LinearModel:
     return LinearModel(intercept=float(beta[0]), coefficients=beta[1:])
 
 
-def _best_split(col: np.ndarray, residual: np.ndarray, min_leaf: int):
+def _best_split(xs: np.ndarray, rs: np.ndarray, min_leaf: int):
     """Max variance-reduction threshold for one feature, or None.
 
-    Returns (gain, threshold); among equal gains the lowest threshold wins
-    because argmax takes the first of the sorted candidates.
+    ``xs`` is the node's column sorted ascending, ties in row order, and
+    ``rs`` the residuals in that order.  Returns (gain, threshold); among
+    equal gains the lowest threshold wins because argmax takes the first of
+    the sorted candidates.
     """
-    order = np.argsort(col, kind="stable")
-    xs = col[order]
-    rs = residual[order]
     n = xs.size
     if n < 2 * min_leaf:
         return None
@@ -332,15 +333,23 @@ def _best_split(col: np.ndarray, residual: np.ndarray, min_leaf: int):
 
 
 def _grow_tree(
-    x: np.ndarray, residual: np.ndarray, params: GbtParams
+    columns: np.ndarray, orders: np.ndarray, residual: np.ndarray, params: GbtParams
 ) -> tuple[_Tree, np.ndarray]:
-    """One tree fitted to ``residual``, and its value at every training row."""
-    fitted = np.empty(x.shape[0])
+    """One tree fitted to ``residual``, and its value at every training row.
+
+    ``columns`` is the features transposed (one row per feature) and
+    ``orders[f]`` the stable argsort of ``columns[f]``.  Each node keeps,
+    per feature, its rows in that order: the stable filter of its parent's,
+    so no node sorts again.
+    """
+    n = columns.shape[1]
+    fitted = np.empty(n)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
+    in_left = np.empty(n, dtype=bool)
 
     def add_node() -> int:
         feature.append(-1)
@@ -350,27 +359,35 @@ def _grow_tree(
         value.append(0.0)
         return len(feature) - 1
 
-    def build(idx: np.ndarray, depth: int) -> int:
+    def build(idx: np.ndarray, sorted_idx: list, depth: int) -> int:
         node = add_node()
         value[node] = float(residual[idx].mean())
         best = None
         if depth < params.max_depth:
-            for f in range(x.shape[1]):  # lowest feature index wins ties
-                cand = _best_split(x[idx, f], residual[idx], params.min_samples_leaf)
+            for f, order in enumerate(sorted_idx):  # lowest feature index wins ties
+                cand = _best_split(
+                    columns[f, order], residual[order], params.min_samples_leaf
+                )
                 if cand is not None and (best is None or cand[0] > best[1]):
                     best = (f, cand[0], cand[1])
         if best is None:
             fitted[idx] = value[node]
             return node
         f, _, thr = best
-        go_left = x[idx, f] <= thr
+        go_left = columns[f, idx] <= thr
         feature[node] = f
         threshold[node] = thr
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
+        in_left[idx] = go_left
+        left_sorted, right_sorted = [], []
+        for order in sorted_idx:
+            mask = in_left[order]
+            left_sorted.append(order[mask])
+            right_sorted.append(order[~mask])
+        left[node] = build(idx[go_left], left_sorted, depth + 1)
+        right[node] = build(idx[~go_left], right_sorted, depth + 1)
         return node
 
-    build(np.arange(x.shape[0]), 0)
+    build(np.arange(n), list(orders), 0)
     tree = _Tree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold),
@@ -394,9 +411,12 @@ def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
         )
     base = float(train.labels.mean())
     residual = train.labels - base
+    # the columns never change, so each is sorted once per fit
+    columns = np.ascontiguousarray(train.features.T)
+    orders = np.argsort(columns, axis=1, kind="stable")
     trees = []
     for _ in range(params.n_trees):
-        tree, fitted = _grow_tree(train.features, residual, params)
+        tree, fitted = _grow_tree(columns, orders, residual, params)
         residual = residual - params.learning_rate * fitted
         trees.append(tree)
     return GbtModel(
@@ -511,8 +531,11 @@ def _tree_problem(tree: _Tree, n_features: int) -> str | None:
         return "a node other than the root is not the child of exactly one node"
     if np.any(tree.feature[inner] >= n_features) or np.any(tree.feature[inner] < 0):
         return f"a split feature is outside [0, {n_features})"
+    # an infinite threshold is still a split (x <= t is defined); NaN is not
     if np.any(np.isnan(tree.threshold[inner])):
-        return "a split threshold is null"
+        return "a split threshold is null or NaN"
+    if not np.all(np.isfinite(tree.value[leaf])):
+        return "a leaf value is not finite"
     return None
 
 
@@ -534,6 +557,14 @@ def model_to_json(model: PredictiveModel) -> dict:
     }
 
 
+def _finite(value, name: str):
+    """``value`` unchanged, unless it holds NaN or +-Infinity (which
+    Python's json reads)."""
+    if not np.all(np.isfinite(value)):
+        raise ValidationError(f"model field {name!r} is not finite")
+    return value
+
+
 def model_from_json(doc: dict) -> PredictiveModel:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != MODEL_SCHEMA:
@@ -542,8 +573,10 @@ def model_from_json(doc: dict) -> PredictiveModel:
     try:
         if kind == "linear":
             return LinearModel(
-                intercept=float(doc["intercept"]),
-                coefficients=np.array(doc["coefficients"], dtype=float),
+                intercept=_finite(float(doc["intercept"]), "intercept"),
+                coefficients=_finite(
+                    np.array(doc["coefficients"], dtype=float), "coefficients"
+                ),
             )
         if kind == "gbt":
             n_features = int(doc["n_features"])
@@ -552,8 +585,8 @@ def model_from_json(doc: dict) -> PredictiveModel:
                     _tree_from_json(t, n_features, i)
                     for i, t in enumerate(doc["trees"])
                 ),
-                learning_rate=float(doc["learning_rate"]),
-                base_score=float(doc["base_score"]),
+                learning_rate=_finite(float(doc["learning_rate"]), "learning_rate"),
+                base_score=_finite(float(doc["base_score"]), "base_score"),
                 n_features=n_features,
             )
     except (KeyError, TypeError, ValueError) as exc:

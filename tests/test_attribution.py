@@ -1,5 +1,6 @@
 """Responsible scores, Shapley axioms, and the explain pipeline."""
 
+import hashlib
 import json
 import math
 
@@ -311,7 +312,46 @@ class TestExplainModeReference:
             )
 
 
+class RecordingModel(StubModel):
+    """Stub f(x) = x0 + 2 x1 + 3 x2 + x0 x1 that keeps a digest of every
+    batch it predicts."""
+
+    def __init__(self):
+        super().__init__(lambda x: x @ np.arange(1.0, 4.0) + x[:, 0] * x[:, 1], 3)
+        self.batches = []
+
+    def predict_batch(self, x):
+        self.batches.append(hashlib.blake2b(x.tobytes() + repr(x.shape).encode()).digest())
+        return super().predict_batch(x)
+
+
 class TestExplainMany:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_each_coalition_predicted_once_per_batch(
+        self, fixture_priors, fixture_data, order, rows
+    ):
+        d = 3
+        pairs = d * (d - 1) // 2
+        # residuals once; the plain rows and the reference-side coalitions
+        # once; each row's own singletons (and pairs) once
+        expected = 1 + (1 + d + (pairs if order == 2 else 0)) + rows * (
+            d + (pairs if order == 2 else 0)
+        )
+        if order == 1:
+            # the Shapley coalitions the decomposition did not pin
+            expected += rows * (2**d - 2 - d)
+        settings = ExplainSettings(seed=5, np_count=40, order=order)
+        model = RecordingModel()
+        batch = explain_many(
+            model, fixture_priors, fixture_data, range(rows), "mean", settings
+        )
+        assert len(model.batches) == expected
+        assert len(set(model.batches)) == expected
+        for index, report in enumerate(batch):
+            solo = explain(model, fixture_priors, fixture_data, index, "mean", settings)
+            assert report_to_json(report) == report_to_json(solo)
+
     def test_matches_single_calls(self, fixture_model, fixture_priors, fixture_data):
         # shared reference work must not change any report
         settings = ExplainSettings(

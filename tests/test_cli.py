@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import devexplain
 from devexplain.cli import main
 from devexplain.dataset import (
     load_csv,
@@ -390,6 +395,14 @@ class TestMalformedInput:
             ("explain", GBT_STUMP.replace('"feature": [0', '"feature": [7'), 2),
             ("explain", GBT_STUMP.replace(", 1.0]", "]"), 2),  # value one short
             ("explain", GBT_STUMP.replace('"threshold": [4.5', '"threshold": [null'), 2),
+            ("explain", GBT_STUMP.replace('"learning_rate": 0.1', '"learning_rate": NaN'), 2),
+            ("explain", GBT_STUMP.replace('"base_score": 12.0', '"base_score": Infinity'), 2),
+            ("explain", GBT_STUMP.replace('"threshold": [4.5', '"threshold": [NaN'), 2),
+            ("explain", GBT_STUMP.replace(", 1.0]", ", NaN]"), 2),
+            ("explain", '{"schema": 1, "kind": "linear", "intercept": NaN, '
+                        '"coefficients": [1, 1, 1]}', 2),
+            ("explain", '{"schema": 1, "kind": "linear", "intercept": 0, '
+                        '"coefficients": [1, -Infinity, 1]}', 2),
             ("compare", "[1]", 3),
             ("compare", '{"schema": 1}', 3),
             ("synth", '{"features": [{"weights": [1], "means": [0], "stds": [1]}], '
@@ -397,6 +410,9 @@ class TestMalformedInput:
         ],
         ids=["model-missing", "model-not-json", "model-no-intercept",
              "gbt-feature-out-of-range", "gbt-short-value", "gbt-null-split-threshold",
+             "gbt-nan-learning-rate", "gbt-infinite-base-score",
+             "gbt-nan-split-threshold", "gbt-nan-leaf-value",
+             "linear-nan-intercept", "linear-infinite-coefficient",
              "report-not-object", "report-schema-only", "spec-bad-noise"],
     )
     def test_exit_code(self, tmp_path, command, content, code):
@@ -449,3 +465,44 @@ class TestTopLevel:
         log = (tmp_path / "run.log").read_text().splitlines()
         assert len(log) == 1
         assert f" explain {argv} exit=4 elapsed=" in log[0]
+
+
+def run_in_subprocess(*commands):
+    """Run each CLI command through main() in one fresh interpreter; return
+    the exit codes and the scipy modules loaded by the end."""
+    script = (
+        "import json, sys\n"
+        "from devexplain.cli import main\n"
+        f"codes = [main(argv) for argv in {[list(c) for c in commands]!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env_path = str(Path(devexplain.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": env_path},
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestScipyLoading:
+    def test_mean_explanations_never_load_scipy(self, tmp_path):
+        common = ("--data", FIXTURE, "--label", "njr", "--seed", "0", "--out", str(tmp_path))
+        codes, loaded = run_in_subprocess(
+            ("synth", "--preset", "trimodal", "--n", "50", "--seed", "0", "--out", str(tmp_path)),
+            ("fit", "--kind", "gbt", "--trees", "5", "--split", "1", *common),
+            ("modes", "--k-max", "3", *common),
+            ("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
+             "--mean", "--np", "50", *common),
+        )
+        assert codes == [0, 0, 0, 0]
+        assert loaded == []
+
+    def test_map_search_loads_the_optimizer(self, river_ws, tmp_path):
+        codes, loaded = run_in_subprocess(
+            ("explain", "--data", FIXTURE, "--label", "njr",
+             "--model", str(river_ws / "model.json"), "--index", "0", "--mode", "0",
+             "--np", "50", "--budget-runs", "3", "--seed", "0", "--out", str(tmp_path)),
+        )
+        assert codes == [0]
+        assert "scipy.optimize" in loaded
