@@ -84,7 +84,6 @@ from .models import (
     model_to_json,
     predict,
     residual_stats,
-    save_model,
 )
 
 __version__ = "0.1.0"

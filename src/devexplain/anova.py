@@ -280,25 +280,3 @@ def _decompose(
         stderr_first_order=first_se,
         stderr_second_order=second_se,
     )
-
-
-def decomposition_to_json(decomp: DeviationDecomposition, bg: BackgroundSample | None = None) -> dict:
-    doc = {
-        "observation": decomp.observation.tolist(),
-        "reference": decomp.reference.tolist(),
-        "total_delta": decomp.total_delta,
-        "first_order": decomp.first_order.tolist(),
-        "second_order": None
-        if decomp.second_order is None
-        else decomp.second_order.tolist(),
-        "residual": decomp.residual,
-        "f0": decomp.f0,
-        "np_used": decomp.np_used,
-        "stderr_first_order": decomp.stderr_first_order.tolist(),
-        "stderr_second_order": None
-        if decomp.stderr_second_order is None
-        else decomp.stderr_second_order.tolist(),
-    }
-    if bg is not None:
-        doc["background"] = {"source": bg.source, "seed": bg.seed, "np": bg.np_used}
-    return doc

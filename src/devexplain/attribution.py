@@ -23,16 +23,14 @@ from .anova import (
     DeviationDecomposition,
     _decompose,
     _pinned_rows,
-    decomposition_to_json,
     draw_background,
 )
-from .dataset import Dataset
+from .dataset import Dataset, _json_doc
 from .errors import DevexplainError, ValidationError
 from .inverse import (
     MapResult,
     SearchBudget,
     default_budget,
-    map_result_to_json,
     reference_point,
 )
 from .mixtures import (
@@ -237,6 +235,16 @@ def _stage(name: str):
         raise
 
 
+def _stage_seeds(seed: int) -> list[int]:
+    """The label-mixture, MAP-search and background seeds of an explanation
+    at ``seed``; `modes` fits with the first, so it lists the modes
+    `explain --mode` picks from."""
+    return [
+        int(child.generate_state(1)[0])
+        for child in np.random.SeedSequence(seed).spawn(3)
+    ]
+
+
 def explain(
     model: PredictiveModel,
     priors: FeaturePriors,
@@ -301,10 +309,7 @@ def explain_many(
     if not indices:
         return []
 
-    gmm_seed, map_seed, bg_seed = (
-        int(child.generate_state(1)[0])
-        for child in np.random.SeedSequence(settings.seed).spawn(3)
-    )
+    gmm_seed, map_seed, bg_seed = _stage_seeds(settings.seed)
 
     with _stage("residuals"):
         stats = residual_stats(model, data)
@@ -393,54 +398,25 @@ def explain_many(
     return reports
 
 
-def _finite_or_none(value: float) -> float | None:
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def _vector_or_none(arr: np.ndarray | None) -> list | None:
-    if arr is None:
-        return None
-    return [_finite_or_none(v) for v in np.asarray(arr).reshape(-1)]
-
-
-def scores_to_json(scores: ResponsibleScores) -> dict:
-    return {
-        "first_order": _vector_or_none(scores.first_order),
-        "second_order": None
-        if scores.second_order is None
-        else [[_finite_or_none(v) for v in row] for row in scores.second_order],
-        "residual_share": _finite_or_none(scores.residual_share),
-        "reference_kind": scores.reference_kind,
-        "mode_index": scores.mode_index,
-        "degenerate": scores.degenerate,
-    }
-
-
 def report_to_json(report: ExplanationReport) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "observation_index": report.observation_index,
-        "feature_names": list(report.feature_names),
-        "y_obs": report.y_obs,
-        "reference_kind": report.reference_kind,
-        "mode_index": report.mode_index,
-        "y_ref": report.y_ref,
-        "x_ref": report.x_ref.tolist(),
-        "scores": scores_to_json(report.scores),
-        "shap": {
-            "values": report.shap.values.tolist(),
-            "base_value": report.shap.base_value,
-            "np_used": report.shap.np_used,
-        },
-        "z": report.z,
-        "z_m": report.z_m,
-        "decomposition": decomposition_to_json(report.decomposition),
-        "map_result": None
-        if report.map_result is None
-        else map_result_to_json(report.map_result),
-        "settings": report.settings,
-    }
+    return {"schema": REPORT_SCHEMA, **_json_doc(report)}
+
+
+# the columns of a CSV of report_rows, in order
+_REPORT_COLUMNS = (
+    "observation_index",
+    "feature",
+    "reference_kind",
+    "mode_index",
+    "y_obs",
+    "y_ref",
+    "z",
+    "z_m",
+    "delta",
+    "score",
+    "shap",
+    "degenerate",
+)
 
 
 def report_rows(doc: dict) -> list[dict]:

@@ -25,13 +25,16 @@ import numpy as np
 
 from . import __version__
 from .attribution import (
+    _REPORT_COLUMNS,
     REPORT_SCHEMA,
     ExplainSettings,
+    _stage_seeds,
     explain_many,
     report_rows,
     report_to_json,
 )
 from .dataset import (
+    _json_doc,
     _read_json,
     generate_synthetic,
     load_csv,
@@ -64,34 +67,28 @@ from .models import (
 )
 from .svgchart import grouped_bar_svg
 
-_CSV_COLUMNS = [
-    "observation_index",
-    "feature",
-    "reference_kind",
-    "mode_index",
-    "y_obs",
-    "y_ref",
-    "z",
-    "z_m",
-    "delta",
-    "score",
-    "shap",
-    "degenerate",
-]
-
-
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("DEVEXPLAIN_SEED")
-    if env is not None:
+    if value is None:
+        env = os.environ.get("DEVEXPLAIN_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ValidationError(
                 f"DEVEXPLAIN_SEED must be an integer, got {env!r}"
             ) from None
-    return 0
+    if value < 0:
+        raise ValidationError(f"the seed must be non-negative, got {value}")
+    return value
+
+
+def _explain_seeds(seed: int) -> list[int]:
+    """The feature-priors seed and the ExplainSettings seed of `explain`."""
+    return [
+        int(child.generate_state(1)[0])
+        for child in np.random.SeedSequence(seed).spawn(2)
+    ]
 
 
 def _out_dir(args) -> Path:
@@ -112,6 +109,13 @@ def _log_run(args, argv: list[str], code: int, elapsed: float) -> None:
             fh.write(f"{stamp} {args.cmd} {argv} exit={code} elapsed={elapsed:.3f}s\n")
     except OSError as exc:
         print(f"warning: cannot append to run.log: {exc}", file=sys.stderr)
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _echo_config(out: Path, command: str, params: dict) -> None:
@@ -205,22 +209,11 @@ def cmd_modes(args) -> None:
     out = _out_dir(args)
     seed = _resolve_seed(args.seed)
     data = load_csv(args.data, args.label)
-    gmm = select_k(data.labels, args.k_max, seed)
+    # the label mixture `explain --mode` fits at this seed
+    gmm_seed = _stage_seeds(_explain_seeds(seed)[1])[0]
+    gmm = select_k(data.labels, args.k_max, gmm_seed)
     mode_list = modes(gmm)
-    doc = {
-        "k": gmm.k,
-        "mixture": mixture_to_json(gmm),
-        "modes": [
-            {
-                "location": m.location,
-                "density": m.density,
-                "sigma_m": m.sigma_m,
-                "weight": m.weight,
-                "component_index": m.component_index,
-            }
-            for m in mode_list
-        ],
-    }
+    doc = {"k": gmm.k, "mixture": mixture_to_json(gmm), "modes": _json_doc(mode_list)}
     _write_json(out / "modes.json", doc)
     _echo_config(
         out,
@@ -289,10 +282,7 @@ def cmd_explain(args) -> None:
         indices = list(range(lo, hi))
     reference = "mean" if args.mean else ("mode", args.mode)
 
-    priors_seed, explain_seed = (
-        int(child.generate_state(1)[0])
-        for child in np.random.SeedSequence(seed).spawn(2)
-    )
+    priors_seed, explain_seed = _explain_seeds(seed)
     if args.priors:
         priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors
@@ -341,10 +331,7 @@ def cmd_explain(args) -> None:
             )
             print(f"index {index}: {report.reference_kind} scores {score_text}")
     if len(indices) > 1:
-        with open(out / "reports.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out / "reports.csv", rows)
         print(f"wrote {out / 'reports.csv'} ({len(rows)} rows)")
 
     _echo_config(
@@ -380,10 +367,7 @@ def cmd_compare(args) -> None:
             rows.extend(report_rows(doc))
         except (KeyError, IndexError, TypeError) as exc:
             raise IngestionError(f"{path}: malformed report ({exc!r})") from exc
-    with open(out / args.name, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / args.name, rows)
     _echo_config(
         out, "compare", {"reports": list(args.reports), "name": args.name}
     )

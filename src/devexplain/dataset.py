@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -238,6 +238,28 @@ def _read_json(path: str | Path):
         raise IngestionError(f"no such file: {path}") from None
     except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
         raise IngestionError(f"{path}: unreadable or invalid JSON ({exc})") from exc
+
+
+def _json_doc(obj):
+    """``obj`` as a JSON document, the one writer of every result file.
+
+    A dataclass becomes an object of its fields, a tuple, list or array a
+    list, and NaN null.  Everything else passes through, +-inf too: an
+    infinite split threshold is a legal split and must survive a reload.
+    """
+    if is_dataclass(obj):
+        return {f.name: _json_doc(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        nan = np.isnan(obj) if obj.dtype.kind == "f" else None
+        if nan is not None and nan.any():
+            obj = obj.astype(object)
+            obj[nan] = None
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [_json_doc(v) for v in obj]
+    if isinstance(obj, float) and math.isnan(obj):
+        return None
+    return obj
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:

@@ -11,7 +11,7 @@ number of basins and a minimum basin probability into a restart count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,23 +304,3 @@ def reference_point(
         model=model, priors=priors, y_target=y_target, sigma_e_squared=sigma_e_squared
     )
     return direct_search_map(obj, priors, budget, seed)
-
-
-def map_result_to_json(result: MapResult, budget: SearchBudget | None = None) -> dict:
-    doc = {
-        "map_point": result.map_point.tolist(),
-        "map_log_posterior": result.map_log_posterior,
-        "local_optima": [
-            {
-                "point": o.point.tolist(),
-                "log_posterior": o.log_posterior,
-                "hit_count": o.hit_count,
-            }
-            for o in result.local_optima
-        ],
-        "n_runs_executed": result.n_runs_executed,
-        "n_converged": result.n_converged,
-    }
-    if budget is not None:
-        doc["budget"] = asdict(budget)
-    return doc

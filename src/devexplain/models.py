@@ -8,14 +8,13 @@ is clamped away from sigma_e = 0 so the log-likelihood stays finite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, _read_json
+from .dataset import Dataset, _json_doc, _read_json
 from .errors import NumericalError, SingularFitError, ValidationError
 
 _RANK_TOL = 1e-10
@@ -484,16 +483,6 @@ def clamp_sigma_e_squared(sigma_e_squared: float, labels) -> float:
     return max(float(sigma_e_squared), _SIGMA_CLAMP_FRAC * label_var)
 
 
-def _tree_to_json(tree: _Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": [None if math.isnan(t) else t for t in tree.threshold],
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
-
-
 def _tree_from_json(doc: dict, n_features: int, index: int) -> _Tree:
     tree = _Tree(
         feature=np.array(doc["feature"], dtype=np.intp),
@@ -540,21 +529,7 @@ def _tree_problem(tree: _Tree, n_features: int) -> str | None:
 
 
 def model_to_json(model: PredictiveModel) -> dict:
-    if model.kind == "linear":
-        return {
-            "schema": MODEL_SCHEMA,
-            "kind": "linear",
-            "intercept": model.intercept,
-            "coefficients": model.coefficients.tolist(),
-        }
-    return {
-        "schema": MODEL_SCHEMA,
-        "kind": "gbt",
-        "learning_rate": model.learning_rate,
-        "base_score": model.base_score,
-        "n_features": model.n_features,
-        "trees": [_tree_to_json(t) for t in model.trees],
-    }
+    return {"schema": MODEL_SCHEMA, "kind": model.kind, **_json_doc(model)}
 
 
 def _finite(value, name: str):
@@ -592,12 +567,6 @@ def model_from_json(doc: dict) -> PredictiveModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad {kind} model document: {exc!r}") from exc
     raise ValidationError(f"unknown model kind {kind!r}")
-
-
-def save_model(model: PredictiveModel, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh)
-        fh.write("\n")
 
 
 def load_model(path: str | Path) -> PredictiveModel:

@@ -12,12 +12,12 @@ from devexplain.anova import (
     PRIOR_SAMPLED,
     BackgroundSample,
     decompose_deviation,
-    decomposition_to_json,
     draw_background,
     f_zero,
     first_order_effect,
     second_order_effect,
 )
+from devexplain.attribution import ExplainSettings, explain, report_to_json
 from devexplain.dataset import Dataset
 from devexplain.errors import ValidationError
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D
@@ -306,13 +306,14 @@ class TestDecomposeDeviation:
                 linear_outlier, bg, TABLE_OBS, TABLE_REF, 0.0, 0.0, order=3
             )
 
-    def test_json_has_background_echo(self, linear_outlier, exact_priors):
-        bg = draw_background(exact_priors, 50, seed=16)
-        decomp = decompose_deviation(
-            linear_outlier, bg, TABLE_OBS, TABLE_REF, -6.2, 15.7
+    def test_report_json_decomposition(self, linear_outlier, exact_priors, outlier_data):
+        # the appended outlier row is TABLE_OBS
+        last = outlier_data.n - 1
+        explain_settings = ExplainSettings(seed=16, np_count=50, bg_source="prior")
+        report = explain(
+            linear_outlier, exact_priors, outlier_data, last, "mean", explain_settings
         )
-        doc = decomposition_to_json(decomp, bg)
-        assert doc["background"] == {"source": PRIOR_SAMPLED, "seed": 16, "np": 50}
+        doc = report_to_json(report)["decomposition"]
         assert doc["np_used"] == 50
         assert doc["second_order"] is None
 

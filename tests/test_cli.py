@@ -132,6 +132,31 @@ class TestSynth:
         assert rc == 2
         assert "DEVEXPLAIN_SEED" in capsys.readouterr().err
 
+    def test_negative_env_seed_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DEVEXPLAIN_SEED", "-1")
+        rc = run(
+            "synth", "--preset", "trimodal", "--n", "10", "--out", str(tmp_path)
+        )
+        assert rc == 2
+        assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--preset", "trimodal", "--n", "10"),
+        ("fit", "--data", FIXTURE, "--label", "njr"),
+        ("modes", "--data", FIXTURE, "--label", "njr"),
+        ("explain", "--data", FIXTURE, "--label", "njr", "--model", "model.json",
+         "--index", "0", "--mean"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_flag_is_validation_error(argv, tmp_path, capsys):
+    rc = run(*argv, "--seed", "-1", "--out", str(tmp_path))
+    assert rc == 2
+    assert "non-negative" in capsys.readouterr().err
+
 
 class TestFit:
     def test_linear_recovers_additive_labels(self, synth_ws):
@@ -215,6 +240,23 @@ class TestModes:
         doc = json.loads((tmp_path / "modes.json").read_text())
         assert doc["k"] == 1
         assert len(doc["modes"]) == 1
+
+
+    def test_lists_the_mixture_explain_uses(self, tmp_path):
+        # the seed and data where the modes command and explain used to fit
+        # different label mixtures (mode 0 at 14.66087 against 14.61754)
+        common = ("--k-max", "4", "--seed", "3", "--out", str(tmp_path))
+        data = str(tmp_path / "synthetic.csv")
+        assert run("synth", "--preset", "trimodal", "--n", "2000", "--seed", "3",
+                   "--out", str(tmp_path)) == 0
+        assert run("fit", "--data", data, "--kind", "linear", "--seed", "3",
+                   "--out", str(tmp_path)) == 0
+        assert run("modes", "--data", data, *common) == 0
+        assert run("explain", "--data", data, "--model", str(tmp_path / "model.json"),
+                   "--mode", "0", "--budget-runs", "3", "--index", "0", *common) == 0
+        modes_doc = json.loads((tmp_path / "modes.json").read_text())
+        report = json.loads((tmp_path / "report_0.json").read_text())
+        assert report["y_ref"] == modes_doc["modes"][0]["location"]
 
 
 class TestExplain:
@@ -383,6 +425,114 @@ GBT_STUMP = (
     '"threshold": [4.5, null, null], "left": [1, -1, -1], "right": [2, -1, -1], '
     '"value": [0.0, -1.0, 1.0]}]}'
 )
+
+
+def key_tree(doc):
+    """The keys of ``doc`` at every depth, None at a leaf; a list of objects
+    shows the keys its objects share."""
+    if isinstance(doc, dict):
+        return {key: key_tree(value) for key, value in doc.items()}
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        trees = [key_tree(item) for item in doc]
+        assert all(tree == trees[0] for tree in trees)
+        return [trees[0]]
+    return None
+
+
+DECOMPOSITION_KEYS = dict.fromkeys([
+    "observation", "reference", "total_delta", "first_order", "second_order",
+    "residual", "f0", "np_used", "stderr_first_order", "stderr_second_order",
+])
+
+
+def report_keys(map_result, budget):
+    return {
+        "schema": None,
+        "observation_index": None,
+        "feature_names": None,
+        "y_obs": None,
+        "reference_kind": None,
+        "mode_index": None,
+        "y_ref": None,
+        "x_ref": None,
+        "scores": dict.fromkeys([
+            "first_order", "second_order", "residual_share", "reference_kind",
+            "mode_index", "degenerate",
+        ]),
+        "shap": dict.fromkeys(["values", "base_value", "np_used"]),
+        "z": None,
+        "z_m": None,
+        "decomposition": DECOMPOSITION_KEYS,
+        "map_result": map_result,
+        "settings": {
+            **dict.fromkeys(["seed", "np", "order", "k_max", "degeneracy_tau", "bg_source"]),
+            "budget": budget,
+        },
+    }
+
+
+class TestFileFormats:
+    """The key tree of every JSON file the commands write; a renamed result
+    field fails here instead of silently changing a file format."""
+
+    @pytest.fixture(scope="class")
+    def docs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("formats")
+        common = ("--data", FIXTURE, "--label", "njr", "--seed", "0")
+        assert run("fit", *common, "--split", "1", "--out", str(d / "linear")) == 0
+        assert run("fit", *common, "--split", "1", "--kind", "gbt", "--trees", "2",
+                   "--depth", "2", "--out", str(d / "gbt")) == 0
+        assert run("modes", *common, "--out", str(d / "modes")) == 0
+        assert run("explain", *common, "--model", str(d / "gbt" / "model.json"),
+                   "--mean", "--order", "2", "--np", "20", "--index", "0",
+                   "--out", str(d / "mean")) == 0
+        assert run("explain", *common, "--model", str(d / "linear" / "model.json"),
+                   "--mode", "0", "--budget-runs", "3", "--np", "20", "--index", "0",
+                   "--out", str(d / "mode")) == 0
+        paths = {
+            "linear": "linear/model.json",
+            "gbt": "gbt/model.json",
+            "modes": "modes/modes.json",
+            "mean": "mean/report_0.json",
+            "mode": "mode/report_0.json",
+        }
+        return {name: json.loads((d / path).read_text()) for name, path in paths.items()}
+
+    def test_order_2_mean_report(self, docs):
+        assert docs["mean"]["settings"]["order"] == 2
+        assert docs["mean"]["decomposition"]["second_order"] is not None
+        assert key_tree(docs["mean"]) == report_keys(None, None)
+
+    def test_mode_report(self, docs):
+        map_result = {
+            "map_point": None,
+            "map_log_posterior": None,
+            "local_optima": [dict.fromkeys(["point", "log_posterior", "hit_count"])],
+            "n_runs_executed": None,
+            "n_converged": None,
+        }
+        budget = dict.fromkeys(["n_runs", "assumed_k", "min_basin_prob", "failure_prob"])
+        assert key_tree(docs["mode"]) == report_keys(map_result, budget)
+
+    def test_linear_model(self, docs):
+        assert key_tree(docs["linear"]) == dict.fromkeys(
+            ["schema", "kind", "intercept", "coefficients"]
+        )
+
+    def test_gbt_model(self, docs):
+        assert key_tree(docs["gbt"]) == {
+            **dict.fromkeys(["schema", "kind", "learning_rate", "base_score", "n_features"]),
+            "trees": [dict.fromkeys(["feature", "threshold", "left", "right", "value"])],
+        }
+
+    def test_modes(self, docs):
+        assert key_tree(docs["modes"]) == {
+            "k": None,
+            "mixture": dict.fromkeys(["weights", "means", "stds"]),
+            "modes": [
+                dict.fromkeys(["location", "density", "component_index", "sigma_m", "weight"])
+            ],
+        }
 
 
 class TestMalformedInput:

@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from devexplain.dataset import (
     Dataset,
+    _json_doc,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -226,3 +228,55 @@ class TestSpecFiles:
         assert trimodal_spec.label_noise_std == 0.0
         stds = [mix.stds[2] for mix in trimodal_spec.feature_specs]
         assert stds == [0.5, 0.75, 1.0]
+
+
+@dataclass(frozen=True)
+class _Inner:
+    values: np.ndarray
+    label: str
+
+
+@dataclass(frozen=True)
+class _Outer:
+    items: tuple
+    score: float
+    count: int
+    extra: dict | None
+
+
+class TestJsonDoc:
+    def test_dataclasses_become_objects_of_their_fields(self):
+        doc = _json_doc(
+            _Outer(
+                items=(_Inner(np.array([1.5, 2.0]), "a"), _Inner(np.arange(2), "b")),
+                score=0.25,
+                count=3,
+                extra={"k": [1, 2]},
+            )
+        )
+        assert doc == {
+            "items": [
+                {"values": [1.5, 2.0], "label": "a"},
+                {"values": [0, 1], "label": "b"},
+            ],
+            "score": 0.25,
+            "count": 3,
+            "extra": {"k": [1, 2]},
+        }
+        assert type(doc["items"][1]["values"][0]) is int
+
+    def test_nan_becomes_null_and_infinity_passes(self):
+        arr = np.array([[1.0, math.nan], [math.inf, -math.inf]])
+        assert _json_doc(arr) == [[1.0, None], [math.inf, -math.inf]]
+        assert _json_doc(math.nan) is None
+        assert _json_doc(np.float64(math.nan)) is None
+        assert _json_doc(-math.inf) == -math.inf
+        assert _json_doc((math.nan, None, True)) == [None, None, True]
+
+    def test_array_values_keep_their_json_text(self):
+        values = np.random.default_rng(0).normal(size=50)
+        with_nan = values.copy()
+        with_nan[3] = math.nan
+        plain = [float(v) for v in values]
+        assert json.dumps(_json_doc(values)) == json.dumps(plain)
+        assert json.dumps(_json_doc(with_nan)) == json.dumps(plain[:3] + [None] + plain[4:])

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devexplain import inverse
-from devexplain.dataset import Dataset, load_csv, river_fixture_path
+from devexplain.attribution import ExplainSettings, explain, report_to_json
+from devexplain.dataset import Dataset, _json_doc, load_csv, river_fixture_path
 from devexplain.errors import NumericalError, SearchFailureError, ValidationError
 from devexplain.inverse import (
     PosteriorObjective,
@@ -21,7 +22,6 @@ from devexplain.inverse import (
     local_maximize,
     log_posterior,
     make_objective_fn,
-    map_result_to_json,
     reference_point,
     required_runs,
 )
@@ -324,7 +324,7 @@ class TestDirectSearchMap:
         budget = SearchBudget(n_runs=10, assumed_k=27, min_basin_prob=0.03, failure_prob=0.5)
         a = direct_search_map(objective, exact_priors, budget, seed=11)
         b = direct_search_map(objective, exact_priors, budget, seed=11)
-        assert map_result_to_json(a) == map_result_to_json(b)
+        assert _json_doc(a) == _json_doc(b)
 
     def test_all_failures_raise_with_diagnostics(self, objective, exact_priors, monkeypatch):
         budget = SearchBudget(n_runs=3, assumed_k=1, min_basin_prob=0.5, failure_prob=0.5)
@@ -386,10 +386,14 @@ class TestReferencePoint:
 
 
 class TestMapResultJson:
-    def test_budget_echo(self, objective, exact_priors):
+    def test_budget_echo(self, fixture_data):
         budget = SearchBudget(n_runs=5, assumed_k=27, min_basin_prob=0.03, failure_prob=0.5)
-        result = direct_search_map(objective, exact_priors, budget, seed=7)
-        doc = map_result_to_json(result, budget)
-        assert doc["budget"]["n_runs"] == 5
-        assert doc["n_runs_executed"] == 5
-        assert len(doc["local_optima"]) == len(result.local_optima)
+        explain_settings = ExplainSettings(seed=7, np_count=20, budget=budget)
+        priors = fit_priors(fixture_data, 6, seed=0)
+        report = explain(
+            fit_linear(fixture_data), priors, fixture_data, 0, ("mode", 0), explain_settings
+        )
+        doc = report_to_json(report)
+        assert doc["settings"]["budget"]["n_runs"] == 5
+        assert doc["map_result"]["n_runs_executed"] == 5
+        assert len(doc["map_result"]["local_optima"]) == len(report.map_result.local_optima)

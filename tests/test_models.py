@@ -1,5 +1,7 @@
 """Linear and boosted-tree forward models, residual stats, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -343,6 +345,17 @@ class TestModelJson:
         tree0 = doc["trees"][0]
         for feat, thr in zip(tree0["feature"], tree0["threshold"]):
             assert (feat == -1) == (thr is None)
+
+    def test_infinite_thresholds_survive_a_reload(self):
+        doc, _ = random_gbt_doc(
+            seed=0, n_trees=20, max_depth=4, split_prob=0.8, n_features=3,
+            n_split=3, n_thresholds=8,
+        )
+        thresholds = {t for tree in doc["trees"] for t in tree["threshold"]}
+        assert {np.inf, -np.inf, None} <= thresholds
+        model = model_from_json(doc)
+        text = json.dumps(model_to_json(model), sort_keys=True)
+        assert model_to_json(model_from_json(json.loads(text))) == doc
 
     def test_schema_guard(self):
         with pytest.raises(ValidationError):
