@@ -218,26 +218,23 @@ def decompose_deviation(
     y_obs: float,
     y_ref: float,
     order: int = 1,
+    *,
+    obs_rows: dict | None = None,
+    ref_rows: dict | None = None,
 ) -> DeviationDecomposition:
     """Deviation terms delta_I (and delta_IJ) between observation and reference.
 
     delta_I = f_I(x_obs_I) - f_I(x_ref_I) on the common background.  Both
     sides average the same rows, so the reported stderr is that of the
     paired per-row differences.  Each pinned coalition is predicted once.
+
+    ``obs_rows`` and ``ref_rows`` hold the coalitions already pinned at
+    x_obs and at x_ref (see ``_term_rows``); the missing ones are predicted
+    and added.  A caller that keeps ``ref_rows`` across observations
+    predicts the reference side, and the plain rows, once.
     """
-    return _decompose(model, bg, x_obs, x_ref, y_obs, y_ref, order, {}, {})
-
-
-def _decompose(
-    model, bg: BackgroundSample, x_obs, x_ref, y_obs, y_ref, order, obs_rows, ref_rows
-) -> DeviationDecomposition:
-    """``decompose_deviation`` on the coalitions pinned at x_obs and at x_ref
-    that ``obs_rows`` and ``ref_rows`` already hold (see ``_term_rows``).
-
-    The missing ones are predicted and added, so a caller that keeps
-    ``ref_rows`` across observations predicts the reference side, and the
-    plain rows, once.
-    """
+    obs_rows = {} if obs_rows is None else obs_rows
+    ref_rows = {} if ref_rows is None else ref_rows
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)

@@ -21,8 +21,9 @@ import numpy as np
 from .anova import (
     BackgroundSample,
     DeviationDecomposition,
-    _decompose,
+    _check_model,
     _pinned_rows,
+    decompose_deviation,
     draw_background,
 )
 from .dataset import Dataset, _json_doc
@@ -36,6 +37,7 @@ from .inverse import (
 from .mixtures import (
     FeaturePriors,
     ModeInfo,
+    _child_seeds,
     mode_z_score,
     modes,
     select_k,
@@ -113,19 +115,20 @@ def responsible_scores(
     )
 
 
-def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
+def shapley_values(
+    model, bg: BackgroundSample, x_obs, *, rows: dict | None = None
+) -> ShapleyAttribution:
     """Interventional Shapley values by exact subset enumeration.
 
     v(S) is the mean prediction over the background with the coordinates in
     S pinned to the observation; every subset shares the same background
     rows.  v(empty) is f0 and v(full) is the plain prediction at x_obs.
+
+    ``rows`` holds the coalitions already pinned at x_obs, as
+    ``decompose_deviation`` keeps them in its ``obs_rows``; v(S) is read
+    from it where it can, and the missing coalitions are added.
     """
-    return _shapley(model, bg, x_obs, {})
-
-
-def _shapley(model, bg: BackgroundSample, x_obs, rows: dict) -> ShapleyAttribution:
-    """``shapley_values``, reading v(S) from ``rows`` (coalitions already
-    pinned at x_obs, as ``_term_rows`` keeps them) where it can."""
+    rows = {} if rows is None else rows
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
     d = bg.d_x
     if x_obs.size != d:
@@ -134,8 +137,7 @@ def _shapley(model, bg: BackgroundSample, x_obs, rows: dict) -> ShapleyAttributi
         raise ValidationError(
             f"exact enumeration is limited to d_x <= {_ENUMERATION_LIMIT}, got {d}"
         )
-    if model.d_x != d:
-        raise ValidationError("model and background disagree on d_x")
+    _check_model(model, bg)
     full = (1 << d) - 1
     v = np.empty(1 << d)
     for mask in range(full):
@@ -192,8 +194,9 @@ class ExplainSettings:
     bg_source: str = "resample"
 
     def __post_init__(self):
-        if self.np_count < 1:
-            raise ValidationError("np_count must be >= 1")
+        if self.np_count < 2:
+            # a Monte Carlo standard error needs two background rows
+            raise ValidationError("np_count must be >= 2")
         if self.order not in (1, 2):
             raise ValidationError("order must be 1 or 2")
         if self.k_max < 1:
@@ -233,16 +236,6 @@ def _stage(name: str):
             else:
                 exc.args = (name,)
         raise
-
-
-def _stage_seeds(seed: int) -> list[int]:
-    """The label-mixture, MAP-search and background seeds of an explanation
-    at ``seed``; `modes` fits with the first, so it lists the modes
-    `explain --mode` picks from."""
-    return [
-        int(child.generate_state(1)[0])
-        for child in np.random.SeedSequence(seed).spawn(3)
-    ]
 
 
 def explain(
@@ -309,7 +302,8 @@ def explain_many(
     if not indices:
         return []
 
-    gmm_seed, map_seed, bg_seed = _stage_seeds(settings.seed)
+    # `modes` fits with the first, so it lists the modes `explain --mode` picks from
+    gmm_seed, map_seed, bg_seed = _child_seeds(settings.seed, 3)
 
     with _stage("residuals"):
         stats = residual_stats(model, data)
@@ -361,8 +355,9 @@ def explain_many(
         obs_rows = {}
 
         with _stage("decompose"):
-            decomp = _decompose(
-                model, bg, x_obs, x_ref, y_obs, y_ref, settings.order, obs_rows, ref_rows
+            decomp = decompose_deviation(
+                model, bg, x_obs, x_ref, y_obs, y_ref, settings.order,
+                obs_rows=obs_rows, ref_rows=ref_rows,
             )
 
         with _stage("scores"):
@@ -375,7 +370,7 @@ def explain_many(
             )
 
         with _stage("shapley"):
-            shap = _shapley(model, bg, x_obs, obs_rows)
+            shap = shapley_values(model, bg, x_obs, rows=obs_rows)
 
         reports.append(
             ExplanationReport(

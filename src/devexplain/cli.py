@@ -28,7 +28,6 @@ from .attribution import (
     _REPORT_COLUMNS,
     REPORT_SCHEMA,
     ExplainSettings,
-    _stage_seeds,
     explain_many,
     report_rows,
     report_to_json,
@@ -52,6 +51,7 @@ from .errors import (
 from .inverse import default_budget
 from .mixtures import (
     FeaturePriors,
+    _child_seeds,
     fit_priors,
     mixture_to_json,
     modes,
@@ -81,14 +81,6 @@ def _resolve_seed(value: int | None) -> int:
     if value < 0:
         raise ValidationError(f"the seed must be non-negative, got {value}")
     return value
-
-
-def _explain_seeds(seed: int) -> list[int]:
-    """The feature-priors seed and the ExplainSettings seed of `explain`."""
-    return [
-        int(child.generate_state(1)[0])
-        for child in np.random.SeedSequence(seed).spawn(2)
-    ]
 
 
 def _out_dir(args) -> Path:
@@ -210,7 +202,8 @@ def cmd_modes(args) -> None:
     seed = _resolve_seed(args.seed)
     data = load_csv(args.data, args.label)
     # the label mixture `explain --mode` fits at this seed
-    gmm_seed = _stage_seeds(_explain_seeds(seed)[1])[0]
+    _, explain_seed = _child_seeds(seed, 2)
+    gmm_seed = _child_seeds(explain_seed, 3)[0]
     gmm = select_k(data.labels, args.k_max, gmm_seed)
     mode_list = modes(gmm)
     doc = {"k": gmm.k, "mixture": mixture_to_json(gmm), "modes": _json_doc(mode_list)}
@@ -246,9 +239,14 @@ def _normalized(values: np.ndarray) -> list[float] | None:
 
 
 def _chart_for_report(report, mean_report) -> str | None:
+    """Bars of the report's scores, its mean-reference companion's scores
+    (``mean_report``, None for a mean report) and its normalized SHAP values;
+    None when all three are degenerate."""
     series = []
-    if report.reference_kind == "mode" and not report.scores.degenerate:
-        series.append(("mode score", [float(v) for v in report.scores.first_order]))
+    if not report.scores.degenerate:
+        series.append(
+            (f"{report.reference_kind} score", [float(v) for v in report.scores.first_order])
+        )
     if mean_report is not None and not mean_report.scores.degenerate:
         series.append(
             ("mean score", [float(v) for v in mean_report.scores.first_order])
@@ -282,7 +280,8 @@ def cmd_explain(args) -> None:
         indices = list(range(lo, hi))
     reference = "mean" if args.mean else ("mode", args.mode)
 
-    priors_seed, explain_seed = _explain_seeds(seed)
+    # the feature-priors seed and the ExplainSettings seed
+    priors_seed, explain_seed = _child_seeds(seed, 2)
     if args.priors:
         priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors

@@ -140,31 +140,6 @@ def _component_log_pdfs(gmm: GaussianMixture1D, y) -> np.ndarray:
     return gmm._log_norm - (y - gmm._mu) ** 2 / gmm._two_var
 
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) over ``axis`` (all entries for None), as scipy 1.17's
-    ``scipy.special.logsumexp`` computes it, to the bit.
-
-    The maximum entries are counted, not summed: the others' exp(a - max)
-    sum, divided by that count, goes through log1p.  Where that is not
-    finite (all -inf, +inf or NaN entries) the plain log(sum(exp(a))) is
-    used.  A 0-d result comes back as a numpy scalar.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        at_max = a == a_max
-        count = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        rest = np.where(rest == 0, rest, rest / count)
-        out = np.log1p(rest) + np.log(count) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
-    out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
-
-
 def _log_prior_sum(per_feature, x) -> float:
     """sum_I ln p_I(x_I), unchecked: the MAP objective's hot path."""
     total = 0.0
@@ -190,7 +165,7 @@ def _log_prior_sum_and_grad(per_feature, x) -> tuple[float, np.ndarray]:
 
 def log_density(gmm: GaussianMixture1D, y) -> np.ndarray | float:
     column = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
-    lp = _logsumexp(_component_log_pdfs(gmm, column), axis=1)
+    lp = np.logaddexp.reduce(_component_log_pdfs(gmm, column), axis=1)
     return float(lp[0]) if np.isscalar(y) else lp
 
 
@@ -345,7 +320,7 @@ def _mean_shift(gmm: GaussianMixture1D, y0: float) -> float:
     y = float(y0)
     for _ in range(_MODE_MAX_ITERS):
         log_r = _component_log_pdfs(gmm, y) - np.log(variances)
-        r = np.exp(log_r - _logsumexp(log_r))
+        r = np.exp(log_r - np.logaddexp.reduce(log_r))
         y_next = float(np.dot(r, means))
         if abs(y_next - y) < _MODE_STEP_TOL:
             return y_next
@@ -406,14 +381,21 @@ def mode_z_score(y: float, mode: ModeInfo) -> float:
     return (float(y) - mode.location) / mode.sigma_m
 
 
+def _child_seeds(seed: int, n: int) -> list[int]:
+    """``n`` independent integer seeds spawned from ``seed``."""
+    return [
+        int(child.generate_state(1)[0])
+        for child in np.random.SeedSequence(seed).spawn(n)
+    ]
+
+
 def fit_priors(data, k_max: int, seed: int) -> FeaturePriors:
     """Per-column BIC-selected mixture fits of a ``Dataset``'s features; one
-    child seed stream per column."""
-    children = np.random.SeedSequence(seed).spawn(data.d_x)
-    fitted = []
-    for i in range(data.d_x):
-        col_seed = int(children[i].generate_state(1)[0])
-        fitted.append(select_k(data.features[:, i], k_max, col_seed))
+    child seed per column."""
+    fitted = [
+        select_k(data.features[:, i], k_max, col_seed)
+        for i, col_seed in enumerate(_child_seeds(seed, data.d_x))
+    ]
     return FeaturePriors(per_feature=tuple(fitted))
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from devexplain import attribution
 from devexplain.anova import BackgroundSample, PRIOR_SAMPLED, decompose_deviation, draw_background
 from devexplain.attribution import (
     ExplainSettings,
@@ -352,6 +353,23 @@ class TestExplainMany:
             solo = explain(model, fixture_priors, fixture_data, index, "mean", settings)
             assert report_to_json(report) == report_to_json(solo)
 
+    def test_one_public_decomposition_and_shapley_per_row(
+        self, fixture_priors, fixture_data, monkeypatch
+    ):
+        calls = []
+        for name in ("decompose_deviation", "shapley_values"):
+
+            def counted(*args, _name=name, _public=getattr(attribution, name), **kwargs):
+                calls.append(_name)
+                return _public(*args, **kwargs)
+
+            monkeypatch.setattr(attribution, name, counted)
+        settings = ExplainSettings(seed=5, np_count=40, order=2)
+        explain_many(
+            RecordingModel(), fixture_priors, fixture_data, range(3), "mean", settings
+        )
+        assert calls == ["decompose_deviation", "shapley_values"] * 3
+
     def test_matches_single_calls(self, fixture_model, fixture_priors, fixture_data):
         # shared reference work must not change any report
         settings = ExplainSettings(
@@ -414,6 +432,7 @@ class TestExplainValidation:
             {"order": 3},
             {"k_max": 0},
             {"bg_source": "elsewhere"},
+            {"np_count": 1},  # no standard error from one background row
         ],
     )
     def test_settings_domain(self, kwargs):

@@ -305,6 +305,46 @@ class TestExplain:
         svg = (tmp_path / "chart_19.svg").read_text()
         assert svg.startswith("<svg ")
 
+    def test_mean_chart_plots_the_mean_scores(self, river_ws, tmp_path):
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"),
+            "--index", "0", "--mean", "--seed", "3", "--svg", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        doc = json.loads((tmp_path / "report_0.json").read_text())
+        assert doc["scores"]["degenerate"] is False
+        svg = (tmp_path / "chart_0.svg").read_text()
+        assert '<text x="' in svg
+        assert ">mean score</text>" in svg
+        assert ">SHAP (normalized)</text>" in svg
+        assert ">mode score</text>" not in svg
+
+    def test_np_below_two_is_validation_error(self, river_ws, tmp_path, capsys):
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"),
+            "--index", "0", "--mean", "--np", "1", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "np_count must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "report_0.json").exists()
+
+    def test_smallest_background_writes_standard_json(self, river_ws, tmp_path):
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"),
+            "--index", "0", "--mean", "--np", "2", "--order", "2",
+            "--seed", "3", "--out", str(tmp_path),
+        )
+        assert rc == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not standard JSON")
+
+        doc = json.loads((tmp_path / "report_0.json").read_text(), parse_constant=refuse)
+        assert doc["decomposition"]["np_used"] == 2
+
     def test_index_range_writes_csv(self, river_ws, tmp_path):
         rc = run(
             "explain", "--data", FIXTURE, "--label", "njr",

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
-from scipy.special import logsumexp
 
 from devexplain.dataset import Dataset
 from devexplain.errors import NumericalError, ValidationError
@@ -18,7 +16,6 @@ from devexplain.mixtures import (
     GaussianMixture1D,
     _em_once,
     _kmeanspp_centers,
-    _logsumexp,
     bic,
     density,
     fit_gmm,
@@ -139,37 +136,14 @@ class TestLogDensity:
             assert log_density(gmm, y) == pytest.approx(want, rel=1e-12)
             assert log_prior(FeaturePriors((gmm,)), [y]) == pytest.approx(want, rel=1e-12)
 
-
-# few distinct values make tied maxima common; -inf is a zero-weight term
-LOGSUMEXP_ENTRIES = st.one_of(
-    st.floats(-1e308, 1e308),
-    st.sampled_from([-math.inf, 0.0, 1.0, -2.5, 709.0, -745.0]),
-)
-
-
-class TestLogSumExp:
     @settings(max_examples=300, deadline=None)
-    @given(
-        a=hnp.arrays(
-            np.float64,
-            st.tuples(st.integers(1, 4), st.integers(1, 6)),
-            elements=LOGSUMEXP_ENTRIES,
-        ),
-        dead_row=st.none() | st.integers(0, 3),
-    )
-    def test_bitwise_equal_to_scipy(self, a, dead_row):
-        if dead_row is not None and dead_row < a.shape[0]:
-            a[dead_row] = -math.inf  # an all -inf row
-        # scipy warns when a - max overflows to -inf (e.g. -1e308 - 8e307)
-        with np.errstate(over="ignore"):
-            for axis in (1, None):
-                ours, theirs = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
-                assert type(ours) is type(theirs)
-                assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
-            row = a[0]
-            ours, theirs = _logsumexp(row), logsumexp(row)
-        assert type(ours) is type(theirs) is np.float64
-        assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+    @given(gmm=mixtures(), points=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5))
+    def test_bit_equal_to_log_prior(self, gmm, points):
+        """The label density and the MAP prior reduce one mixture the same way."""
+        column = log_density(gmm, np.array(points))
+        prior = FeaturePriors((gmm,))
+        for y, lp in zip(points, column):
+            assert log_density(gmm, y) == lp == log_prior(prior, [y])
 
 
 class TestFitGmm:
