@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,12 +28,7 @@ from .anova import (
 )
 from .dataset import Dataset, _json_doc
 from .errors import DevexplainError, ValidationError
-from .inverse import (
-    MapResult,
-    SearchBudget,
-    default_budget,
-    reference_point,
-)
+from .inverse import MapResult, default_budget, reference_point
 from .mixtures import (
     FeaturePriors,
     ModeInfo,
@@ -86,8 +81,8 @@ def responsible_scores(
     close to the reference for ratios to mean anything; the scores come
     back NaN with degenerate=True (a flagged state, not an error).
     """
-    if degeneracy_tau <= 0:
-        raise ValidationError("degeneracy_tau must be positive")
+    if not (math.isfinite(degeneracy_tau) and degeneracy_tau > 0):
+        raise ValidationError("degeneracy_tau must be positive and finite")
     if label_scale < 0:
         raise ValidationError("label_scale must be nonnegative")
     d = decomp.d_x
@@ -189,7 +184,7 @@ class ExplainSettings:
     np_count: int = 1000
     order: int = 1
     k_max: int = 6
-    budget: SearchBudget | None = None
+    budget_runs: int | None = None  # MAP restarts; None keeps default_budget's
     degeneracy_tau: float = 0.05
     bg_source: str = "resample"
 
@@ -201,6 +196,10 @@ class ExplainSettings:
             raise ValidationError("order must be 1 or 2")
         if self.k_max < 1:
             raise ValidationError("k_max must be >= 1")
+        if self.budget_runs is not None and self.budget_runs < 1:
+            raise ValidationError("budget_runs must be >= 1")
+        if not (math.isfinite(self.degeneracy_tau) and self.degeneracy_tau > 0):
+            raise ValidationError("degeneracy_tau must be positive and finite")
         if self.bg_source not in ("resample", "prior"):
             raise ValidationError("bg_source must be 'resample' or 'prior'")
 
@@ -299,6 +298,8 @@ def explain_many(
             raise ValidationError(f"unknown reference {reference!r}") from None
         if ref_kind != "mode" or not isinstance(mode_index, int) or mode_index < 0:
             raise ValidationError(f"unknown reference {reference!r}")
+    if priors.d_x != data.d_x:
+        raise ValidationError(f"priors cover {priors.d_x} features, data has {data.d_x}")
     if not indices:
         return []
 
@@ -311,7 +312,9 @@ def explain_many(
 
     map_result = None
     mode = None
-    budget = settings.budget
+    budget = None
+    if settings.budget_runs is not None:
+        budget = replace(default_budget(priors), n_runs=settings.budget_runs)
     if ref_kind == "mean":
         y_ref = float(data.labels.mean())
         x_ref = data.features.mean(axis=0)

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,6 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .inverse import default_budget
 from .mixtures import (
     FeaturePriors,
     _child_seeds,
@@ -282,25 +280,23 @@ def cmd_explain(args) -> None:
 
     # the feature-priors seed and the ExplainSettings seed
     priors_seed, explain_seed = _child_seeds(seed, 2)
+    np_count = args.np if args.np is not None else min(data.n, 2000)
+    # built first, so a bad setting is refused before any prior is fitted
+    settings = ExplainSettings(
+        seed=explain_seed,
+        np_count=np_count,
+        order=args.order,
+        k_max=args.k_max,
+        budget_runs=args.budget_runs,
+        degeneracy_tau=args.tau,
+        bg_source=args.bg,
+    )
     if args.priors:
         priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors
     else:
         priors = fit_priors(data, args.k_max, priors_seed)
         priors_source = "fitted"
-    np_count = args.np if args.np is not None else min(data.n, 2000)
-    budget = None
-    if args.budget_runs is not None:
-        budget = replace(default_budget(priors), n_runs=args.budget_runs)
-    settings = ExplainSettings(
-        seed=explain_seed,
-        np_count=np_count,
-        order=args.order,
-        k_max=args.k_max,
-        budget=budget,
-        degeneracy_tau=args.tau,
-        bg_source=args.bg,
-    )
 
     reports = explain_many(model, priors, data, indices, reference, settings)
     mean_reports = [None] * len(indices)

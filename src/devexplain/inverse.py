@@ -10,13 +10,14 @@ number of basins and a minimum basin probability into a restart count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, SearchFailureError, ValidationError
-from .mixtures import FeaturePriors, ModeInfo, _log_prior_sum, _log_prior_sum_and_grad
+from .mixtures import FeaturePriors, ModeInfo, _log_prior_and_grad
 from .models import PredictiveModel
 
 _GRAD_TOL = 1e-6
@@ -78,39 +79,28 @@ class MapResult:
 
 
 def make_objective_fn(obj: PosteriorObjective):
-    """Plain callable x -> log-posterior value, shapes unchecked (hot path)."""
-    per_feature = () if obj.priors is None else obj.priors.per_feature
+    """Plain callable x -> (log-posterior, its gradient), shapes unchecked
+    (hot path).  Only a linear model's misfit has a gradient, (y - f(x))
+    theta / sigma_e^2: a tree is piecewise constant."""
+    if obj.priors is None:
+        def prior(x):
+            return 0.0, np.zeros(x.size)
+    else:
+        prior = functools.partial(_log_prior_and_grad, obj.priors)
     predict_one = obj.model.predict_one
-    y = obj.y_target
-    two_sigma2 = 2.0 * obj.sigma_e_squared
-
-    def value(x: np.ndarray) -> float:
-        misfit = y - predict_one(x)
-        return -misfit * misfit / two_sigma2 + _log_prior_sum(per_feature, x)
-
-    return value
-
-
-def _negated_value_and_grad(obj: PosteriorObjective):
-    """x -> (-log-posterior, its gradient) for a linear model, unchecked.
-
-    The misfit term's gradient is (y - f(x)) theta / sigma_e^2; the value
-    is bit-equal to ``make_objective_fn(obj)(x)``.
-    """
-    per_feature = () if obj.priors is None else obj.priors.per_feature
-    predict_one = obj.model.predict_one
-    theta = obj.model.coefficients
+    theta = obj.model.coefficients if obj.model.kind == "linear" else None
     y = obj.y_target
     sigma2 = obj.sigma_e_squared
     two_sigma2 = 2.0 * sigma2
 
-    def neg_value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         misfit = y - predict_one(x)
-        log_p, log_p_grad = _log_prior_sum_and_grad(per_feature, x)
-        value = -misfit * misfit / two_sigma2 + log_p
-        return -value, -(misfit / sigma2 * theta + log_p_grad)
+        log_p, grad = prior(x)
+        if theta is not None:
+            grad = misfit / sigma2 * theta + grad
+        return -misfit * misfit / two_sigma2 + log_p, grad
 
-    return neg_value_and_grad
+    return value_and_grad
 
 
 def log_posterior(obj: PosteriorObjective, x) -> float:
@@ -122,7 +112,7 @@ def log_posterior(obj: PosteriorObjective, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != obj.model.d_x:
         raise ValidationError(f"x has {x.size} entries, model expects {obj.model.d_x}")
-    return make_objective_fn(obj)(x)
+    return make_objective_fn(obj)(x)[0]
 
 
 def required_runs(assumed_k: int, min_basin_prob: float, failure_prob: float) -> int:
@@ -182,13 +172,17 @@ def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool
     if x0.size != obj.model.d_x:
         raise ValidationError(f"x0 has {x0.size} entries, model expects {obj.model.d_x}")
     fn = make_objective_fn(obj)
-    f0 = fn(x0)
+    f0 = fn(x0)[0]
     if not math.isfinite(f0):
         raise NumericalError(f"objective is not finite at the starting point {x0}")
 
     if obj.model.kind == "linear":
+        def negated(x):
+            value, grad = fn(x)
+            return -value, -grad
+
         res = minimize(
-            _negated_value_and_grad(obj),
+            negated,
             x0,
             method="BFGS",
             jac=True,
@@ -197,7 +191,7 @@ def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool
         converged = res.status in (0, 2)
     else:
         res = minimize(
-            lambda x: -fn(x),
+            lambda x: -fn(x)[0],
             x0,
             method="Nelder-Mead",
             options={

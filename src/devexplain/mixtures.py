@@ -114,14 +114,28 @@ class ModeInfo:
 
 @dataclass(frozen=True)
 class FeaturePriors:
-    """Independent per-feature priors: p(x) = prod_I p(x_I)."""
+    """Independent per-feature priors: p(x) = prod_I p(x_I).
+
+    The features' log-density constants are stacked once into d x K tables,
+    K the largest component count; shorter rows are padded with log-weight
+    -inf (mean 0, 2 var 1), which changes no log-sum-exp.
+    """
 
     per_feature: tuple[GaussianMixture1D, ...]
+    _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
+    _mu: np.ndarray = field(init=False, repr=False, compare=False)
+    _two_var: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "per_feature", tuple(self.per_feature))
         if not self.per_feature:
             raise ValidationError("need at least one per-feature prior")
+        shape = (self.d_x, max(gmm.k for gmm in self.per_feature))
+        for name, pad in (("_log_norm", -np.inf), ("_mu", 0.0), ("_two_var", 1.0)):
+            table = np.full(shape, pad)
+            for i, gmm in enumerate(self.per_feature):
+                table[i, : gmm.k] = getattr(gmm, name)
+            object.__setattr__(self, name, table)
 
     @property
     def d_x(self) -> int:
@@ -135,32 +149,23 @@ class FeaturePriors:
         return out
 
 
-def _component_log_pdfs(gmm: GaussianMixture1D, y) -> np.ndarray:
-    """log(w_k) + log phi_k(y): k entries for a scalar y, n x k for an n x 1 y."""
-    return gmm._log_norm - (y - gmm._mu) ** 2 / gmm._two_var
+def _component_log_pdfs(mix, y) -> np.ndarray:
+    """log(w_k) + log phi_k(y): k entries for a scalar y, n x k for an n x 1 y;
+    for ``FeaturePriors`` and a d x 1 y, the d x K table of all features."""
+    return mix._log_norm - (y - mix._mu) ** 2 / mix._two_var
 
 
-def _log_prior_sum(per_feature, x) -> float:
-    """sum_I ln p_I(x_I), unchecked: the MAP objective's hot path."""
-    total = 0.0
-    for gmm, v in zip(per_feature, x):
-        total += float(np.logaddexp.reduce(_component_log_pdfs(gmm, v)))
-    return total
-
-
-def _log_prior_sum_and_grad(per_feature, x) -> tuple[float, np.ndarray]:
-    """``_log_prior_sum`` (summed in the same order, so bit-equal) and its
-    gradient sum_k gamma_k (mu_k - x_I) / var_k, with gamma the component
-    responsibilities at x_I; unchecked.  A flat prior (no terms) gives 0."""
-    total = 0.0
-    grad = np.zeros(len(x))
-    for i, (gmm, v) in enumerate(zip(per_feature, x)):
-        log_pdfs = _component_log_pdfs(gmm, v)
-        log_p = np.logaddexp.reduce(log_pdfs)
-        total += float(log_p)
-        gamma = np.exp(log_pdfs - log_p)
-        grad[i] = 2.0 * np.dot(gamma, (gmm._mu - v) / gmm._two_var)
-    return total, grad
+def _log_prior_and_grad(priors: FeaturePriors, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_I ln p_I(x_I) and its gradient sum_k gamma_Ik (mu_Ik - x_I) / var_Ik
+    (gamma the responsibilities), unchecked: the MAP objective's hot path."""
+    column = x[:, None]
+    log_pdfs = _component_log_pdfs(priors, column)
+    log_p = np.logaddexp.reduce(log_pdfs, axis=1, keepdims=True)
+    gamma = np.exp(log_pdfs - log_p)
+    slope = (priors._mu - column) / priors._two_var
+    grad = 2.0 * (gamma[:, None, :] @ slope[:, :, None])[:, 0, 0]
+    # accumulate adds in feature order at any d, as a per-feature loop does
+    return float(np.add.accumulate(log_p)[-1, 0]), grad
 
 
 def log_density(gmm: GaussianMixture1D, y) -> np.ndarray | float:
@@ -404,7 +409,7 @@ def log_prior(priors: FeaturePriors, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != priors.d_x:
         raise ValidationError(f"x has {x.size} entries, priors expect {priors.d_x}")
-    return _log_prior_sum(priors.per_feature, x)
+    return _log_prior_and_grad(priors, x)[0]
 
 
 def mixture_to_json(gmm: GaussianMixture1D) -> dict:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from devexplain.attribution import (
     shapley_values,
 )
 from devexplain.errors import ValidationError
-from devexplain.inverse import SearchBudget
-from devexplain.mixtures import fit_priors
+from devexplain.inverse import default_budget
+from devexplain.mixtures import FeaturePriors, fit_priors
 from devexplain.models import fit_linear, predict
 
 
@@ -64,13 +65,7 @@ def fixture_priors(fixture_data):
 
 @pytest.fixture(scope="module")
 def mode_report(fixture_model, fixture_priors, fixture_data):
-    settings = ExplainSettings(
-        seed=3,
-        np_count=400,
-        budget=SearchBudget(
-            n_runs=12, assumed_k=4, min_basin_prob=0.25, failure_prob=0.01
-        ),
-    )
+    settings = ExplainSettings(seed=3, np_count=400, budget_runs=12)
     return explain(
         fixture_model, fixture_priors, fixture_data, 19, ("mode", 0), settings
     )
@@ -116,8 +111,9 @@ class TestResponsibleScores:
         bg = draw_background(exact_priors, 10, seed=0)
         x = np.zeros(3)
         decomp = decompose_deviation(linear_outlier, bg, x, x, 5.0, 0.0)
-        with pytest.raises(ValidationError):
-            responsible_scores(decomp, 0.0, 3.0, "mean")
+        for tau in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                responsible_scores(decomp, tau, 3.0, "mean")
         with pytest.raises(ValidationError):
             responsible_scores(decomp, 0.05, -1.0, "mean")
 
@@ -295,12 +291,11 @@ class TestExplainModeReference:
         )
         assert report.scores.degenerate
 
-    def test_budget_echoed(self, mode_report):
+    def test_budget_echoed(self, mode_report, fixture_priors):
+        # budget_runs replaces only the restart count of the default budget
         assert mode_report.settings["budget"] == {
+            **asdict(default_budget(fixture_priors)),
             "n_runs": 12,
-            "assumed_k": 4,
-            "min_basin_prob": 0.25,
-            "failure_prob": 0.01,
         }
 
     def test_missing_mode_names_the_stage(
@@ -372,13 +367,7 @@ class TestExplainMany:
 
     def test_matches_single_calls(self, fixture_model, fixture_priors, fixture_data):
         # shared reference work must not change any report
-        settings = ExplainSettings(
-            seed=3,
-            np_count=200,
-            budget=SearchBudget(
-                n_runs=12, assumed_k=4, min_basin_prob=0.25, failure_prob=0.01
-            ),
-        )
+        settings = ExplainSettings(seed=3, np_count=200, budget_runs=12)
         batch = explain_many(
             fixture_model, fixture_priors, fixture_data, [2, 19], ("mode", 0), settings
         )
@@ -418,6 +407,14 @@ class TestExplainValidation:
                 linear_outlier, exact_priors, outlier_data, 0, reference, settings
             )
 
+    def test_priors_must_match_the_data_width(
+        self, linear_outlier, exact_priors, outlier_data
+    ):
+        narrow = FeaturePriors(exact_priors.per_feature[:2])
+        settings = ExplainSettings(seed=0, np_count=10)
+        with pytest.raises(ValidationError, match="^priors cover 2 features, data has 3"):
+            explain(linear_outlier, narrow, outlier_data, 0, "mean", settings)
+
     def test_index_out_of_range(self, linear_outlier, exact_priors, outlier_data):
         settings = ExplainSettings(seed=0, np_count=10)
         with pytest.raises(ValidationError):
@@ -433,6 +430,11 @@ class TestExplainValidation:
             {"k_max": 0},
             {"bg_source": "elsewhere"},
             {"np_count": 1},  # no standard error from one background row
+            {"budget_runs": 0},
+            {"degeneracy_tau": 0.0},
+            {"degeneracy_tau": -1.0},
+            {"degeneracy_tau": math.nan},
+            {"degeneracy_tau": math.inf},
         ],
     )
     def test_settings_domain(self, kwargs):

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import devexplain
+import devexplain.cli
 from devexplain.cli import main
 from devexplain.dataset import (
     load_csv,
@@ -320,7 +322,36 @@ class TestExplain:
         assert ">SHAP (normalized)</text>" in svg
         assert ">mode score</text>" not in svg
 
-    def test_np_below_two_is_validation_error(self, river_ws, tmp_path, capsys):
+    @pytest.fixture
+    def no_prior_fits(self, monkeypatch):
+        """Record every ``fit_priors`` call the CLI makes."""
+        calls = []
+        fit = devexplain.cli.fit_priors
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(devexplain.cli, "fit_priors", recording)
+        return calls
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0"])
+    def test_tau_refused_before_any_fit(
+        self, river_ws, tmp_path, capsys, no_prior_fits, tau
+    ):
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"),
+            "--index", "0", "--mode", "0", "--tau", tau, "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "degeneracy_tau must be positive and finite" in capsys.readouterr().err
+        assert no_prior_fits == []
+        assert not (tmp_path / "report_0.json").exists()
+
+    def test_np_below_two_is_validation_error(
+        self, river_ws, tmp_path, capsys, no_prior_fits
+    ):
         rc = run(
             "explain", "--data", FIXTURE, "--label", "njr",
             "--model", str(river_ws / "model.json"),
@@ -328,6 +359,7 @@ class TestExplain:
         )
         assert rc == 2
         assert "np_count must be >= 2" in capsys.readouterr().err
+        assert no_prior_fits == []
         assert not (tmp_path / "report_0.json").exists()
 
     def test_smallest_background_writes_standard_json(self, river_ws, tmp_path):
@@ -387,6 +419,22 @@ class TestExplain:
         assert rc == 0
         config = json.loads((tmp_path / "explain_config.json").read_text())
         assert config["priors"] == str(spec_path)
+
+    def test_priors_must_match_the_data_width(self, synth_ws, tmp_path, capsys):
+        spec = trimodal_benchmark_spec()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(synthetic_spec_to_json(
+            replace(spec, feature_specs=spec.feature_specs[:2])
+        )))
+        rc = run(
+            "explain", "--data", str(synth_ws / "data.csv"), "--label", "y",
+            "--model", str(synth_ws / "model.json"),
+            "--index", "0", "--mean", "--priors", str(spec_path),
+            "--np", "200", "--seed", "0", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "priors cover 2 features, data has 3" in capsys.readouterr().err
+        assert not (tmp_path / "report_0.json").exists()
 
     def test_bad_index_range_syntax(self, river_ws, tmp_path):
         rc = run(

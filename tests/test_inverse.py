@@ -15,7 +15,6 @@ from devexplain.errors import NumericalError, SearchFailureError, ValidationErro
 from devexplain.inverse import (
     PosteriorObjective,
     SearchBudget,
-    _negated_value_and_grad,
     default_budget,
     dedup_radius,
     direct_search_map,
@@ -28,6 +27,7 @@ from devexplain.inverse import (
 from devexplain.mixtures import (
     FeaturePriors,
     GaussianMixture1D,
+    _log_prior_and_grad,
     fit_priors,
     log_prior,
     modes,
@@ -97,7 +97,7 @@ class TestLogPosterior:
                 y_target=predict(linear_outlier, x),
                 sigma_e_squared=sigma2,
             )
-            assert make_objective_fn(obj)(x) == log_prior(exact_priors, x)
+            assert make_objective_fn(obj)(x)[0] == log_prior(exact_priors, x)
 
     def test_flat_prior_monotone_in_misfit(self, linear_outlier):
         obj = PosteriorObjective(
@@ -163,15 +163,26 @@ class TestExactGradient:
     def test_matches_central_differences(self, case):
         obj, x = case
         fn = make_objective_fn(obj)
-        neg_value, neg_grad = _negated_value_and_grad(obj)(x)
-        assert -neg_value == fn(x)
+        value, grad = fn(x)
+        assert value == log_posterior(obj, x)
         h = 1e-5
         central = []
         for i in range(x.size):
             step = np.zeros(x.size)
             step[i] = h
-            central.append((fn(x + step) - fn(x - step)) / (2.0 * h))
-        assert -neg_grad == pytest.approx(central, rel=1e-6, abs=1e-6)
+            central.append((fn(x + step)[0] - fn(x - step)[0]) / (2.0 * h))
+        assert grad == pytest.approx(central, rel=1e-6, abs=1e-6)
+
+    def test_tree_gradient_is_the_priors(self, gbt10k, exact_priors):
+        # a tree is piecewise constant, so only the prior has a slope
+        obj = PosteriorObjective(
+            model=gbt10k, priors=exact_priors, y_target=15.7, sigma_e_squared=1.0
+        )
+        fn = make_objective_fn(obj)
+        for x in np.random.default_rng(1).uniform(-2.0, 10.0, size=(20, 3)):
+            value, grad = fn(x)
+            assert value == log_posterior(obj, x)
+            assert np.array_equal(grad, _log_prior_and_grad(exact_priors, x)[1])
 
     def test_few_evaluations_per_start(self, objective, monkeypatch):
         # the exact gradient costs no extra evaluations: central differences
@@ -387,8 +398,7 @@ class TestReferencePoint:
 
 class TestMapResultJson:
     def test_budget_echo(self, fixture_data):
-        budget = SearchBudget(n_runs=5, assumed_k=27, min_basin_prob=0.03, failure_prob=0.5)
-        explain_settings = ExplainSettings(seed=7, np_count=20, budget=budget)
+        explain_settings = ExplainSettings(seed=7, np_count=20, budget_runs=5)
         priors = fit_priors(fixture_data, 6, seed=0)
         report = explain(
             fit_linear(fixture_data), priors, fixture_data, 0, ("mode", 0), explain_settings

@@ -14,8 +14,10 @@ from devexplain.mixtures import (
     _EM_MAX_ITERS,
     FeaturePriors,
     GaussianMixture1D,
+    _component_log_pdfs,
     _em_once,
     _kmeanspp_centers,
+    _log_prior_and_grad,
     bic,
     density,
     fit_gmm,
@@ -79,9 +81,9 @@ def textbook_em(samples, k, rng, floor):
 
 
 @st.composite
-def mixtures(draw):
-    """1-4 components, weights normalized from positive draws."""
-    k = draw(st.integers(1, 4))
+def mixtures(draw, k_max=4):
+    """1-k_max components, weights normalized from positive draws."""
+    k = draw(st.integers(1, k_max))
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     means = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
     # std >= 1 keeps the density below 0.4, so its log is never near 0
@@ -144,6 +146,39 @@ class TestLogDensity:
         prior = FeaturePriors((gmm,))
         for y, lp in zip(points, column):
             assert log_density(gmm, y) == lp == log_prior(prior, [y])
+
+
+def per_feature_log_prior_and_grad(priors, x):
+    """The loop the stacked tables replace: each feature's log-sum-exp
+    added in order, and its gradient entry as one 2 np.dot per feature."""
+    total = 0.0
+    grad = np.zeros(len(x))
+    for i, (gmm, v) in enumerate(zip(priors.per_feature, x)):
+        log_pdfs = _component_log_pdfs(gmm, v)
+        log_p = np.logaddexp.reduce(log_pdfs)
+        total += float(log_p)
+        gamma = np.exp(log_pdfs - log_p)
+        grad[i] = 2.0 * np.dot(gamma, (gmm._mu - v) / gmm._two_var)
+    return total, grad
+
+
+class TestStackedPriors:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        per_feature=st.lists(mixtures(k_max=6), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_bit_equal_to_per_feature_loop(self, per_feature, data):
+        """Padding short features and reducing row-wise change no bit,
+        out in the tails too."""
+        priors = FeaturePriors(per_feature)
+        x = np.array(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=priors.d_x, max_size=priors.d_x
+        )))
+        value, grad = _log_prior_and_grad(priors, x)
+        want_value, want_grad = per_feature_log_prior_and_grad(priors, x)
+        assert value == want_value == log_prior(priors, x)
+        assert np.array_equal(grad, want_grad)
 
 
 class TestFitGmm:
