@@ -237,6 +237,18 @@ def _stage(name: str):
         raise
 
 
+def _stage_seeds(seed: int) -> list[int]:
+    """The label-mixture, MAP and background seeds of a settings seed."""
+    return _child_seeds(seed, 3)
+
+
+def _command_seeds(seed: int) -> tuple[int, int, int]:
+    """The priors, settings and label-mixture seeds of a CLI seed: `modes`
+    fits the mixture that explain_many fits for `explain --mode`."""
+    priors_seed, explain_seed = _child_seeds(seed, 2)
+    return priors_seed, explain_seed, _stage_seeds(explain_seed)[0]
+
+
 def explain(
     model: PredictiveModel,
     priors: FeaturePriors,
@@ -303,8 +315,7 @@ def explain_many(
     if not indices:
         return []
 
-    # `modes` fits with the first, so it lists the modes `explain --mode` picks from
-    gmm_seed, map_seed, bg_seed = _child_seeds(settings.seed, 3)
+    gmm_seed, map_seed, bg_seed = _stage_seeds(settings.seed)
 
     with _stage("residuals"):
         stats = residual_stats(model, data)
@@ -313,8 +324,6 @@ def explain_many(
     map_result = None
     mode = None
     budget = None
-    if settings.budget_runs is not None:
-        budget = replace(default_budget(priors), n_runs=settings.budget_runs)
     if ref_kind == "mean":
         y_ref = float(data.labels.mean())
         x_ref = data.features.mean(axis=0)
@@ -327,8 +336,8 @@ def explain_many(
                 )
             mode = mode_list[mode_index]
         with _stage("map-search"):
-            if budget is None:
-                budget = default_budget(priors)
+            budget = default_budget(priors)
+            budget = replace(budget, n_runs=settings.budget_runs or budget.n_runs)
             map_result = reference_point(
                 model, priors, sigma2, mode, budget, map_seed
             )

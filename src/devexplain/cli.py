@@ -27,6 +27,7 @@ from .attribution import (
     _REPORT_COLUMNS,
     REPORT_SCHEMA,
     ExplainSettings,
+    _command_seeds,
     explain_many,
     report_rows,
     report_to_json,
@@ -49,7 +50,6 @@ from .errors import (
 )
 from .mixtures import (
     FeaturePriors,
-    _child_seeds,
     fit_priors,
     mixture_to_json,
     modes,
@@ -199,10 +199,7 @@ def cmd_modes(args) -> None:
     out = _out_dir(args)
     seed = _resolve_seed(args.seed)
     data = load_csv(args.data, args.label)
-    # the label mixture `explain --mode` fits at this seed
-    _, explain_seed = _child_seeds(seed, 2)
-    gmm_seed = _child_seeds(explain_seed, 3)[0]
-    gmm = select_k(data.labels, args.k_max, gmm_seed)
+    gmm = select_k(data.labels, args.k_max, _command_seeds(seed)[2])
     mode_list = modes(gmm)
     doc = {"k": gmm.k, "mixture": mixture_to_json(gmm), "modes": _json_doc(mode_list)}
     _write_json(out / "modes.json", doc)
@@ -278,8 +275,7 @@ def cmd_explain(args) -> None:
         indices = list(range(lo, hi))
     reference = "mean" if args.mean else ("mode", args.mode)
 
-    # the feature-priors seed and the ExplainSettings seed
-    priors_seed, explain_seed = _child_seeds(seed, 2)
+    priors_seed, explain_seed, _ = _command_seeds(seed)
     np_count = args.np if args.np is not None else min(data.n, 2000)
     # built first, so a bad setting is refused before any prior is fitted
     settings = ExplainSettings(

@@ -3,8 +3,8 @@
 The log-posterior pairs a Gaussian misfit term -(y_target - f(x))^2/(2 sigma_e^2)
 with the independent mixture log-prior.  Its maximizer is found by multistart
 local optimization: draw starting points from the prior, polish each locally
-(quasi-Newton for smooth models, simplex search for trees), deduplicate the
-endpoints, and keep the argmax.  A probabilistic bound converts an assumed
+(quasi-Newton for linear models, cell coordinate ascent for trees), deduplicate
+the endpoints, and keep the argmax.  A probabilistic bound converts an assumed
 number of basins and a minimum basin probability into a restart count.
 """
 
@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SearchFailureError, ValidationError
-from .mixtures import FeaturePriors, ModeInfo, _log_prior_and_grad
+from .mixtures import FeaturePriors, ModeInfo, _log_prior_and_grad, log_density, modes
 from .models import PredictiveModel
 
 _GRAD_TOL = 1e-6
-_STEP_TOL = 1e-8
 _MAX_ITERS = 500
 _DEDUP_FRAC = 1e-3
 
@@ -149,6 +148,29 @@ def default_budget(priors: FeaturePriors, failure_prob: float = 0.01) -> SearchB
     )
 
 
+def _cell_candidates(obj: PosteriorObjective) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """``(feature, points, log_priors)``: the prior's best point in each cell
+    (t_{k-1}, t_k] of a feature's split thresholds, on which the ensemble is
+    constant, and its log-prior: a mode inside, t_k or the float above
+    t_{k-1} (t_k on a tie).  Features with no candidate are left out."""
+    if not hasattr(obj, "_cells"):
+        cells = []
+        for i in range(obj.model.d_x):
+            cuts = dict(obj.model._tables()[0]).get(i, np.empty(0))
+            ends = cuts[np.isfinite(cuts)]
+            pool = np.concatenate([ends, np.nextafter(ends, np.inf)])
+            gmm = None if obj.priors is None else obj.priors.per_feature[i]
+            if gmm is not None:
+                pool = np.append(pool, [mode.location for mode in modes(gmm)])
+            log_p = np.zeros(pool.size) if gmm is None else log_density(gmm, pool)
+            cell = np.searchsorted(cuts, pool)
+            order = np.lexsort((-log_p, cell))  # stable: closed ends first
+            best = order[np.unique(cell[order], return_index=True)[1]]
+            cells.append((i, pool[best], log_p[best]))
+        object.__setattr__(obj, "_cells", tuple(c for c in cells if c[1].size))
+    return obj._cells
+
+
 def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool]:
     """Polish one starting point; returns (point, value, converged).
 
@@ -158,16 +180,13 @@ def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool
     converged: near the clamped-likelihood ridge the gradient tolerance is
     unreachable while the point is already stationary to machine precision.
 
-    Trees: Nelder-Mead on the negated objective, stopping at simplex
-    diameter < 1e-8 or after 500 d iterations; the gradient is zero almost
-    everywhere on a piecewise-constant surface.
+    Trees: coordinate ascent over each feature's per-cell prior maxima
+    (``_cell_candidates``), until a sweep moves nothing (a local optimum,
+    exact along every coordinate) or for at most 500 sweeps.
 
     An exhausted iteration budget returns converged=False, not an error.
     The returned value never falls below the value at x0.
     """
-    # imported here, not at module level: only the MAP search needs scipy
-    from scipy.optimize import minimize
-
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != obj.model.d_x:
         raise ValidationError(f"x0 has {x0.size} entries, model expects {obj.model.d_x}")
@@ -177,6 +196,9 @@ def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool
         raise NumericalError(f"objective is not finite at the starting point {x0}")
 
     if obj.model.kind == "linear":
+        # imported here, not at module level: only this search needs scipy
+        from scipy.optimize import minimize
+
         def negated(x):
             value, grad = fn(x)
             return -value, -grad
@@ -189,20 +211,22 @@ def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool
             options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITERS},
         )
         converged = res.status in (0, 2)
+        point = np.asarray(res.x, dtype=float)
+        value = float(-res.fun)
     else:
-        res = minimize(
-            lambda x: -fn(x)[0],
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": _STEP_TOL,
-                "fatol": math.inf,
-                "maxiter": _MAX_ITERS * x0.size,
-            },
-        )
-        converged = res.status == 0
-    point = np.asarray(res.x, dtype=float)
-    value = float(-res.fun)
+        point, converged = x0.copy(), False
+        for _ in range(_MAX_ITERS):
+            start = point.copy()
+            # score all of one coordinate's cell candidates in one batch
+            for i, points, log_p in _cell_candidates(obj):
+                rows = np.repeat(point[None, :], points.size, axis=0)
+                rows[:, i] = points
+                misfit = obj.y_target - obj.model.predict_batch(rows)
+                point[i] = points[np.argmax(log_p - misfit * misfit / (2 * obj.sigma_e_squared))]
+            if np.array_equal(point, start):
+                converged = True
+                break
+        value = fn(point)[0]
     if not math.isfinite(value) or value < f0:
         return x0, f0, converged
     return point, value, converged

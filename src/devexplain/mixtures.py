@@ -23,7 +23,7 @@ _EM_RESTARTS = 5
 # large enough that BIC cannot buy likelihood with singleton spike
 # components on small samples, small next to any real component variance
 _VARIANCE_FLOOR_FRAC = 1e-4
-_MODE_STEP_TOL = 1e-10
+_MODE_TOL = 1e-10
 _MODE_MAX_ITERS = 10_000
 _WEIGHT_TOL = 1e-12
 
@@ -327,7 +327,7 @@ def _mean_shift(gmm: GaussianMixture1D, y0: float) -> float:
         log_r = _component_log_pdfs(gmm, y) - np.log(variances)
         r = np.exp(log_r - np.logaddexp.reduce(log_r))
         y_next = float(np.dot(r, means))
-        if abs(y_next - y) < _MODE_STEP_TOL:
+        if abs(y_next - y) < _MODE_TOL:
             return y_next
         y = y_next
     return y

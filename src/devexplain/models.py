@@ -228,44 +228,15 @@ class GbtModel:
         return out
 
     def _tables(self):
-        # built once per model, like _flat_trees
+        # built once per model: predict_batch and the MAP search's cells read them
         cache = getattr(self, "_table_cache", None)
         if cache is None:
             cache = _threshold_tables(self.trees, self.learning_rate)
             object.__setattr__(self, "_table_cache", cache)
         return cache
 
-    def _flat_trees(self):
-        # plain-list mirror of the trees, built once; scalar descent through
-        # numpy arrays is ~10x slower, and the inverse search evaluates f at
-        # single points tens of thousands of times
-        cache = getattr(self, "_scalar_cache", None)
-        if cache is None:
-            cache = tuple(
-                (
-                    t.feature.tolist(),
-                    t.threshold.tolist(),
-                    t.left.tolist(),
-                    t.right.tolist(),
-                    t.value.tolist(),
-                )
-                for t in self.trees
-            )
-            object.__setattr__(self, "_scalar_cache", cache)
-        return cache
-
     def predict_one(self, x: np.ndarray) -> float:
-        xs = x.tolist() if isinstance(x, np.ndarray) else list(x)
-        total = self.base_score
-        lr = self.learning_rate
-        for feature, threshold, left, right, value in self._flat_trees():
-            node = 0
-            f = feature[0]
-            while f >= 0:
-                node = left[node] if xs[f] <= threshold[node] else right[node]
-                f = feature[node]
-            total += lr * value[node]
-        return total
+        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 PredictiveModel = LinearModel | GbtModel

@@ -436,6 +436,30 @@ class TestExplain:
         assert "priors cover 2 features, data has 3" in capsys.readouterr().err
         assert not (tmp_path / "report_0.json").exists()
 
+    def test_mean_report_echoes_no_budget(self, river_ws, tmp_path):
+        # no MAP search runs against the mean, so no restart budget is echoed
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"), "--index", "2", "--mean",
+            "--budget-runs", "7", "--seed", "3", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        doc = json.loads((tmp_path / "report_2.json").read_text())
+        assert doc["map_result"] is None
+        assert doc["settings"]["budget"] is None
+
+    def test_gbt_mode_search_reaches_a_high_cell(self, tmp_path):
+        # the simplex search this replaced ended at -626.50 here, in 65
+        # distinct "optima" from 74 starts; cell coordinate ascent reaches -18.59
+        assert run("fit", "--data", FIXTURE, "--label", "njr", "--kind", "gbt",
+                   "--split", "1", "--seed", "3", "--out", str(tmp_path)) == 0
+        assert run("explain", "--data", FIXTURE, "--label", "njr",
+                   "--model", str(tmp_path / "model.json"), "--mode", "0",
+                   "--index", "19", "--seed", "3", "--out", str(tmp_path)) == 0
+        result = json.loads((tmp_path / "report_19.json").read_text())["map_result"]
+        assert result["map_log_posterior"] > -19.0
+        assert sum(o["hit_count"] for o in result["local_optima"]) == result["n_converged"]
+
     def test_bad_index_range_syntax(self, river_ws, tmp_path):
         rc = run(
             "explain", "--data", FIXTURE, "--label", "njr",
@@ -744,3 +768,13 @@ class TestScipyLoading:
         )
         assert codes == [0]
         assert "scipy.optimize" in loaded
+
+    def test_tree_map_search_never_loads_scipy(self, tmp_path):
+        common = ("--data", FIXTURE, "--label", "njr", "--seed", "0", "--out", str(tmp_path))
+        codes, loaded = run_in_subprocess(
+            ("fit", "--kind", "gbt", "--trees", "20", "--split", "1", *common),
+            ("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
+             "--mode", "0", "--np", "50", "--budget-runs", "3", *common),
+        )
+        assert codes == [0, 0]
+        assert loaded == []

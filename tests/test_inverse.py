@@ -29,6 +29,7 @@ from devexplain.mixtures import (
     GaussianMixture1D,
     _log_prior_and_grad,
     fit_priors,
+    log_density,
     log_prior,
     modes,
     select_k,
@@ -37,6 +38,7 @@ from devexplain.models import (
     LinearModel,
     clamp_sigma_e_squared,
     fit_linear,
+    model_from_json,
     predict,
     residual_stats,
 )
@@ -126,6 +128,24 @@ class TestLogPosterior:
 
 
 @st.composite
+def priors_or_flat(draw, d, min_std):
+    """1-3-component priors on d features with stds >= min_std, or None."""
+    per_feature = []
+    for _ in range(d):
+        k = draw(st.integers(1, 3))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+        means = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
+        stds = draw(st.lists(st.floats(min_std, 3.0), min_size=k, max_size=k))
+        total = math.fsum(raw)
+        per_feature.append(
+            GaussianMixture1D(
+                components=tuple((r / total, m, s * s) for r, m, s in zip(raw, means, stds))
+            )
+        )
+    return draw(st.sampled_from([None, FeaturePriors(per_feature)]))
+
+
+@st.composite
 def linear_objectives(draw):
     """A linear model on 1-3 features under 1-3-component priors (or a flat
     prior), with a point to evaluate at.  Stds >= 0.5 and sigma_e^2 in
@@ -135,21 +155,9 @@ def linear_objectives(draw):
         intercept=draw(st.floats(-5.0, 5.0)),
         coefficients=draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)),
     )
-    per_feature = []
-    for _ in range(d):
-        k = draw(st.integers(1, 3))
-        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-        means = draw(st.lists(st.floats(-5.0, 5.0), min_size=k, max_size=k))
-        stds = draw(st.lists(st.floats(0.5, 3.0), min_size=k, max_size=k))
-        total = math.fsum(raw)
-        per_feature.append(
-            GaussianMixture1D(
-                components=tuple((r / total, m, s * s) for r, m, s in zip(raw, means, stds))
-            )
-        )
     obj = PosteriorObjective(
         model=model,
-        priors=draw(st.sampled_from([None, FeaturePriors(per_feature)])),
+        priors=draw(priors_or_flat(d, 0.5)),
         y_target=draw(st.floats(-10.0, 10.0)),
         sigma_e_squared=draw(st.floats(0.5, 2.0)),
     )
@@ -201,6 +209,123 @@ class TestExactGradient:
             local_maximize(objective, corner)
             per_start.append(calls[0])
         assert np.mean(per_start) <= 60
+
+
+@st.composite
+def tree_objectives(draw):
+    """1-5 trees of depth <= 2 on 2-3 features, splitting at thresholds from
+    a shared pool, under 1-3-component priors (or a flat prior), with a
+    starting point."""
+    d = draw(st.integers(2, 3))
+    pool = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
+    trees = []
+    for _ in range(draw(st.integers(1, 5))):
+        arrays = {key: [] for key in ("feature", "threshold", "left", "right", "value")}
+
+        def grow(depth):
+            node = len(arrays["feature"])
+            for key in ("feature", "left", "right"):
+                arrays[key].append(-1)
+            arrays["threshold"].append(None)
+            arrays["value"].append(draw(st.floats(-3.0, 3.0)))
+            if depth < 2 and draw(st.booleans()):
+                arrays["feature"][node] = draw(st.integers(0, d - 1))
+                arrays["threshold"][node] = draw(st.sampled_from(pool))
+                arrays["left"][node] = grow(depth + 1)
+                arrays["right"][node] = grow(depth + 1)
+            return node
+
+        grow(0)
+        trees.append(arrays)
+    model = model_from_json({
+        "schema": 1,
+        "kind": "gbt",
+        "learning_rate": draw(st.floats(0.1, 1.0)),
+        "base_score": draw(st.floats(-2.0, 2.0)),
+        "n_features": d,
+        "trees": trees,
+    })
+    obj = PosteriorObjective(
+        model=model,
+        priors=draw(priors_or_flat(d, 0.2)),
+        y_target=draw(st.floats(-6.0, 6.0)),
+        sigma_e_squared=draw(st.floats(0.05, 2.0)),
+    )
+    x0 = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)))
+    return obj, x0
+
+
+def feature_log_prior(obj, i, points):
+    points = np.asarray(points, dtype=float)
+    if obj.priors is None:
+        return np.zeros(points.shape)
+    return log_density(obj.priors.per_feature[i], points)
+
+
+def cell_edges(model, i):
+    """-inf, feature i's sorted split thresholds, inf."""
+    thresholds = dict(model._tables()[0]).get(i, [])
+    return np.concatenate([[-np.inf], thresholds, [np.inf]])
+
+
+def cell_grid(lo, hi):
+    """A dense grid of (lo, hi], an infinite end cut 20 past the finite one."""
+    lo = max(lo, min(hi, 0.0) - 20.0)
+    hi = min(hi, max(lo, 0.0) + 20.0)
+    return np.linspace(lo, hi, 2001)[1:]
+
+
+def line_values(obj, x, i, points):
+    """The log-posterior at x with x_i set to each of ``points``, batched."""
+    rows = np.repeat(x[None, :], len(points), axis=0)
+    rows[:, i] = points
+    misfit = obj.y_target - obj.model.predict_batch(rows)
+    others = sum(feature_log_prior(obj, j, [x[j]])[0] for j in range(x.size) if j != i)
+    prior = feature_log_prior(obj, i, points) + others
+    return prior - misfit * misfit / (2.0 * obj.sigma_e_squared)
+
+
+class TestCellAscent:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tree_objectives())
+    def test_cell_candidates_are_the_cell_maxima(self, case):
+        obj, _ = case
+        candidates = inverse._cell_candidates(obj)
+        # a flat prior has nothing to pick on a feature no tree splits on
+        assert [i for i, _, _ in candidates] == [
+            i for i in range(obj.model.d_x)
+            if obj.priors is not None or cell_edges(obj.model, i).size > 2
+        ]
+        for i, points, log_p in candidates:
+            edges = cell_edges(obj.model, i)
+            assert np.array_equal(log_p, feature_log_prior(obj, i, points))
+            # one candidate per cell, inside it
+            cell = np.searchsorted(edges, points) - 1
+            assert np.array_equal(cell, np.arange(edges.size - 1))
+            for k, lp in zip(cell, log_p):
+                grid = feature_log_prior(obj, i, cell_grid(edges[k], edges[k + 1]))
+                assert lp >= grid.max() - 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tree_objectives())
+    def test_endpoints_are_coordinatewise_optimal(self, case):
+        obj, x0 = case
+        point, value, converged = local_maximize(obj, x0)
+        assert converged
+        assert value == log_posterior(obj, point)
+        assert value >= log_posterior(obj, x0)
+        tol = 1e-9 * (1.0 + abs(value))
+        candidates = {i: points for i, points, _ in inverse._cell_candidates(obj)}
+        for i in range(point.size):
+            edges = cell_edges(obj.model, i)
+            finite = edges[np.isfinite(edges)]
+            line = np.concatenate([
+                np.linspace(-25.0, 25.0, 2001),
+                finite,
+                np.nextafter(finite, np.inf),
+                candidates.get(i, []),
+            ])
+            assert line_values(obj, point, i, line).max() <= value + tol
 
 
 class TestRequiredRuns:
