@@ -3,24 +3,24 @@
 The log-posterior pairs a Gaussian misfit term -(y_target - f(x))^2/(2 sigma_e^2)
 with the independent mixture log-prior.  Its maximizer is found by multistart
 local optimization: draw starting points from the prior, polish each locally
-(quasi-Newton for linear models, cell coordinate ascent for trees), deduplicate
+(EM steps for linear models, cell coordinate ascent for trees), deduplicate
 the endpoints, and keep the argmax.  A probabilistic bound converts an assumed
 number of basins and a minimum basin probability into a restart count.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, SearchFailureError, ValidationError
-from .mixtures import FeaturePriors, ModeInfo, _log_prior_and_grad, log_density, modes
+from .mixtures import FeaturePriors, ModeInfo, _log_prior_and_resp, log_density, log_prior, modes
 from .models import PredictiveModel
 
-_GRAD_TOL = 1e-6
+_STEP_TOL = 1e-10
 _MAX_ITERS = 500
 _DEDUP_FRAC = 1e-3
 
@@ -77,31 +77,6 @@ class MapResult:
     n_converged: int
 
 
-def make_objective_fn(obj: PosteriorObjective):
-    """Plain callable x -> (log-posterior, its gradient), shapes unchecked
-    (hot path).  Only a linear model's misfit has a gradient, (y - f(x))
-    theta / sigma_e^2: a tree is piecewise constant."""
-    if obj.priors is None:
-        def prior(x):
-            return 0.0, np.zeros(x.size)
-    else:
-        prior = functools.partial(_log_prior_and_grad, obj.priors)
-    predict_one = obj.model.predict_one
-    theta = obj.model.coefficients if obj.model.kind == "linear" else None
-    y = obj.y_target
-    sigma2 = obj.sigma_e_squared
-    two_sigma2 = 2.0 * sigma2
-
-    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        misfit = y - predict_one(x)
-        log_p, grad = prior(x)
-        if theta is not None:
-            grad = misfit / sigma2 * theta + grad
-        return -misfit * misfit / two_sigma2 + log_p, grad
-
-    return value_and_grad
-
-
 def log_posterior(obj: PosteriorObjective, x) -> float:
     """-(y_target - f(x))^2 / (2 sigma_e^2) + log p(x).
 
@@ -111,7 +86,9 @@ def log_posterior(obj: PosteriorObjective, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != obj.model.d_x:
         raise ValidationError(f"x has {x.size} entries, model expects {obj.model.d_x}")
-    return make_objective_fn(obj)(x)[0]
+    misfit = obj.y_target - obj.model.predict_one(x)
+    log_p = 0.0 if obj.priors is None else log_prior(obj.priors, x)
+    return -misfit * misfit / (2.0 * obj.sigma_e_squared) + log_p
 
 
 def required_runs(assumed_k: int, min_basin_prob: float, failure_prob: float) -> int:
@@ -171,62 +148,80 @@ def _cell_candidates(obj: PosteriorObjective) -> tuple[tuple[int, np.ndarray, np
     return obj._cells
 
 
+def _em_step(obj: PosteriorObjective, x: np.ndarray) -> np.ndarray:
+    """One EM step of a linear model's log-posterior from x, unchecked.
+
+    With each feature's component label as the missing data, the
+    responsibilities gamma_ik at x turn feature i's prior into one Gaussian,
+    of precision P_i = sum_k gamma_ik / var_ik and mean
+    m_i = sum_k (gamma_ik mu_ik / var_ik) / P_i.  The step returns that
+    Gaussian prior's exact MAP under the misfit (Sherman-Morrison):
+    m + P^-1 theta (y* - b - theta.m) / (sigma_e^2 + theta' P^-1 theta).
+    It never lowers the log-posterior, and its fixed points are the
+    stationary points.  A flat prior projects x onto theta.x = y* - b.
+    """
+    theta = obj.model.coefficients
+    if obj.priors is None:
+        # P -> 0; any equal P^-1 gives the projection, 1/max|theta| keeps it in range
+        size = np.abs(theta).max()
+        if size == 0.0:  # every x is a maximum
+            return x
+        mean, spread, noise = x, theta / size, 0.0
+    else:
+        gamma = _log_prior_and_resp(obj.priors, x)[1]
+        weight = 2.0 * gamma / obj.priors._two_var
+        precision = weight.sum(axis=1)
+        mean = (weight * obj.priors._mu).sum(axis=1) / precision
+        spread, noise = theta / precision, obj.sigma_e_squared
+    scale = noise + theta @ spread
+    return mean + spread * ((obj.y_target - obj.model.intercept - theta @ mean) / scale)
+
+
 def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool]:
     """Polish one starting point; returns (point, value, converged).
 
-    Linear models: BFGS on the exact gradient (the misfit's plus the
-    mixture log-prior's), stopping at gradient inf-norm < 1e-6 or after
-    500 iterations.  A stop caused by line-search precision loss counts as
-    converged: near the clamped-likelihood ridge the gradient tolerance is
-    unreachable while the point is already stationary to machine precision.
+    Linear models: EM steps (``_em_step``) until a step from x moves it by
+    at most 1e-10 (1 + inf-norm of x) in the inf-norm, a fixed point and so
+    a stationary point, or for at most 500 steps.
 
     Trees: coordinate ascent over each feature's per-cell prior maxima
-    (``_cell_candidates``), until a sweep moves nothing (a local optimum,
-    exact along every coordinate) or for at most 500 sweeps.
+    (``_cell_candidates``), until every coordinate has been scored at the
+    current point without moving (a local optimum, exact along every
+    coordinate) or for at most 500 sweeps of steps.
 
     An exhausted iteration budget returns converged=False, not an error.
     The returned value never falls below the value at x0.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != obj.model.d_x:
-        raise ValidationError(f"x0 has {x0.size} entries, model expects {obj.model.d_x}")
-    fn = make_objective_fn(obj)
-    f0 = fn(x0)[0]
+    f0 = log_posterior(obj, x0)
     if not math.isfinite(f0):
         raise NumericalError(f"objective is not finite at the starting point {x0}")
 
     if obj.model.kind == "linear":
-        # imported here, not at module level: only this search needs scipy
-        from scipy.optimize import minimize
-
-        def negated(x):
-            value, grad = fn(x)
-            return -value, -grad
-
-        res = minimize(
-            negated,
-            x0,
-            method="BFGS",
-            jac=True,
-            options={"gtol": _GRAD_TOL, "maxiter": _MAX_ITERS},
-        )
-        converged = res.status in (0, 2)
-        point = np.asarray(res.x, dtype=float)
-        value = float(-res.fun)
-    else:
-        point, converged = x0.copy(), False
+        point, converged = x0, False
         for _ in range(_MAX_ITERS):
-            start = point.copy()
-            # score all of one coordinate's cell candidates in one batch
-            for i, points, log_p in _cell_candidates(obj):
-                rows = np.repeat(point[None, :], points.size, axis=0)
-                rows[:, i] = points
-                misfit = obj.y_target - obj.model.predict_batch(rows)
-                point[i] = points[np.argmax(log_p - misfit * misfit / (2 * obj.sigma_e_squared))]
-            if np.array_equal(point, start):
+            point, last = _em_step(obj, point), point
+            if np.abs(point - last).max() <= _STEP_TOL * (1.0 + np.abs(last).max()):
                 converged = True
                 break
-        value = fn(point)[0]
+    else:
+        cells = _cell_candidates(obj)
+        point, unscored = x0.copy(), len(cells)
+        for i, points, log_p in itertools.islice(
+            itertools.cycle(cells), _MAX_ITERS * len(cells)
+        ):
+            # score all of one coordinate's cell candidates in one batch
+            rows = np.repeat(point[None, :], points.size, axis=0)
+            rows[:, i] = points
+            misfit = obj.y_target - obj.model.predict_batch(rows)
+            best = points[np.argmax(log_p - misfit * misfit / (2 * obj.sigma_e_squared))]
+            # a move leaves the others to score again at the new point
+            unscored = len(cells) - 1 if best != point[i] else unscored - 1
+            point[i] = best
+            if not unscored:
+                break
+        converged = not unscored
+    value = log_posterior(obj, point)
     if not math.isfinite(value) or value < f0:
         return x0, f0, converged
     return point, value, converged

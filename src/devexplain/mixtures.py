@@ -155,17 +155,14 @@ def _component_log_pdfs(mix, y) -> np.ndarray:
     return mix._log_norm - (y - mix._mu) ** 2 / mix._two_var
 
 
-def _log_prior_and_grad(priors: FeaturePriors, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum_I ln p_I(x_I) and its gradient sum_k gamma_Ik (mu_Ik - x_I) / var_Ik
-    (gamma the responsibilities), unchecked: the MAP objective's hot path."""
-    column = x[:, None]
-    log_pdfs = _component_log_pdfs(priors, column)
+def _log_prior_and_resp(priors: FeaturePriors, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum_I ln p_I(x_I) and the d x K responsibilities gamma_Ik of each
+    feature's components at x_I (0 on padding), unchecked: the MAP search
+    takes one EM step from them."""
+    log_pdfs = _component_log_pdfs(priors, x[:, None])
     log_p = np.logaddexp.reduce(log_pdfs, axis=1, keepdims=True)
-    gamma = np.exp(log_pdfs - log_p)
-    slope = (priors._mu - column) / priors._two_var
-    grad = 2.0 * (gamma[:, None, :] @ slope[:, :, None])[:, 0, 0]
     # accumulate adds in feature order at any d, as a per-feature loop does
-    return float(np.add.accumulate(log_p)[-1, 0]), grad
+    return float(np.add.accumulate(log_p)[-1, 0]), np.exp(log_pdfs - log_p)
 
 
 def log_density(gmm: GaussianMixture1D, y) -> np.ndarray | float:
@@ -409,7 +406,7 @@ def log_prior(priors: FeaturePriors, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != priors.d_x:
         raise ValidationError(f"x has {x.size} entries, priors expect {priors.d_x}")
-    return _log_prior_and_grad(priors, x)[0]
+    return _log_prior_and_resp(priors, x)[0]
 
 
 def mixture_to_json(gmm: GaussianMixture1D) -> dict:

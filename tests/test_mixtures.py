@@ -17,7 +17,7 @@ from devexplain.mixtures import (
     _component_log_pdfs,
     _em_once,
     _kmeanspp_centers,
-    _log_prior_and_grad,
+    _log_prior_and_resp,
     bic,
     density,
     fit_gmm,
@@ -148,18 +148,17 @@ class TestLogDensity:
             assert log_density(gmm, y) == lp == log_prior(prior, [y])
 
 
-def per_feature_log_prior_and_grad(priors, x):
+def per_feature_log_prior_and_resp(priors, x):
     """The loop the stacked tables replace: each feature's log-sum-exp
-    added in order, and its gradient entry as one 2 np.dot per feature."""
+    added in order, and its responsibilities, padded with 0."""
     total = 0.0
-    grad = np.zeros(len(x))
+    gamma = np.zeros(priors._mu.shape)
     for i, (gmm, v) in enumerate(zip(priors.per_feature, x)):
         log_pdfs = _component_log_pdfs(gmm, v)
         log_p = np.logaddexp.reduce(log_pdfs)
         total += float(log_p)
-        gamma = np.exp(log_pdfs - log_p)
-        grad[i] = 2.0 * np.dot(gamma, (gmm._mu - v) / gmm._two_var)
-    return total, grad
+        gamma[i, : gmm.k] = np.exp(log_pdfs - log_p)
+    return total, gamma
 
 
 class TestStackedPriors:
@@ -175,10 +174,10 @@ class TestStackedPriors:
         x = np.array(data.draw(st.lists(
             st.floats(-1e3, 1e3), min_size=priors.d_x, max_size=priors.d_x
         )))
-        value, grad = _log_prior_and_grad(priors, x)
-        want_value, want_grad = per_feature_log_prior_and_grad(priors, x)
+        value, gamma = _log_prior_and_resp(priors, x)
+        want_value, want_gamma = per_feature_log_prior_and_resp(priors, x)
         assert value == want_value == log_prior(priors, x)
-        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(gamma, want_gamma)
 
 
 class TestFitGmm:
