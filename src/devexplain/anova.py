@@ -229,9 +229,9 @@ def decompose_deviation(
     paired per-row differences.  Each pinned coalition is predicted once.
 
     ``obs_rows`` and ``ref_rows`` hold the coalitions already pinned at
-    x_obs and at x_ref (see ``_term_rows``); the missing ones are predicted
-    and added.  A caller that keeps ``ref_rows`` across observations
-    predicts the reference side, and the plain rows, once.
+    x_obs and at x_ref (see ``_term_rows``), the plain rows in either; the
+    missing ones are predicted and added.  A caller that keeps ``ref_rows``
+    across rows and ``obs_rows`` across references predicts each side once.
     """
     obs_rows = {} if obs_rows is None else obs_rows
     ref_rows = {} if ref_rows is None else ref_rows
@@ -246,9 +246,10 @@ def decompose_deviation(
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
         raise ValidationError("pinned value must be finite")
     total_delta = float(y_obs) - float(y_ref)
-    if () not in ref_rows:
-        ref_rows[()] = _pinned_rows(model, bg, None, ())
-    base = obs_rows[()] = ref_rows[()]
+    base = obs_rows.get((), ref_rows.get(()))
+    if base is None:
+        base = _pinned_rows(model, bg, None, ())
+    obs_rows[()] = ref_rows[()] = base
     first = np.empty(d)
     first_se = np.empty(d)
     second = second_se = None

@@ -272,10 +272,20 @@ def explain(
     The master seed is split into three child streams (label mixture, MAP
     search, background) so stages stay decoupled but reproducible.
     """
-    reports = explain_many(
-        model, priors, data, [observation_index], reference, settings
-    )
-    return reports[0]
+    batch = explain_many(model, priors, data, [observation_index], [reference], settings)
+    return batch[0][0]
+
+
+def _parse_reference(reference) -> tuple[str, int | None]:
+    if reference == "mean":
+        return "mean", None
+    try:
+        ref_kind, mode_index = reference
+    except (TypeError, ValueError):
+        raise ValidationError(f"unknown reference {reference!r}") from None
+    if ref_kind != "mode" or not isinstance(mode_index, int) or mode_index < 0:
+        raise ValidationError(f"unknown reference {reference!r}")
+    return ref_kind, mode_index
 
 
 def explain_many(
@@ -283,15 +293,16 @@ def explain_many(
     priors: FeaturePriors,
     data: Dataset,
     indices,
-    reference,
+    references,
     settings: ExplainSettings,
-) -> list[ExplanationReport]:
-    """Explain several observations that share one reference.
+) -> list[list[ExplanationReport]]:
+    """Explain several observations against several references: one list of
+    reports per reference, in the order given, each report identical to
+    what a single `explain` call would produce.
 
-    The reference itself does not depend on the observation, so the heavy
-    stages (label mixture, MAP search, background draw) run once and are
-    reused across ``indices``.  Each returned report is identical to what a
-    single-index `explain` call would produce.
+    The residuals, background draw and plain rows are computed once, the
+    label mixture at most once, a MAP search once per mode reference, and
+    each row's observation-side coalitions and Shapley values once.
     """
     indices = [int(i) for i in indices]
     for observation_index in indices:
@@ -299,21 +310,11 @@ def explain_many(
             raise ValidationError(
                 f"observation index {observation_index} out of range 0..{data.n - 1}"
             )
-    if isinstance(reference, str):
-        ref_kind, mode_index = reference, None
-        if ref_kind != "mean":
-            raise ValidationError(f"unknown reference {reference!r}")
-    else:
-        try:
-            ref_kind, mode_index = reference
-        except (TypeError, ValueError):
-            raise ValidationError(f"unknown reference {reference!r}") from None
-        if ref_kind != "mode" or not isinstance(mode_index, int) or mode_index < 0:
-            raise ValidationError(f"unknown reference {reference!r}")
+    parsed = [_parse_reference(reference) for reference in references]
     if priors.d_x != data.d_x:
         raise ValidationError(f"priors cover {priors.d_x} features, data has {data.d_x}")
-    if not indices:
-        return []
+    if not indices or not parsed:
+        return [[] for _ in parsed]
 
     gmm_seed, map_seed, bg_seed = _stage_seeds(settings.seed)
 
@@ -321,34 +322,6 @@ def explain_many(
         stats = residual_stats(model, data)
         sigma2 = clamp_sigma_e_squared(stats.sigma_e_squared, data.labels)
 
-    map_result = None
-    mode = None
-    budget = None
-    if ref_kind == "mean":
-        y_ref = float(data.labels.mean())
-        x_ref = data.features.mean(axis=0)
-    else:
-        with _stage("label-mixture"):
-            mode_list = modes(select_k(data.labels, settings.k_max, gmm_seed))
-            if mode_index >= len(mode_list):
-                raise ValidationError(
-                    f"mode {mode_index} requested but only {len(mode_list)} found"
-                )
-            mode = mode_list[mode_index]
-        with _stage("map-search"):
-            budget = default_budget(priors)
-            budget = replace(budget, n_runs=settings.budget_runs or budget.n_runs)
-            map_result = reference_point(
-                model, priors, sigma2, mode, budget, map_seed
-            )
-            x_ref = map_result.map_point
-            y_ref = mode.location
-
-    with _stage("background"):
-        source = priors if settings.bg_source == "prior" else data
-        bg = draw_background(source, settings.np_count, bg_seed)
-
-    label_std = float(data.labels.std())
     echo = {
         "seed": settings.seed,
         "np": settings.np_count,
@@ -356,52 +329,80 @@ def explain_many(
         "k_max": settings.k_max,
         "degeneracy_tau": settings.degeneracy_tau,
         "bg_source": settings.bg_source,
-        "budget": None if budget is None else asdict(budget),
     }
-    # the plain rows and the reference-side coalitions, predicted once for
-    # all rows; each row's own coalitions serve its decomposition and Shapley
-    ref_rows = {}
-    reports = []
+    # per reference: its mode and the fields all of its reports share
+    refs = []
+    mode_list = None
+    for ref_kind, mode_index in parsed:
+        map_result = mode = budget = None
+        if ref_kind == "mean":
+            y_ref = float(data.labels.mean())
+            x_ref = data.features.mean(axis=0)
+        else:
+            with _stage("label-mixture"):
+                if mode_list is None:
+                    mode_list = modes(select_k(data.labels, settings.k_max, gmm_seed))
+                if mode_index >= len(mode_list):
+                    raise ValidationError(
+                        f"mode {mode_index} requested but only {len(mode_list)} found"
+                    )
+                mode = mode_list[mode_index]
+            with _stage("map-search"):
+                budget = default_budget(priors)
+                budget = replace(budget, n_runs=settings.budget_runs or budget.n_runs)
+                map_result = reference_point(model, priors, sigma2, mode, budget, map_seed)
+                x_ref = map_result.map_point
+                y_ref = mode.location
+        shared = {
+            "reference_kind": ref_kind,
+            "mode_index": mode_index,
+            "y_ref": y_ref,
+            "x_ref": np.asarray(x_ref, dtype=float),
+            "map_result": map_result,
+            "settings": {**echo, "budget": None if budget is None else asdict(budget)},
+        }
+        refs.append((mode, shared))
+
+    with _stage("background"):
+        source = priors if settings.bg_source == "prior" else data
+        bg = draw_background(source, settings.np_count, bg_seed)
+
+    label_std = float(data.labels.std())
+    # each reference's coalitions, predicted once for all rows; each row's
+    # own coalitions serve every reference's decomposition and its Shapley
+    ref_rows = [{} for _ in refs]
+    reports = [[] for _ in refs]
     for observation_index in indices:
         x_obs, y_obs = data.row(observation_index)
         obs_rows = {}
-
-        with _stage("decompose"):
-            decomp = decompose_deviation(
-                model, bg, x_obs, x_ref, y_obs, y_ref, settings.order,
-                obs_rows=obs_rows, ref_rows=ref_rows,
+        shap = None
+        for (mode, shared), rows, out in zip(refs, ref_rows, reports):
+            with _stage("decompose"):
+                decomp = decompose_deviation(
+                    model, bg, x_obs, shared["x_ref"], y_obs, shared["y_ref"],
+                    settings.order, obs_rows=obs_rows, ref_rows=rows,
+                )
+            with _stage("scores"):
+                scores = responsible_scores(
+                    decomp, settings.degeneracy_tau, label_std,
+                    shared["reference_kind"], shared["mode_index"],
+                )
+            if shap is None:  # after the first decomposition, reading its coalitions
+                with _stage("shapley"):
+                    shap = shapley_values(model, bg, x_obs, rows=obs_rows)
+            out.append(
+                ExplanationReport(
+                    observation_index=observation_index,
+                    feature_names=data.feature_names,
+                    y_obs=y_obs,
+                    scores=scores,
+                    shap=shap,
+                    z=z_score(y_obs, data.labels),
+                    z_m=None if mode is None else mode_z_score(y_obs, mode),
+                    decomposition=decomp,
+                    **shared,
+                )
             )
-
-        with _stage("scores"):
-            scores = responsible_scores(
-                decomp,
-                settings.degeneracy_tau,
-                label_std,
-                ref_kind,
-                mode_index,
-            )
-
-        with _stage("shapley"):
-            shap = shapley_values(model, bg, x_obs, rows=obs_rows)
-
-        reports.append(
-            ExplanationReport(
-                observation_index=observation_index,
-                feature_names=data.feature_names,
-                y_obs=y_obs,
-                reference_kind=ref_kind,
-                mode_index=mode_index,
-                y_ref=y_ref,
-                x_ref=np.asarray(x_ref, dtype=float),
-                scores=scores,
-                shap=shap,
-                z=z_score(y_obs, data.labels),
-                z_m=None if mode is None else mode_z_score(y_obs, mode),
-                decomposition=decomp,
-                map_result=map_result,
-                settings=echo,
-            )
-        )
     return reports
 
 

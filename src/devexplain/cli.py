@@ -294,11 +294,9 @@ def cmd_explain(args) -> None:
         priors = fit_priors(data, args.k_max, priors_seed)
         priors_source = "fitted"
 
-    reports = explain_many(model, priors, data, indices, reference, settings)
-    mean_reports = [None] * len(indices)
-    if args.svg and not args.mean:
-        # mean-reference companions for the charts, sharing one background
-        mean_reports = explain_many(model, priors, data, indices, "mean", settings)
+    references = [reference, "mean"] if args.svg and not args.mean else [reference]
+    reports, *companions = explain_many(model, priors, data, indices, references, settings)
+    mean_reports = companions[0] if companions else [None] * len(indices)
 
     rows = []
     for report, mean_report in zip(reports, mean_reports):

@@ -252,9 +252,6 @@ def fit_linear(train: Dataset) -> LinearModel:
         column (intercept or feature) that is linearly dependent on the
         columns before it.
     """
-    # imported here, not at module level: no other command needs scipy.linalg
-    from scipy.linalg import solve_triangular
-
     if train.n <= train.d_x:
         raise ValidationError(
             f"need more than d_x={train.d_x} observations, got {train.n}"
@@ -269,7 +266,10 @@ def fit_linear(train: Dataset) -> LinearModel:
         raise SingularFitError(
             f"design matrix is rank deficient at column {column!r}", column=column
         )
-    beta = solve_triangular(r, q.T @ train.labels)
+    c = q.T @ train.labels
+    beta = np.empty_like(c)
+    for j in range(c.size - 1, -1, -1):  # back-substitution, one row of R at a time
+        beta[j] = (c[j] - r[j, j + 1 :] @ beta[j + 1 :]) / r[j, j]
     return LinearModel(intercept=float(beta[0]), coefficients=beta[1:])
 
 

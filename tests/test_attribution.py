@@ -339,8 +339,8 @@ class TestExplainMany:
             expected += rows * (2**d - 2 - d)
         settings = ExplainSettings(seed=5, np_count=40, order=order)
         model = RecordingModel()
-        batch = explain_many(
-            model, fixture_priors, fixture_data, range(rows), "mean", settings
+        [batch] = explain_many(
+            model, fixture_priors, fixture_data, range(rows), ["mean"], settings
         )
         assert len(model.batches) == expected
         assert len(set(model.batches)) == expected
@@ -349,47 +349,63 @@ class TestExplainMany:
             assert report_to_json(report) == report_to_json(solo)
 
     def test_one_public_decomposition_and_shapley_per_row(
-        self, fixture_priors, fixture_data, monkeypatch
+        self, fixture_model, fixture_priors, fixture_data, monkeypatch
     ):
         calls = []
-        for name in ("decompose_deviation", "shapley_values"):
+        for name in ("decompose_deviation", "shapley_values", "select_k"):
 
             def counted(*args, _name=name, _public=getattr(attribution, name), **kwargs):
                 calls.append(_name)
                 return _public(*args, **kwargs)
 
             monkeypatch.setattr(attribution, name, counted)
-        settings = ExplainSettings(seed=5, np_count=40, order=2)
-        explain_many(
-            RecordingModel(), fixture_priors, fixture_data, range(3), "mean", settings
-        )
-        assert calls == ["decompose_deviation", "shapley_values"] * 3
+        settings = ExplainSettings(seed=5, np_count=40, order=2, budget_runs=3)
+        for references, fits in [
+            (["mean"], []),
+            ([("mode", 0), "mean"], ["select_k"]),
+            # the label mixture is fitted once, however many mode references
+            ([("mode", 0), ("mode", 1)], ["select_k"]),
+        ]:
+            calls.clear()
+            batch = explain_many(
+                fixture_model, fixture_priors, fixture_data, range(3), references, settings
+            )
+            assert [len(reports) for reports in batch] == [3] * len(references)
+            # Shapley runs once, after the first decomposition pinned the row's coalitions
+            row = ["decompose_deviation", "shapley_values"]
+            row += ["decompose_deviation"] * (len(references) - 1)
+            assert calls == fits + row * 3, references
 
     def test_matches_single_calls(self, fixture_model, fixture_priors, fixture_data):
-        # shared reference work must not change any report
+        # work shared across rows and across references must not change any report
         settings = ExplainSettings(seed=3, np_count=200, budget_runs=12)
-        batch = explain_many(
-            fixture_model, fixture_priors, fixture_data, [2, 19], ("mode", 0), settings
-        )
-        for index, report in zip([2, 19], batch):
-            solo = explain(
-                fixture_model, fixture_priors, fixture_data, index, ("mode", 0), settings
+        for references in ([("mode", 0)], [("mode", 0), "mean"]):
+            batch = explain_many(
+                fixture_model, fixture_priors, fixture_data, [2, 19], references, settings
             )
-            assert json.dumps(report_to_json(report), sort_keys=True) == json.dumps(
-                report_to_json(solo), sort_keys=True
-            )
+            assert len(batch) == len(references)
+            for reference, reports in zip(references, batch):
+                assert [r.observation_index for r in reports] == [2, 19]
+                for report in reports:
+                    solo = explain(
+                        fixture_model, fixture_priors, fixture_data,
+                        report.observation_index, reference, settings,
+                    )
+                    assert json.dumps(
+                        report_to_json(report), sort_keys=True
+                    ) == json.dumps(report_to_json(solo), sort_keys=True)
 
     def test_empty_indices(self, fixture_model, fixture_priors, fixture_data):
         settings = ExplainSettings(seed=0, np_count=10)
         assert explain_many(
-            fixture_model, fixture_priors, fixture_data, [], "mean", settings
-        ) == []
+            fixture_model, fixture_priors, fixture_data, [], ["mean", ("mode", 0)], settings
+        ) == [[], []]
 
     def test_any_bad_index_rejected(self, fixture_model, fixture_priors, fixture_data):
         settings = ExplainSettings(seed=0, np_count=10)
         with pytest.raises(ValidationError):
             explain_many(
-                fixture_model, fixture_priors, fixture_data, [0, 99], "mean", settings
+                fixture_model, fixture_priors, fixture_data, [0, 99], ["mean"], settings
             )
 
 

@@ -448,6 +448,32 @@ class TestExplain:
         assert doc["map_result"] is None
         assert doc["settings"]["budget"] is None
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_svg_adds_only_the_mean_coalitions(self, river_ws, tmp_path, monkeypatch, order):
+        # the mean companions share the residuals, background, plain rows,
+        # each row's own coalitions and its Shapley values with the mode reports
+        model_cls = type(load_model(river_ws / "model.json"))
+        calls = []
+
+        def counted(self, x, _predict=model_cls.predict_batch):
+            calls.append(len(x))
+            return _predict(self, x)
+
+        monkeypatch.setattr(model_cls, "predict_batch", counted)
+        counts = []
+        for svg in ([], ["--svg"]):
+            calls.clear()
+            rc = run(
+                "explain", "--data", FIXTURE, "--label", "njr",
+                "--model", str(river_ws / "model.json"), "--index-range", "0:4",
+                "--mode", "0", "--order", str(order), "--np", "50",
+                "--budget-runs", "3", "--seed", "3", *svg, "--out", str(tmp_path),
+            )
+            assert rc == 0
+            counts.append(len(calls))
+        d = 3
+        assert counts[1] - counts[0] == d + (d * (d - 1) // 2 if order == 2 else 0)
+
     def test_gbt_mode_search_reaches_a_high_cell(self, tmp_path):
         # the simplex search this replaced ended at -626.50 here, in 65
         # distinct "optima" from 74 starts; cell coordinate ascent reaches -18.59
@@ -760,14 +786,15 @@ class TestScipyLoading:
         assert codes == [0, 0, 0, 0]
         assert loaded == []
 
-    def test_linear_map_search_never_loads_scipy(self, river_ws, tmp_path):
-        # only fitting a linear model needs scipy (scipy.linalg)
+    def test_linear_map_search_never_loads_scipy(self, tmp_path):
+        common = ("--data", FIXTURE, "--label", "njr", "--seed", "0", "--out", str(tmp_path))
         codes, loaded = run_in_subprocess(
-            ("explain", "--data", FIXTURE, "--label", "njr",
-             "--model", str(river_ws / "model.json"), "--index", "0", "--mode", "0",
-             "--np", "50", "--budget-runs", "3", "--seed", "0", "--out", str(tmp_path)),
+            ("fit", "--kind", "linear", "--split", "1", *common),
+            ("fit", "--kind", "linear", "--split", "0.8", *common),
+            ("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
+             "--mode", "0", "--np", "50", "--budget-runs", "3", *common),
         )
-        assert codes == [0]
+        assert codes == [0, 0, 0]
         assert loaded == []
 
     def test_tree_map_search_never_loads_scipy(self, tmp_path):
