@@ -13,7 +13,7 @@ import numpy as np
 from devexplain.anova import decompose_deviation, draw_background
 from devexplain.attribution import responsible_scores, shapley_values
 from devexplain.dataset import Dataset, generate_synthetic, trimodal_benchmark_spec
-from devexplain.inverse import default_budget, reference_point
+from devexplain.inverse import PosteriorObjective, default_budget, direct_search_map
 from devexplain.mixtures import (
     FeaturePriors,
     mode_z_score,
@@ -64,7 +64,8 @@ budget = default_budget(priors)
 print(f"\nlinear fit: R^2 {stats.r_squared_train:.4f}; MAP budget "
       f"{budget.n_runs} restarts (assumed {budget.assumed_k} basins)")
 
-result = reference_point(model, priors, sigma2, mode_list[0], budget, SEED)
+obj = PosteriorObjective(model, priors, mode_list[0].location, sigma2)
+result = direct_search_map(obj, budget, SEED)
 x_ref = result.map_point
 print(f"reference point x* = {np.round(x_ref, 3)}, "
       f"f(x*) = {predict(model, x_ref):.3f} vs mode at {mode_list[0].location:.3f}")

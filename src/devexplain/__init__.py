@@ -2,9 +2,10 @@
 
 The pipeline: fit a forward model f(x) to labeled data, describe the label
 distribution with a 1-D Gaussian mixture, pick a reference (the sample mean
-or a density mode), recover the feature vector that best explains that
-reference by Bayesian MAP inversion, and split the observation's deviation
-into per-feature responsible scores via the ANOVA decomposition of f.
+or a density mode), for a mode recover the feature vector that best explains
+it by Bayesian MAP inversion under the feature priors, and split the
+observation's deviation into per-feature responsible scores via the ANOVA
+decomposition of f.
 Interventional Shapley values are computed alongside for comparison.
 """
 
@@ -54,7 +55,6 @@ from .inverse import (
     direct_search_map,
     local_maximize,
     log_posterior,
-    reference_point,
     required_runs,
 )
 from .mixtures import (

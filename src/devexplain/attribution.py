@@ -28,7 +28,7 @@ from .anova import (
 )
 from .dataset import Dataset, _json_doc
 from .errors import DevexplainError, ValidationError
-from .inverse import MapResult, default_budget, reference_point
+from .inverse import MapResult, PosteriorObjective, default_budget, direct_search_map
 from .mixtures import (
     FeaturePriors,
     ModeInfo,
@@ -350,7 +350,8 @@ def explain_many(
             with _stage("map-search"):
                 budget = default_budget(priors)
                 budget = replace(budget, n_runs=settings.budget_runs or budget.n_runs)
-                map_result = reference_point(model, priors, sigma2, mode, budget, map_seed)
+                obj = PosteriorObjective(model, priors, mode.location, sigma2)
+                map_result = direct_search_map(obj, budget=budget, seed=map_seed)
                 x_ref = map_result.map_point
                 y_ref = mode.location
         shared = {

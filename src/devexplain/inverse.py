@@ -1,11 +1,12 @@
 """Bayesian inversion: which feature vector best explains a target label?
 
 The log-posterior pairs a Gaussian misfit term -(y_target - f(x))^2/(2 sigma_e^2)
-with the independent mixture log-prior.  Its maximizer is found by multistart
-local optimization: draw starting points from the prior, polish each locally
-(EM steps for linear models, cell coordinate ascent for trees), deduplicate
-the endpoints, and keep the argmax.  A probabilistic bound converts an assumed
-number of basins and a minimum basin probability into a restart count.
+with the independent mixture log-prior, a proper prior.  Its maximizer is
+found by multistart local optimization: draw starting points from that prior,
+polish each locally (EM steps for linear models, cell coordinate ascent for
+trees), deduplicate the endpoints, and keep the argmax.  A probabilistic
+bound converts an assumed number of basins and a minimum basin probability
+into a restart count.
 """
 
 from __future__ import annotations
@@ -17,24 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SearchFailureError, ValidationError
-from .mixtures import FeaturePriors, ModeInfo, _log_prior_and_resp, log_density, log_prior, modes
+from .mixtures import FeaturePriors, _log_prior_and_resp, log_density, log_prior, modes
 from .models import PredictiveModel
 
 _STEP_TOL = 1e-10
 _MAX_ITERS = 500
 _DEDUP_FRAC = 1e-3
+_FAILURE_PROB = 0.01
 
 
 @dataclass(frozen=True)
 class PosteriorObjective:
-    """Log-posterior for one target label value.
-
-    ``priors=None`` means an improper flat prior (log-prior identically 0),
-    useful for pure-misfit studies and stubs.
-    """
+    """Log-posterior for one target label value under the feature priors."""
 
     model: PredictiveModel
-    priors: FeaturePriors | None
+    priors: FeaturePriors
     y_target: float
     sigma_e_squared: float
 
@@ -87,8 +85,7 @@ def log_posterior(obj: PosteriorObjective, x) -> float:
     if x.size != obj.model.d_x:
         raise ValidationError(f"x has {x.size} entries, model expects {obj.model.d_x}")
     misfit = obj.y_target - obj.model.predict_one(x)
-    log_p = 0.0 if obj.priors is None else log_prior(obj.priors, x)
-    return -misfit * misfit / (2.0 * obj.sigma_e_squared) + log_p
+    return -misfit * misfit / (2.0 * obj.sigma_e_squared) + log_prior(obj.priors, x)
 
 
 def required_runs(assumed_k: int, min_basin_prob: float, failure_prob: float) -> int:
@@ -110,18 +107,18 @@ def required_runs(assumed_k: int, min_basin_prob: float, failure_prob: float) ->
     return max(1, math.ceil(bound))
 
 
-def default_budget(priors: FeaturePriors, failure_prob: float = 0.01) -> SearchBudget:
+def default_budget(priors: FeaturePriors) -> SearchBudget:
     """Conservative budget: K = product of per-feature component counts,
-    assumed minimum basin probability 1/(2K)."""
+    assumed minimum basin probability 1/(2K), failure probability 0.01."""
     k_hat = 1
     for gmm in priors.per_feature:
         k_hat *= gmm.k
     p_hat = 1.0 / (2.0 * k_hat)
     return SearchBudget(
-        n_runs=required_runs(k_hat, p_hat, failure_prob),
+        n_runs=required_runs(k_hat, p_hat, _FAILURE_PROB),
         assumed_k=k_hat,
         min_basin_prob=p_hat,
-        failure_prob=failure_prob,
+        failure_prob=_FAILURE_PROB,
     )
 
 
@@ -129,22 +126,22 @@ def _cell_candidates(obj: PosteriorObjective) -> tuple[tuple[int, np.ndarray, np
     """``(feature, points, log_priors)``: the prior's best point in each cell
     (t_{k-1}, t_k] of a feature's split thresholds, on which the ensemble is
     constant, and its log-prior: a mode inside, t_k or the float above
-    t_{k-1} (t_k on a tie).  Features with no candidate are left out."""
+    t_{k-1} (t_k on a tie)."""
     if not hasattr(obj, "_cells"):
         cells = []
-        for i in range(obj.model.d_x):
-            cuts = dict(obj.model._tables()[0]).get(i, np.empty(0))
+        thresholds = dict(obj.model._tables()[0])
+        for i, gmm in enumerate(obj.priors.per_feature):
+            cuts = thresholds.get(i, np.empty(0))
             ends = cuts[np.isfinite(cuts)]
-            pool = np.concatenate([ends, np.nextafter(ends, np.inf)])
-            gmm = None if obj.priors is None else obj.priors.per_feature[i]
-            if gmm is not None:
-                pool = np.append(pool, [mode.location for mode in modes(gmm)])
-            log_p = np.zeros(pool.size) if gmm is None else log_density(gmm, pool)
+            pool = np.concatenate(
+                [ends, np.nextafter(ends, np.inf), [mode.location for mode in modes(gmm)]]
+            )
+            log_p = log_density(gmm, pool)
             cell = np.searchsorted(cuts, pool)
             order = np.lexsort((-log_p, cell))  # stable: closed ends first
             best = order[np.unique(cell[order], return_index=True)[1]]
             cells.append((i, pool[best], log_p[best]))
-        object.__setattr__(obj, "_cells", tuple(c for c in cells if c[1].size))
+        object.__setattr__(obj, "_cells", tuple(cells))
     return obj._cells
 
 
@@ -158,22 +155,15 @@ def _em_step(obj: PosteriorObjective, x: np.ndarray) -> np.ndarray:
     Gaussian prior's exact MAP under the misfit (Sherman-Morrison):
     m + P^-1 theta (y* - b - theta.m) / (sigma_e^2 + theta' P^-1 theta).
     It never lowers the log-posterior, and its fixed points are the
-    stationary points.  A flat prior projects x onto theta.x = y* - b.
+    stationary points.
     """
     theta = obj.model.coefficients
-    if obj.priors is None:
-        # P -> 0; any equal P^-1 gives the projection, 1/max|theta| keeps it in range
-        size = np.abs(theta).max()
-        if size == 0.0:  # every x is a maximum
-            return x
-        mean, spread, noise = x, theta / size, 0.0
-    else:
-        gamma = _log_prior_and_resp(obj.priors, x)[1]
-        weight = 2.0 * gamma / obj.priors._two_var
-        precision = weight.sum(axis=1)
-        mean = (weight * obj.priors._mu).sum(axis=1) / precision
-        spread, noise = theta / precision, obj.sigma_e_squared
-    scale = noise + theta @ spread
+    gamma = _log_prior_and_resp(obj.priors, x)[1]
+    weight = 2.0 * gamma / obj.priors._two_var
+    precision = weight.sum(axis=1)
+    mean = (weight * obj.priors._mu).sum(axis=1) / precision
+    spread = theta / precision
+    scale = obj.sigma_e_squared + theta @ spread
     return mean + spread * ((obj.y_target - obj.model.intercept - theta @ mean) / scale)
 
 
@@ -232,15 +222,10 @@ def dedup_radius(point: np.ndarray) -> float:
     return _DEDUP_FRAC * (1.0 + float(np.abs(point).max()))
 
 
-def direct_search_map(
-    obj: PosteriorObjective,
-    priors: FeaturePriors,
-    budget: SearchBudget,
-    seed: int,
-) -> MapResult:
+def direct_search_map(obj: PosteriorObjective, budget: SearchBudget, seed: int) -> MapResult:
     """Multistart MAP search with deduplication and hit counting.
 
-    Starting points are drawn i.i.d. from the prior, one per run in stream
+    Starting points are drawn i.i.d. from ``obj.priors``, one per run in stream
     order, so a larger budget with the same seed reuses the smaller budget's
     starts as a prefix.  Converged endpoints are clustered in the inf-norm
     with radius 1e-3 (1 + inf-norm); each cluster keeps its best point and
@@ -252,7 +237,7 @@ def direct_search_map(
     n_converged = 0
     diagnostics = []
     for run in range(budget.n_runs):
-        x0 = priors.sample(rng, 1)[0]
+        x0 = obj.priors.sample(rng, 1)[0]
         try:
             point, value, converged = local_maximize(obj, x0)
         except NumericalError as exc:
@@ -292,28 +277,3 @@ def direct_search_map(
         n_converged=n_converged,
     )
 
-
-def reference_point(
-    model: PredictiveModel,
-    priors: FeaturePriors,
-    sigma_e_squared: float,
-    reference,
-    budget: SearchBudget,
-    seed: int,
-) -> MapResult:
-    """MAP search with y_target set by the reference.
-
-    ``reference`` is either a :class:`ModeInfo` (target its location) or a
-    1-D sample vector (target its mean).
-    """
-    if isinstance(reference, ModeInfo):
-        y_target = reference.location
-    else:
-        samples = np.asarray(reference, dtype=float).reshape(-1)
-        if samples.size == 0:
-            raise ValidationError("mean reference needs at least one sample")
-        y_target = float(samples.mean())
-    obj = PosteriorObjective(
-        model=model, priors=priors, y_target=y_target, sigma_e_squared=sigma_e_squared
-    )
-    return direct_search_map(obj, priors, budget, seed)

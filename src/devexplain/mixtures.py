@@ -45,6 +45,9 @@ class GaussianMixture1D:
     # Total log-likelihood at each E-step of the winning restart;
     # empty for mixtures that were not fitted.
     history: tuple[float, ...] = ()
+    # True when EM met its tolerance; False at the iteration cap and for
+    # mixtures that were not fitted.
+    converged: bool = False
     _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
     _mu: np.ndarray = field(init=False, repr=False, compare=False)
     _two_var: np.ndarray = field(init=False, repr=False, compare=False)
@@ -239,6 +242,7 @@ def _em_once(samples: np.ndarray, k: int, rng: np.random.Generator,
         fitted_n=n,
         log_likelihood=log_l,
         history=tuple(history),
+        converged=converged,
     )
     return fitted, log_l
 
@@ -252,10 +256,11 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
     returns its 500th iterate, scored by one more E-step, so
     ``log_likelihood`` (also the last ``history`` entry; ``history`` holds
     one entry per E-step, 501 at the cap) is always the log-likelihood of
-    the returned components, which restarts and BIC compare.  Variances
-    are floored at 1e-4 times the sample variance: this both prevents
-    numerical collapse and keeps model selection from spending components
-    on single points.
+    the returned components, which restarts and BIC compare; ``converged``
+    says whether the winning restart met the tolerance or stopped at the
+    cap.  Variances are floored at 1e-4 times the sample variance: this
+    both prevents numerical collapse and keeps model selection from
+    spending components on single points.
 
     Parameters
     ----------

@@ -45,7 +45,6 @@ from devexplain.inverse import (
     direct_search_map,
     local_maximize,
     log_posterior,
-    reference_point,
     required_runs,
 )
 from devexplain.mixtures import (
@@ -148,7 +147,7 @@ def test_criterion_03_map_search_beats_lattice_oracle(
         n_runs=260, assumed_k=27, min_basin_prob=0.03, failure_prob=0.01
     )
     t0 = time.perf_counter()
-    result = direct_search_map(obj, exact_priors, budget, seed=GMM_SEED)
+    result = direct_search_map(obj, budget, seed=GMM_SEED)
     elapsed = time.perf_counter() - t0
 
     oracle = -math.inf
@@ -176,11 +175,15 @@ def test_criterion_04_mode_scores_and_ranking_stability(
     budget = default_budget(exact_priors)
     label_scale = float(outlier_data.labels.std())
     target = np.array([0.48, 0.45, 0.07])
+    obj = PosteriorObjective(
+        model=linear_outlier,
+        priors=exact_priors,
+        y_target=dominant.location,
+        sigma_e_squared=sigma2,
+    )
     all_scores = []
     for seed in range(10):
-        ref = reference_point(
-            linear_outlier, exact_priors, sigma2, dominant, budget, seed
-        )
+        ref = direct_search_map(obj, budget, seed)
         bg = draw_background(outlier_data, 2000, seed=seed)
         decomp = decompose_deviation(
             linear_outlier,

@@ -806,3 +806,31 @@ class TestScipyLoading:
         )
         assert codes == [0, 0]
         assert loaded == []
+
+
+class TestTraceHarness:
+    """The benchmark's trace harness wraps library functions by name and
+    reads their arguments and results; a signature drift must fail here."""
+
+    def test_traced_mode_explanation(self, river_ws, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        trace = tmp_path / "trace.json"
+        out = subprocess.run(
+            [
+                sys.executable, str(root / "perfbench" / "traced_cli.py"), str(trace),
+                "explain", "--data", FIXTURE, "--label", "njr",
+                "--model", str(river_ws / "model.json"),
+                "--mode", "0", "--index", "0", "--budget-runs", "3",
+                "--out", str(tmp_path),
+            ],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(devexplain.__file__).resolve().parents[1])},
+        )
+        assert out.returncode == 0, out.stderr
+        spans = json.loads(trace.read_text())["spans"]
+        searches = [s for s in spans if s[2] == "inverse.direct_search_map"]
+        assert len(searches) == 1
+        assert searches[0][6]["restarts"] == 3
+        fits = [s for s in spans if s[2] == "mixtures.fit_gmm"]
+        assert fits
+        assert all("em_iters" in s[6] for s in fits)

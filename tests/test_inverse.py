@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from devexplain import inverse
 from devexplain.attribution import ExplainSettings, explain, report_to_json
-from devexplain.dataset import Dataset, _json_doc, load_csv, river_fixture_path
+from devexplain.dataset import _json_doc, load_csv, river_fixture_path
 from devexplain.errors import NumericalError, SearchFailureError, ValidationError
 from devexplain.inverse import (
     PosteriorObjective,
@@ -20,7 +20,6 @@ from devexplain.inverse import (
     direct_search_map,
     local_maximize,
     log_posterior,
-    reference_point,
     required_runs,
 )
 from devexplain.mixtures import (
@@ -99,14 +98,6 @@ class TestLogPosterior:
             )
             assert log_posterior(obj, x) == log_prior(exact_priors, x)
 
-    def test_flat_prior_monotone_in_misfit(self, linear_outlier):
-        obj = PosteriorObjective(
-            model=linear_outlier, priors=None, y_target=10.0, sigma_e_squared=1.0
-        )
-        near = gaussian_map_oracle(linear_outlier, [3.0, 3.0, 3.0], [1, 1, 1], 10.0, 0.0)
-        far = near + 1.0
-        assert log_posterior(obj, near) > log_posterior(obj, far)
-
     def test_reported_map_beats_coarse_lattice(self, objective):
         reported = log_posterior(objective, PAPER_POINT)
         assert all(reported >= log_posterior(objective, p) for p in LATTICE)
@@ -126,8 +117,8 @@ class TestLogPosterior:
 
 
 @st.composite
-def priors_or_flat(draw, d, min_std):
-    """1-3-component priors on d features with stds >= min_std, or None."""
+def mixture_priors(draw, d, min_std):
+    """1-3-component priors on d features with stds >= min_std."""
     per_feature = []
     for _ in range(d):
         k = draw(st.integers(1, 3))
@@ -140,7 +131,7 @@ def priors_or_flat(draw, d, min_std):
                 components=tuple((r / total, m, s * s) for r, m, s in zip(raw, means, stds))
             )
         )
-    return draw(st.sampled_from([None, FeaturePriors(per_feature)]))
+    return FeaturePriors(per_feature)
 
 
 @st.composite
@@ -180,7 +171,7 @@ class TestEmAscent:
         assert np.abs(point - oracle).max() <= 1e-9 * (1.0 + np.abs(oracle).max())
 
     @settings(max_examples=300, deadline=None)
-    @given(case=linear_objectives(lambda d: priors_or_flat(d, 0.2)))
+    @given(case=linear_objectives(lambda d: mixture_priors(d, 0.2)))
     def test_endpoints_are_fixed_points(self, case):
         obj, x0 = case
         point, value, _ = local_maximize(obj, x0)
@@ -191,7 +182,7 @@ class TestEmAscent:
 
     def test_listed_optima_are_fixed_points(self, objective, exact_priors):
         # each listed optimum is stationary: polishing it again moves nothing
-        result = direct_search_map(objective, exact_priors, default_budget(exact_priors), seed=0)
+        result = direct_search_map(objective, default_budget(exact_priors), seed=0)
         for optimum in result.local_optima:
             point, value, converged = local_maximize(objective, optimum.point)
             assert converged
@@ -218,8 +209,7 @@ class TestEmAscent:
 @st.composite
 def tree_objectives(draw):
     """1-5 trees of depth <= 2 on 2-3 features, splitting at thresholds from
-    a shared pool, under 1-3-component priors (or a flat prior), with a
-    starting point."""
+    a shared pool, under 1-3-component priors, with a starting point."""
     d = draw(st.integers(2, 3))
     pool = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6))
     trees = []
@@ -251,7 +241,7 @@ def tree_objectives(draw):
     })
     obj = PosteriorObjective(
         model=model,
-        priors=draw(priors_or_flat(d, 0.2)),
+        priors=draw(mixture_priors(d, 0.2)),
         y_target=draw(st.floats(-6.0, 6.0)),
         sigma_e_squared=draw(st.floats(0.05, 2.0)),
     )
@@ -260,10 +250,7 @@ def tree_objectives(draw):
 
 
 def feature_log_prior(obj, i, points):
-    points = np.asarray(points, dtype=float)
-    if obj.priors is None:
-        return np.zeros(points.shape)
-    return log_density(obj.priors.per_feature[i], points)
+    return log_density(obj.priors.per_feature[i], np.asarray(points, dtype=float))
 
 
 def cell_edges(model, i):
@@ -295,11 +282,7 @@ class TestCellAscent:
     def test_cell_candidates_are_the_cell_maxima(self, case):
         obj, _ = case
         candidates = inverse._cell_candidates(obj)
-        # a flat prior has nothing to pick on a feature no tree splits on
-        assert [i for i, _, _ in candidates] == [
-            i for i in range(obj.model.d_x)
-            if obj.priors is not None or cell_edges(obj.model, i).size > 2
-        ]
+        assert [i for i, _, _ in candidates] == list(range(obj.model.d_x))
         for i, points, log_p in candidates:
             edges = cell_edges(obj.model, i)
             assert np.array_equal(log_p, feature_log_prior(obj, i, points))
@@ -327,7 +310,7 @@ class TestCellAscent:
                 np.linspace(-25.0, 25.0, 2001),
                 finite,
                 np.nextafter(finite, np.inf),
-                candidates.get(i, []),
+                candidates[i],
             ])
             assert line_values(obj, point, i, line).max() <= value + tol
 
@@ -365,22 +348,6 @@ class TestRequiredRuns:
 
 
 class TestLocalMaximize:
-    def test_concave_quadratic_converges(self):
-        # 1-D linear model with flat prior: objective is a concave parabola
-        model = fit_linear(
-            Dataset(
-                features=np.linspace(0, 1, 10).reshape(-1, 1),
-                labels=np.linspace(0, 1, 10),
-                feature_names=("x",),
-            )
-        )
-        obj = PosteriorObjective(
-            model=model, priors=None, y_target=0.37, sigma_e_squared=1.0
-        )
-        point, value, converged = local_maximize(obj, [5.0])
-        assert converged
-        assert point[0] == pytest.approx(0.37, abs=1e-6)
-
     def test_stationary_start_returned(self, linear_outlier, sigma2):
         mus, stds = [2.0, 3.0, 4.0], [1.0, 2.0, 0.5]
         priors = gaussian_priors(mus, stds)
@@ -400,12 +367,12 @@ class TestLocalMaximize:
         assert value >= log_posterior(objective, x0)
         assert abs(predict(linear_outlier, point) - 15.7) <= 0.05
 
-    def test_never_below_start(self, gbt10k, outlier_data):
+    def test_never_below_start(self, gbt10k, exact_priors, outlier_data):
         sigma2 = clamp_sigma_e_squared(
             residual_stats(gbt10k, outlier_data).sigma_e_squared, outlier_data.labels
         )
         obj = PosteriorObjective(
-            model=gbt10k, priors=None, y_target=15.7, sigma_e_squared=sigma2
+            model=gbt10k, priors=exact_priors, y_target=15.7, sigma_e_squared=sigma2
         )
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -413,9 +380,9 @@ class TestLocalMaximize:
             _, value, _ = local_maximize(obj, x0)
             assert value >= log_posterior(obj, x0)
 
-    def test_nonfinite_start_rejected(self, linear_outlier):
+    def test_nonfinite_start_rejected(self, linear_outlier, exact_priors):
         obj = PosteriorObjective(
-            model=linear_outlier, priors=None, y_target=1e200, sigma_e_squared=1.0
+            model=linear_outlier, priors=exact_priors, y_target=1e200, sigma_e_squared=1.0
         )
         with pytest.raises(NumericalError):
             local_maximize(obj, [0.0, 0.0, 0.0])
@@ -435,7 +402,7 @@ class TestDirectSearchMap:
         obj = PosteriorObjective(
             model=linear_outlier, priors=priors, y_target=12.0, sigma_e_squared=sigma2
         )
-        result = direct_search_map(obj, priors, budget, seed=0)
+        result = direct_search_map(obj, budget, seed=0)
         oracle = gaussian_map_oracle(linear_outlier, mus, stds, 12.0, sigma2)
         # the sharp likelihood pins f(x); along-ridge placement is looser
         assert np.all(np.abs(result.map_point - oracle) <= 1e-3)
@@ -443,34 +410,34 @@ class TestDirectSearchMap:
         assert len(result.local_optima) == 1
         assert result.local_optima[0].hit_count == result.n_converged == 8
 
-    def test_hit_counts_sum_to_converged(self, objective, exact_priors):
+    def test_hit_counts_sum_to_converged(self, objective):
         budget = SearchBudget(
             n_runs=24, assumed_k=27, min_basin_prob=0.03, failure_prob=0.5
         )
-        result = direct_search_map(objective, exact_priors, budget, seed=5)
+        result = direct_search_map(objective, budget, seed=5)
         assert sum(o.hit_count for o in result.local_optima) == result.n_converged
         values = [o.log_posterior for o in result.local_optima]
         assert values == sorted(values, reverse=True)
         assert result.map_log_posterior == values[0]
 
-    def test_budget_prefix_property(self, objective, exact_priors):
+    def test_budget_prefix_property(self, objective):
         small = SearchBudget(n_runs=6, assumed_k=27, min_basin_prob=0.03, failure_prob=0.5)
         large = SearchBudget(n_runs=12, assumed_k=27, min_basin_prob=0.03, failure_prob=0.5)
-        lp_small = direct_search_map(objective, exact_priors, small, seed=3).map_log_posterior
-        lp_large = direct_search_map(objective, exact_priors, large, seed=3).map_log_posterior
+        lp_small = direct_search_map(objective, small, seed=3).map_log_posterior
+        lp_large = direct_search_map(objective, large, seed=3).map_log_posterior
         assert lp_large >= lp_small - 1e-12
 
-    def test_deterministic(self, objective, exact_priors):
+    def test_deterministic(self, objective):
         budget = SearchBudget(n_runs=10, assumed_k=27, min_basin_prob=0.03, failure_prob=0.5)
-        a = direct_search_map(objective, exact_priors, budget, seed=11)
-        b = direct_search_map(objective, exact_priors, budget, seed=11)
+        a = direct_search_map(objective, budget, seed=11)
+        b = direct_search_map(objective, budget, seed=11)
         assert _json_doc(a) == _json_doc(b)
 
-    def test_all_failures_raise_with_diagnostics(self, objective, exact_priors, monkeypatch):
+    def test_all_failures_raise_with_diagnostics(self, objective, monkeypatch):
         budget = SearchBudget(n_runs=3, assumed_k=1, min_basin_prob=0.5, failure_prob=0.5)
         monkeypatch.setattr(inverse, "_MAX_ITERS", 0)
         with pytest.raises(SearchFailureError) as info:
-            direct_search_map(objective, exact_priors, budget, seed=0)
+            direct_search_map(objective, budget, seed=0)
         assert len(info.value.diagnostics) == 3
 
     def test_dedup_radius_scales_with_point(self):
@@ -485,44 +452,11 @@ class TestDirectSearchMap:
             residual_stats(model, data).sigma_e_squared, data.labels
         )
         dominant = modes(select_k(data.labels, 6, seed=3))[0]
-        result = reference_point(
-            model, priors, sigma2, dominant, default_budget(priors), seed=0
+        obj = PosteriorObjective(
+            model=model, priors=priors, y_target=dominant.location, sigma_e_squared=sigma2
         )
+        result = direct_search_map(obj, default_budget(priors), seed=0)
         assert abs(predict(model, result.map_point) - dominant.location) <= 0.1
-
-
-class TestReferencePoint:
-    def test_mean_reference_hits_sample_mean(self, linear_outlier, outlier_data):
-        mus, stds = [4.4, 4.4, 4.4], [3.0, 3.0, 3.0]
-        priors = gaussian_priors(mus, stds)
-        sigma2 = clamp_sigma_e_squared(
-            residual_stats(linear_outlier, outlier_data).sigma_e_squared,
-            outlier_data.labels,
-        )
-        budget = SearchBudget(n_runs=4, assumed_k=1, min_basin_prob=0.5, failure_prob=0.01)
-        result = reference_point(
-            linear_outlier, priors, sigma2, outlier_data.labels, budget, seed=2
-        )
-        y_bar = float(outlier_data.labels.mean())
-        assert abs(predict(linear_outlier, result.map_point) - y_bar) <= 1e-6
-        oracle = gaussian_map_oracle(linear_outlier, mus, stds, y_bar, sigma2)
-        assert np.all(np.abs(result.map_point - oracle) <= 1e-3)
-
-    def test_benchmark_mean_reference_value(self, linear_outlier, exact_priors, outlier_data):
-        sigma2 = clamp_sigma_e_squared(
-            residual_stats(linear_outlier, outlier_data).sigma_e_squared,
-            outlier_data.labels,
-        )
-        budget = SearchBudget(n_runs=40, assumed_k=27, min_basin_prob=0.03, failure_prob=0.2)
-        result = reference_point(
-            linear_outlier, exact_priors, sigma2, outlier_data.labels, budget, seed=1
-        )
-        assert abs(predict(linear_outlier, result.map_point) - 13.2) <= 0.05
-
-    def test_empty_mean_reference_rejected(self, linear_outlier, exact_priors, sigma2):
-        budget = SearchBudget(n_runs=1, assumed_k=1, min_basin_prob=0.5, failure_prob=0.5)
-        with pytest.raises(ValidationError):
-            reference_point(linear_outlier, exact_priors, sigma2, [], budget, seed=0)
 
 
 class TestMapResultJson:

@@ -218,6 +218,7 @@ class TestFitGmm:
         # must score the components it returns, not the iterate before
         gmm = fit_gmm(synth10k.labels, 5, 3)
         assert len(gmm.history) == _EM_MAX_ITERS + 1
+        assert not gmm.converged
         recomputed = float(np.sum(log_density(gmm, synth10k.labels)))
         assert gmm.log_likelihood == pytest.approx(recomputed, rel=1e-9)
 
@@ -233,6 +234,7 @@ class TestFitGmm:
         np.testing.assert_allclose(fitted.history, history, rtol=1e-9)
         np.testing.assert_allclose(fitted.components, comps, rtol=1e-9)
         assert log_l == fitted.log_likelihood == fitted.history[-1]
+        assert fitted.converged == (k == 3)
 
     def test_deterministic(self):
         samples = two_bump_samples(300, 4)
