@@ -105,20 +105,31 @@ def _pinned_rows(model, bg: BackgroundSample, x, features) -> np.ndarray:
     return model.predict_batch(pinned)
 
 
-def _term_rows(model, bg: BackgroundSample, x, term: tuple, rows: dict) -> np.ndarray:
-    """Inclusion-exclusion summands of ``term``: g_I - g or g_IJ - g_I - g_J + g.
+def _coalition_rows(model, bg: BackgroundSample, x, coalition: tuple, rows: dict) -> np.ndarray:
+    """``_pinned_rows`` of ``coalition`` at x, read from ``rows`` when it holds them.
 
-    ``rows`` maps the coalitions already pinned at this ``x`` to their
-    ``_pinned_rows``; missing ones are predicted and added to it.
+    ``rows`` is keyed by the coalition and the bits of the values x pins to
+    it, so every x that pins the same values shares one entry; a missing one
+    is predicted and added.
     """
-    for size in range(len(term) + 1):
-        for coalition in itertools.combinations(term, size):
-            if coalition not in rows:
-                rows[coalition] = _pinned_rows(model, bg, x, coalition)
+    key = (coalition, np.array([x[i] for i in coalition], dtype=float).tobytes())
+    if key not in rows:
+        rows[key] = _pinned_rows(model, bg, x, coalition)
+    return rows[key]
+
+
+def _term_rows(model, bg: BackgroundSample, x, term: tuple, rows: dict) -> np.ndarray:
+    """Inclusion-exclusion summands of ``term``: g_I - g or g_IJ - g_I - g_J + g,
+    with every coalition read through ``_coalition_rows``."""
+    g = {
+        coalition: _coalition_rows(model, bg, x, coalition, rows)
+        for size in range(len(term) + 1)
+        for coalition in itertools.combinations(term, size)
+    }
     if len(term) == 1:
-        return rows[term] - rows[()]
+        return g[term] - g[()]
     i, j = term
-    return rows[term] - rows[(i,)] - rows[(j,)] + rows[()]
+    return g[term] - g[(i,)] - g[(j,)] + g[()]
 
 
 def f_zero(model, bg: BackgroundSample) -> float:
@@ -219,8 +230,7 @@ def decompose_deviation(
     y_ref: float,
     order: int = 1,
     *,
-    obs_rows: dict | None = None,
-    ref_rows: dict | None = None,
+    rows: dict | None = None,
 ) -> DeviationDecomposition:
     """Deviation terms delta_I (and delta_IJ) between observation and reference.
 
@@ -228,13 +238,12 @@ def decompose_deviation(
     sides average the same rows, so the reported stderr is that of the
     paired per-row differences.  Each pinned coalition is predicted once.
 
-    ``obs_rows`` and ``ref_rows`` hold the coalitions already pinned at
-    x_obs and at x_ref (see ``_term_rows``), the plain rows in either; the
-    missing ones are predicted and added.  A caller that keeps ``ref_rows``
-    across rows and ``obs_rows`` across references predicts each side once.
+    ``rows`` holds the pinned coalitions already predicted, keyed by their
+    pinned values (see ``_coalition_rows``); the missing ones are predicted
+    and added.  A caller that keeps it across rows and references predicts
+    each distinct pinned batch once.
     """
-    obs_rows = {} if obs_rows is None else obs_rows
-    ref_rows = {} if ref_rows is None else ref_rows
+    rows = {} if rows is None else rows
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
@@ -246,10 +255,7 @@ def decompose_deviation(
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
         raise ValidationError("pinned value must be finite")
     total_delta = float(y_obs) - float(y_ref)
-    base = obs_rows.get((), ref_rows.get(()))
-    if base is None:
-        base = _pinned_rows(model, bg, None, ())
-    obs_rows[()] = ref_rows[()] = base
+    base = _coalition_rows(model, bg, x_obs, (), rows)
     first = np.empty(d)
     first_se = np.empty(d)
     second = second_se = None
@@ -259,8 +265,8 @@ def decompose_deviation(
         second_se = np.zeros((d, d))
         terms += itertools.combinations(range(d), 2)
     for term in terms:
-        obs = _term_rows(model, bg, x_obs, term, obs_rows)
-        ref = _term_rows(model, bg, x_ref, term, ref_rows)
+        obs = _term_rows(model, bg, x_obs, term, rows)
+        ref = _term_rows(model, bg, x_ref, term, rows)
         est, se = (first, first_se) if len(term) == 1 else (second, second_se)
         est[term] = float(obs.mean()) - float(ref.mean())
         se[term] = _mean_and_stderr(obs - ref)[1]

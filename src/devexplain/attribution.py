@@ -22,7 +22,7 @@ from .anova import (
     BackgroundSample,
     DeviationDecomposition,
     _check_model,
-    _pinned_rows,
+    _coalition_rows,
     decompose_deviation,
     draw_background,
 )
@@ -119,9 +119,9 @@ def shapley_values(
     S pinned to the observation; every subset shares the same background
     rows.  v(empty) is f0 and v(full) is the plain prediction at x_obs.
 
-    ``rows`` holds the coalitions already pinned at x_obs, as
-    ``decompose_deviation`` keeps them in its ``obs_rows``; v(S) is read
-    from it where it can, and the missing coalitions are added.
+    ``rows`` holds the pinned coalitions already predicted, as
+    ``decompose_deviation`` keeps them (see ``_coalition_rows``); v(S) is
+    read from it where it can, and the missing coalitions are added.
     """
     rows = {} if rows is None else rows
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
@@ -137,9 +137,7 @@ def shapley_values(
     v = np.empty(1 << d)
     for mask in range(full):
         coalition = tuple(i for i in range(d) if mask >> i & 1)
-        if coalition not in rows:
-            rows[coalition] = _pinned_rows(model, bg, x_obs, coalition)
-        v[mask] = float(np.mean(rows[coalition]))
+        v[mask] = float(np.mean(_coalition_rows(model, bg, x_obs, coalition, rows)))
     v[full] = predict(model, x_obs)
     fact = [math.factorial(i) for i in range(d + 1)]
     weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
@@ -369,19 +367,21 @@ def explain_many(
         bg = draw_background(source, settings.np_count, bg_seed)
 
     label_std = float(data.labels.std())
-    # each reference's coalitions, predicted once for all rows; each row's
-    # own coalitions serve every reference's decomposition and its Shapley
-    ref_rows = [{} for _ in refs]
+    # Each pinned batch is predicted once for all rows and references: an
+    # entry of ``rows`` stays while a later row, or a reference (listed
+    # after the rows), pins its values.
+    pinned = np.vstack([data.features[indices], *(shared["x_ref"] for _, shared in refs)])
+    last_use = {}
+    rows = {}
     reports = [[] for _ in refs]
-    for observation_index in indices:
+    for position, observation_index in enumerate(indices):
         x_obs, y_obs = data.row(observation_index)
-        obs_rows = {}
         shap = None
-        for (mode, shared), rows, out in zip(refs, ref_rows, reports):
+        for (mode, shared), out in zip(refs, reports):
             with _stage("decompose"):
                 decomp = decompose_deviation(
                     model, bg, x_obs, shared["x_ref"], y_obs, shared["y_ref"],
-                    settings.order, obs_rows=obs_rows, ref_rows=rows,
+                    settings.order, rows=rows,
                 )
             with _stage("scores"):
                 scores = responsible_scores(
@@ -390,7 +390,7 @@ def explain_many(
                 )
             if shap is None:  # after the first decomposition, reading its coalitions
                 with _stage("shapley"):
-                    shap = shapley_values(model, bg, x_obs, rows=obs_rows)
+                    shap = shapley_values(model, bg, x_obs, rows=rows)
             out.append(
                 ExplanationReport(
                     observation_index=observation_index,
@@ -404,6 +404,14 @@ def explain_many(
                     **shared,
                 )
             )
+        for key in list(rows):
+            coalition, bits = key
+            if coalition not in last_use:
+                last_use[coalition] = {
+                    values.tobytes(): q for q, values in enumerate(pinned[:, list(coalition)])
+                }
+            if last_use[coalition].get(bits, -1) <= position:
+                del rows[key]
     return reports
 
 

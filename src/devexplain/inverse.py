@@ -145,8 +145,15 @@ def _cell_candidates(obj: PosteriorObjective) -> tuple[tuple[int, np.ndarray, np
     return obj._cells
 
 
+def _dot(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """theta . v for every row v, each bitwise ``theta @ v`` (a stacked
+    1 x d by d x 1 product; ``rows @ theta`` sums in another order)."""
+    return (rows[:, None, :] @ theta[:, None])[:, 0, 0]
+
+
 def _em_step(obj: PosteriorObjective, x: np.ndarray) -> np.ndarray:
-    """One EM step of a linear model's log-posterior from x, unchecked.
+    """One EM step of a linear model's log-posterior from each row of the
+    R x d stack x, unchecked.
 
     With each feature's component label as the missing data, the
     responsibilities gamma_ik at x turn feature i's prior into one Gaussian,
@@ -160,19 +167,95 @@ def _em_step(obj: PosteriorObjective, x: np.ndarray) -> np.ndarray:
     theta = obj.model.coefficients
     gamma = _log_prior_and_resp(obj.priors, x)[1]
     weight = 2.0 * gamma / obj.priors._two_var
-    precision = weight.sum(axis=1)
-    mean = (weight * obj.priors._mu).sum(axis=1) / precision
+    precision = weight.sum(axis=2)
+    mean = (weight * obj.priors._mu).sum(axis=2) / precision
     spread = theta / precision
-    scale = obj.sigma_e_squared + theta @ spread
-    return mean + spread * ((obj.y_target - obj.model.intercept - theta @ mean) / scale)
+    scale = obj.sigma_e_squared + _dot(spread, theta)
+    gain = (obj.y_target - obj.model.intercept - _dot(mean, theta)) / scale
+    return mean + spread * gain[:, None]
+
+
+def _em_ascent(obj: PosteriorObjective, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EM steps (``_em_step``) from every start together; a start stops
+    once a step moves it by at most 1e-10 (1 + inf-norm of x) in the
+    inf-norm, a fixed point and so a stationary point, or after 500 steps.
+    Returns the endpoints and which of them converged."""
+    points = starts.copy()
+    converged = np.zeros(len(starts), dtype=bool)
+    live = np.arange(len(starts))
+    for _ in range(_MAX_ITERS):
+        if not live.size:
+            break
+        last = points[live]
+        step = _em_step(obj, last)
+        points[live] = step
+        done = np.abs(step - last).max(axis=1) <= _STEP_TOL * (1.0 + np.abs(last).max(axis=1))
+        converged[live[done]] = True
+        live = live[~done]
+    return points, converged
+
+
+def _cell_ascent(obj: PosteriorObjective, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate ascent over each feature's per-cell prior maxima
+    (``_cell_candidates``) from every start in lockstep: each step scores
+    one coordinate's cells at every live start in one ``predict_batch``.
+    A start stops once every coordinate has been scored at its current
+    point without moving (a local optimum, exact along every coordinate),
+    or after 500 sweeps of steps.  Returns the endpoints and which of them
+    converged."""
+    cells = _cell_candidates(obj)
+    points = starts.copy()
+    unscored = np.full(len(starts), len(cells))
+    live = np.arange(len(starts))
+    for i, cands, log_p in itertools.islice(itertools.cycle(cells), _MAX_ITERS * len(cells)):
+        if not live.size:
+            break
+        rows = np.repeat(points[live], cands.size, axis=0)
+        rows[:, i] = np.tile(cands, live.size)
+        misfit = (obj.y_target - obj.model.predict_batch(rows)).reshape(live.size, cands.size)
+        best = cands[np.argmax(log_p - misfit * misfit / (2 * obj.sigma_e_squared), axis=1)]
+        # a move leaves the others to score again at the new point
+        moved = best != points[live, i]
+        unscored[live] = np.where(moved, len(cells) - 1, unscored[live] - 1)
+        points[live, i] = best
+        live = live[unscored[live] > 0]
+    return points, unscored == 0
+
+
+def _polish(obj: PosteriorObjective, starts: np.ndarray) -> list:
+    """Polish every row of ``starts`` together: per start (point, value,
+    converged), or a NumericalError where the objective is not finite at
+    the start.
+
+    Linear models take EM steps (``_em_ascent``), trees coordinate steps
+    (``_cell_ascent``).  Each start's iterates are bitwise those it takes
+    alone.  ``log_posterior`` scores every start and endpoint; a start is
+    returned in place of an endpoint that scores lower or not at all.
+    """
+    f0 = [log_posterior(obj, x0) for x0 in starts]
+    finite = [math.isfinite(value) for value in f0]
+    ascent = _em_ascent if obj.model.kind == "linear" else _cell_ascent
+    ends = zip(*ascent(obj, starts[finite]))
+    out = []
+    for x0, start_value, ok in zip(starts, f0, finite):
+        if not ok:
+            out.append(NumericalError(f"objective is not finite at the starting point {x0}"))
+            continue
+        point, converged = next(ends)
+        value = log_posterior(obj, point)
+        if math.isfinite(value) and value >= start_value:
+            out.append((point, value, bool(converged)))
+        else:
+            out.append((x0, start_value, bool(converged)))
+    return out
 
 
 def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool]:
     """Polish one starting point; returns (point, value, converged).
 
-    Linear models: EM steps (``_em_step``) until a step from x moves it by
-    at most 1e-10 (1 + inf-norm of x) in the inf-norm, a fixed point and so
-    a stationary point, or for at most 500 steps.
+    Linear models: EM steps until a step from x moves it by at most
+    1e-10 (1 + inf-norm of x) in the inf-norm, a fixed point and so a
+    stationary point, or for at most 500 steps.
 
     Trees: coordinate ascent over each feature's per-cell prior maxima
     (``_cell_candidates``), until every coordinate has been scored at the
@@ -180,41 +263,14 @@ def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool
     coordinate) or for at most 500 sweeps of steps.
 
     An exhausted iteration budget returns converged=False, not an error.
-    The returned value never falls below the value at x0.
+    The returned value never falls below the value at x0.  This is the
+    one-start case of the search's batched polish.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    f0 = log_posterior(obj, x0)
-    if not math.isfinite(f0):
-        raise NumericalError(f"objective is not finite at the starting point {x0}")
-
-    if obj.model.kind == "linear":
-        point, converged = x0, False
-        for _ in range(_MAX_ITERS):
-            point, last = _em_step(obj, point), point
-            if np.abs(point - last).max() <= _STEP_TOL * (1.0 + np.abs(last).max()):
-                converged = True
-                break
-    else:
-        cells = _cell_candidates(obj)
-        point, unscored = x0.copy(), len(cells)
-        for i, points, log_p in itertools.islice(
-            itertools.cycle(cells), _MAX_ITERS * len(cells)
-        ):
-            # score all of one coordinate's cell candidates in one batch
-            rows = np.repeat(point[None, :], points.size, axis=0)
-            rows[:, i] = points
-            misfit = obj.y_target - obj.model.predict_batch(rows)
-            best = points[np.argmax(log_p - misfit * misfit / (2 * obj.sigma_e_squared))]
-            # a move leaves the others to score again at the new point
-            unscored = len(cells) - 1 if best != point[i] else unscored - 1
-            point[i] = best
-            if not unscored:
-                break
-        converged = not unscored
-    value = log_posterior(obj, point)
-    if not math.isfinite(value) or value < f0:
-        return x0, f0, converged
-    return point, value, converged
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    polished = _polish(obj, x0)[0]
+    if isinstance(polished, NumericalError):
+        raise polished
+    return polished
 
 
 def dedup_radius(point: np.ndarray) -> float:
@@ -227,22 +283,22 @@ def direct_search_map(obj: PosteriorObjective, budget: SearchBudget, seed: int) 
 
     Starting points are drawn i.i.d. from ``obj.priors``, one per run in stream
     order, so a larger budget with the same seed reuses the smaller budget's
-    starts as a prefix.  Converged endpoints are clustered in the inf-norm
-    with radius 1e-3 (1 + inf-norm); each cluster keeps its best point and
-    the number of runs that landed in it (an empirical basin-probability
-    estimate for budget diagnostics).
+    starts as a prefix.  All starts are polished together (``_polish``),
+    each to the endpoint it reaches alone.  Converged endpoints are
+    clustered in the inf-norm with radius 1e-3 (1 + inf-norm); each
+    cluster keeps its best point and the number of runs that landed in it
+    (an empirical basin-probability estimate for budget diagnostics).
     """
     rng = np.random.default_rng(seed)
+    starts = np.array([obj.priors.sample(rng, 1)[0] for _ in range(budget.n_runs)])
     clusters: list[dict] = []
     n_converged = 0
     diagnostics = []
-    for run in range(budget.n_runs):
-        x0 = obj.priors.sample(rng, 1)[0]
-        try:
-            point, value, converged = local_maximize(obj, x0)
-        except NumericalError as exc:
-            diagnostics.append({"run": run, "start": x0.tolist(), "error": str(exc)})
+    for run, (x0, polished) in enumerate(zip(starts, _polish(obj, starts))):
+        if isinstance(polished, NumericalError):
+            diagnostics.append({"run": run, "start": x0.tolist(), "error": str(polished)})
             continue
+        point, value, converged = polished
         if not converged:
             diagnostics.append(
                 {"run": run, "start": x0.tolist(), "error": "iteration budget exhausted"}

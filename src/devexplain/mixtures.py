@@ -35,7 +35,8 @@ class GaussianMixture1D:
     """Weighted sum of 1-D normals; components are (weight, mean, variance).
 
     Weights are nonnegative and sum to 1 within 1e-12; variances are
-    positive.  The constants of every log-density evaluation,
+    positive.  The read-only ``weights``, ``means``, ``variances`` and
+    ``stds`` arrays and the constants of every log-density evaluation,
     log w_k - 0.5 log(2 pi var_k), mu_k and 2 var_k, are computed once here.
     """
 
@@ -48,6 +49,10 @@ class GaussianMixture1D:
     # True when EM met its tolerance; False at the iteration cap and for
     # mixtures that were not fitted.
     converged: bool = False
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    variances: np.ndarray = field(init=False, repr=False, compare=False)
+    stds: np.ndarray = field(init=False, repr=False, compare=False)
     _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
     _mu: np.ndarray = field(init=False, repr=False, compare=False)
     _two_var: np.ndarray = field(init=False, repr=False, compare=False)
@@ -65,31 +70,22 @@ class GaussianMixture1D:
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
         if any(v <= 0 for _, _, v in comps):
             raise ValidationError("component variances must be positive")
-        variances = self.variances
-        log_norm = np.log(self.weights) - 0.5 * np.log(2.0 * math.pi * variances)
-        object.__setattr__(self, "_log_norm", log_norm)
-        object.__setattr__(self, "_mu", self.means)
-        object.__setattr__(self, "_two_var", 2.0 * variances)
+        weights, means, variances = (np.array(column) for column in zip(*comps))
+        for name, value in (
+            ("weights", weights),
+            ("means", means),
+            ("variances", variances),
+            ("stds", np.sqrt(variances)),
+            ("_log_norm", np.log(weights) - 0.5 * np.log(2.0 * math.pi * variances)),
+            ("_mu", means),
+            ("_two_var", 2.0 * variances),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
         return len(self.components)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _, _ in self.components])
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([m for _, m, _ in self.components])
-
-    @property
-    def variances(self) -> np.ndarray:
-        return np.array([v for _, _, v in self.components])
-
-    @property
-    def stds(self) -> np.ndarray:
-        return np.sqrt(self.variances)
 
     def mean(self) -> float:
         """Mixture mean sum_k w_k * mu_k."""
@@ -158,14 +154,15 @@ def _component_log_pdfs(mix, y) -> np.ndarray:
     return mix._log_norm - (y - mix._mu) ** 2 / mix._two_var
 
 
-def _log_prior_and_resp(priors: FeaturePriors, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _log_prior_and_resp(priors: FeaturePriors, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_I ln p_I(x_I) and the d x K responsibilities gamma_Ik of each
-    feature's components at x_I (0 on padding), unchecked: the MAP search
-    takes one EM step from them."""
-    log_pdfs = _component_log_pdfs(priors, x[:, None])
-    log_p = np.logaddexp.reduce(log_pdfs, axis=1, keepdims=True)
+    feature's components at x_I (0 on padding), for a d-vector x or for each
+    row of an R x d stack, unchecked: the MAP search takes EM steps from
+    them."""
+    log_pdfs = _component_log_pdfs(priors, x[..., None])
+    log_p = np.logaddexp.reduce(log_pdfs, axis=-1, keepdims=True)
     # accumulate adds in feature order at any d, as a per-feature loop does
-    return float(np.add.accumulate(log_p)[-1, 0]), np.exp(log_pdfs - log_p)
+    return np.add.accumulate(log_p, axis=-2)[..., -1, 0], np.exp(log_pdfs - log_p)
 
 
 def log_density(gmm: GaussianMixture1D, y) -> np.ndarray | float:
@@ -192,9 +189,10 @@ def _kmeanspp_centers(samples: np.ndarray, k: int, rng: np.random.Generator) -> 
     return np.array(centers)
 
 
-def _em_once(samples: np.ndarray, k: int, rng: np.random.Generator,
-             floor: float) -> tuple[GaussianMixture1D, float]:
-    n = samples.size
+def _em_start(samples: np.ndarray, k: int, rng: np.random.Generator,
+              floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One restart's first (weights, means, variances): the samples nearest
+    each k-means++ center."""
     centers = _kmeanspp_centers(samples, k, rng)
     assign = np.argmin(np.abs(samples[:, None] - centers[None, :]), axis=1)
     weights = np.empty(k)
@@ -202,49 +200,72 @@ def _em_once(samples: np.ndarray, k: int, rng: np.random.Generator,
     variances = np.empty(k)
     for j in range(k):
         members = samples[assign == j]
-        weights[j] = max(members.size, 1) / n
+        weights[j] = max(members.size, 1) / samples.size
         means[j] = members.mean() if members.size else centers[j]
         variances[j] = max(members.var() if members.size else 0.0, floor)
     weights /= weights.sum()
+    return weights, means, variances
 
-    # Raw-array EM loop; the frozen mixture object is built once at the end.
-    # Both k x n buffers are rewritten in place: every per-component sum runs
-    # along a contiguous row, and the squared distances to the means one
-    # M-step computes are the ones the next E-step needs.
-    sq = np.square(samples - means[:, None])
+
+def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[GaussianMixture1D]:
+    """EM from one start per generator in ``rngs``, all advanced together.
+
+    Raw-array EM loop; each restart's frozen mixture is built once, when it
+    stops, and the restart leaves the stack.  The live restarts form an
+    R x k x n stack and both stacked buffers are rewritten in place:
+    reductions over components run on axis 1 and the per-component sums
+    along n, in the order a single k x n restart sums, so each restart's
+    iterates are bitwise those it takes alone.  The squared distances to
+    the means one M-step computes are the ones the next E-step needs.
+    """
+    n = samples.size
+    weights, means, variances = map(
+        np.array, zip(*(_em_start(samples, k, rng, floor) for rng in rngs))
+    )
+    live = np.arange(len(rngs))
+    sq = np.square(samples - means[:, :, None])
     resp = np.empty_like(sq)
-    log_l = -math.inf
-    history = []
+    log_l = np.full(live.size, -math.inf)
+    histories = [[] for _ in live]
+    fitted = [None] * live.size
     # the final pass is an E-step only: at the cap it scores the components
     # returned, so log_l and history[-1] never describe an earlier iterate
     for step in range(_EM_MAX_ITERS + 1):
-        np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
-        resp += (np.log(weights) - 0.5 * (np.log(variances) + _LOG_2PI))[:, None]
-        peak = resp.max(axis=0)
-        resp -= peak
+        np.multiply(sq, (-0.5 / variances)[:, :, None], out=resp)
+        resp += (np.log(weights) - 0.5 * (np.log(variances) + _LOG_2PI))[:, :, None]
+        peak = resp.max(axis=1)
+        resp -= peak[:, None, :]
         np.exp(resp, out=resp)
-        norm = resp.sum(axis=0)
-        new_log_l = float(np.sum(peak + np.log(norm)))
-        history.append(new_log_l)
-        converged = abs(new_log_l - log_l) <= _EM_REL_TOL * max(1.0, abs(new_log_l))
+        norm = resp.sum(axis=1)
+        new_log_l = np.sum(peak + np.log(norm), axis=1)
+        converged = np.abs(new_log_l - log_l) <= _EM_REL_TOL * np.maximum(1.0, np.abs(new_log_l))
         log_l = new_log_l
-        if converged or step == _EM_MAX_ITERS:
+        stop = converged | (step == _EM_MAX_ITERS)
+        for j, r in enumerate(live):
+            histories[r].append(float(log_l[j]))
+            if stop[j]:
+                fitted[r] = GaussianMixture1D(
+                    components=tuple(zip(weights[j], means[j], variances[j])),
+                    fitted_n=n,
+                    log_likelihood=float(log_l[j]),
+                    history=tuple(histories[r]),
+                    converged=bool(converged[j]),
+                )
+        if stop.all():
             break
-        resp /= norm
-        mass = np.maximum(resp.sum(axis=1), 1e-300)
+        if stop.any():
+            keep = ~stop
+            live, log_l, norm = live[keep], log_l[keep], norm[keep]
+            weights, means, variances = weights[keep], means[keep], variances[keep]
+            sq, resp = sq[keep], resp[keep]
+        resp /= norm[:, None, :]
+        mass = np.maximum(resp.sum(axis=2), 1e-300)
         weights = mass / n
-        means = resp @ samples / mass
-        np.subtract(samples, means[:, None], out=sq)
+        means = np.matmul(resp, samples) / mass
+        np.subtract(samples, means[:, :, None], out=sq)
         np.square(sq, out=sq)
-        variances = np.maximum(np.einsum("kn,kn->k", resp, sq) / mass, floor)
-    fitted = GaussianMixture1D(
-        components=tuple(zip(weights, means, variances)),
-        fitted_n=n,
-        log_likelihood=log_l,
-        history=tuple(history),
-        converged=converged,
-    )
-    return fitted, log_l
+        variances = np.maximum(np.einsum("rkn,rkn->rk", resp, sq) / mass, floor)
+    return fitted
 
 
 def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
@@ -252,7 +273,8 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
 
     Each restart is k-means++ seeded from its own child stream of ``seed``
     and iterated until the relative log-likelihood change drops below 1e-8,
-    or for at most 500 EM iterations.  A restart that reaches that cap
+    or for at most 500 EM iterations; the restarts advance together and
+    each ends exactly where it ends run alone.  A restart that reaches that cap
     returns its 500th iterate, scored by one more E-step, so
     ``log_likelihood`` (also the last ``history`` entry; ``history`` holds
     one entry per E-step, 501 at the cap) is always the log-likelihood of
@@ -282,13 +304,9 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
     if spread == 0.0:
         raise NumericalError("all samples identical; mixture fit is degenerate")
     floor = _VARIANCE_FLOOR_FRAC * spread
-    best = None
-    best_log_l = -math.inf
-    for child in np.random.SeedSequence(seed).spawn(_EM_RESTARTS):
-        fitted, log_l = _em_once(samples, k, np.random.default_rng(child), floor)
-        if log_l > best_log_l:
-            best, best_log_l = fitted, log_l
-    return best
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(_EM_RESTARTS)]
+    # the first of the best, as restarts are listed
+    return max(_em_restarts(samples, k, rngs, floor), key=lambda fit: fit.log_likelihood)
 
 
 def bic(gmm: GaussianMixture1D) -> float:
@@ -411,7 +429,7 @@ def log_prior(priors: FeaturePriors, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != priors.d_x:
         raise ValidationError(f"x has {x.size} entries, priors expect {priors.d_x}")
-    return _log_prior_and_resp(priors, x)[0]
+    return float(_log_prior_and_resp(priors, x)[0])
 
 
 def mixture_to_json(gmm: GaussianMixture1D) -> dict:

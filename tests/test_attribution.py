@@ -20,9 +20,10 @@ from devexplain.attribution import (
     responsible_scores,
     shapley_values,
 )
+from devexplain.dataset import Dataset
 from devexplain.errors import ValidationError
 from devexplain.inverse import default_budget
-from devexplain.mixtures import FeaturePriors, fit_priors
+from devexplain.mixtures import FeaturePriors, GaussianMixture1D, fit_priors
 from devexplain.models import fit_linear, predict
 
 
@@ -347,6 +348,32 @@ class TestExplainMany:
         for index, report in enumerate(batch):
             solo = explain(model, fixture_priors, fixture_data, index, "mean", settings)
             assert report_to_json(report) == report_to_json(solo)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_shared_pinned_values_predicted_once(self, order):
+        # rows 0 and 3 are equal, rows 0, 1 and 4 share x0, rows 0 and 2
+        # share (x1, x2), row 2 ends its pins' last use before row 4 reuses
+        # another; the reference (the column means) shares none of them
+        features = np.array([
+            [1.0, 2.0, 3.0],
+            [1.0, 5.0, 6.0],
+            [7.0, 2.0, 3.0],
+            [1.0, 2.0, 3.0],
+            [1.0, -0.0, 0.5],
+            [4.0, 0.0, 0.5],
+        ])
+        data = Dataset(features=features, labels=np.arange(6.0) ** 2, feature_names=("a", "b", "c"))
+        priors = FeaturePriors(tuple(
+            GaussianMixture1D(components=((1.0, 0.0, 1.0),)) for _ in range(3)
+        ))
+        settings = ExplainSettings(seed=2, np_count=4, order=order)
+        model = RecordingModel()
+        [batch] = explain_many(model, priors, data, range(6), ["mean"], settings)
+        # -0.0 and 0.0 pin different bits, so they stay apart
+        assert len(model.batches) == len(set(model.batches))
+        for index, report in enumerate(batch):
+            solo = explain(model, priors, data, index, "mean", settings)
+            assert json.dumps(report_to_json(report)) == json.dumps(report_to_json(solo))
 
     def test_one_public_decomposition_and_shapley_per_row(
         self, fixture_model, fixture_priors, fixture_data, monkeypatch

@@ -25,6 +25,7 @@ from devexplain.inverse import (
 from devexplain.mixtures import (
     FeaturePriors,
     GaussianMixture1D,
+    _log_prior_and_resp,
     fit_priors,
     log_density,
     log_prior,
@@ -313,6 +314,112 @@ class TestCellAscent:
                 candidates[i],
             ])
             assert line_values(obj, point, i, line).max() <= value + tol
+
+
+def per_start_polish(obj, x0):
+    """One start polished on its own, as the search did before its starts
+    were advanced together: the reference the batched polish must equal."""
+    f0 = log_posterior(obj, x0)
+    if not math.isfinite(f0):
+        return None
+    if obj.model.kind == "linear":
+        theta = obj.model.coefficients
+        point, converged = x0, False
+        for _ in range(inverse._MAX_ITERS):
+            gamma = _log_prior_and_resp(obj.priors, point)[1]
+            weight = 2.0 * gamma / obj.priors._two_var
+            precision = weight.sum(axis=1)
+            mean = (weight * obj.priors._mu).sum(axis=1) / precision
+            spread = theta / precision
+            scale = obj.sigma_e_squared + theta @ spread
+            gain = (obj.y_target - obj.model.intercept - theta @ mean) / scale
+            point, last = mean + spread * gain, point
+            if np.abs(point - last).max() <= inverse._STEP_TOL * (1.0 + np.abs(last).max()):
+                converged = True
+                break
+    else:
+        cells = inverse._cell_candidates(obj)
+        point, unscored = x0.copy(), len(cells)
+        for i, points, log_p in itertools.islice(
+            itertools.cycle(cells), inverse._MAX_ITERS * len(cells)
+        ):
+            rows = np.repeat(point[None, :], points.size, axis=0)
+            rows[:, i] = points
+            misfit = obj.y_target - obj.model.predict_batch(rows)
+            best = points[np.argmax(log_p - misfit * misfit / (2 * obj.sigma_e_squared))]
+            unscored = len(cells) - 1 if best != point[i] else unscored - 1
+            point[i] = best
+            if not unscored:
+                break
+        converged = not unscored
+    value = log_posterior(obj, point)
+    if not math.isfinite(value) or value < f0:
+        return x0, f0, converged
+    return point, value, converged
+
+
+class TestBatchedPolish:
+    """All starts advance together; each takes exactly its own steps."""
+
+    @staticmethod
+    def check(case, data):
+        obj, x0 = case
+        more = data.draw(st.lists(
+            st.lists(st.floats(-6.0, 6.0), min_size=x0.size, max_size=x0.size), max_size=7
+        ))
+        starts = np.array([x0, *more])
+        cap = data.draw(st.sampled_from([1, 3, inverse._MAX_ITERS]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inverse, "_MAX_ITERS", cap)
+            batched = inverse._polish(obj, starts)
+            alone = [per_start_polish(obj, x.copy()) for x in starts]
+        for got, want in zip(batched, alone, strict=True):
+            if want is None:
+                assert isinstance(got, NumericalError)
+                continue
+            point, value, converged = got
+            assert np.array_equal(point, want[0])
+            assert value == want[1]
+            assert converged == want[2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=linear_objectives(lambda d: mixture_priors(d, 0.2)), data=st.data())
+    def test_linear(self, case, data):
+        self.check(case, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tree_objectives(), data=st.data())
+    def test_trees(self, case, data):
+        self.check(case, data)
+
+    def test_starts_pinned_to_the_per_run_draws(self, objective, exact_priors, monkeypatch):
+        """The search's 423 starts, and the stream after them, are the draws
+        of one sample(rng, 1) per run with every mixture array rebuilt from
+        its component tuples on each draw."""
+        budget = default_budget(exact_priors)
+        assert budget.n_runs == 423
+        rng = np.random.default_rng(9)
+        want = np.empty((budget.n_runs, exact_priors.d_x))
+        for run in range(budget.n_runs):
+            for i, gmm in enumerate(exact_priors.per_feature):
+                w, m, v = (np.array(column) for column in zip(*gmm.components))
+                comps = rng.choice(gmm.k, size=1, p=w)
+                want[run, i] = (m[comps] + np.sqrt(v)[comps] * rng.standard_normal(1))[0]
+        drawn = np.random.default_rng(9)
+        starts = np.array([exact_priors.sample(drawn, 1)[0] for _ in range(budget.n_runs)])
+        assert np.array_equal(starts, want)
+        assert drawn.bit_generator.state == rng.bit_generator.state
+        polished = []
+        polish = inverse._polish
+
+        def recording(obj, starts):
+            polished.append(starts)
+            return polish(obj, starts)
+
+        monkeypatch.setattr(inverse, "_polish", recording)
+        direct_search_map(objective, budget, seed=9)
+        [searched] = polished
+        assert np.array_equal(searched, want)
 
 
 class TestRequiredRuns:

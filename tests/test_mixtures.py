@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from devexplain import mixtures as mixtures_module
 from devexplain.dataset import Dataset
 from devexplain.errors import NumericalError, ValidationError
 from devexplain.mixtures import (
@@ -15,7 +16,8 @@ from devexplain.mixtures import (
     FeaturePriors,
     GaussianMixture1D,
     _component_log_pdfs,
-    _em_once,
+    _em_restarts,
+    _em_start,
     _kmeanspp_centers,
     _log_prior_and_resp,
     bic,
@@ -42,7 +44,7 @@ def two_bump_samples(n: int, seed: int, sep: float = 5.0) -> np.ndarray:
 
 
 def textbook_em(samples, k, rng, floor):
-    """Plain n x k EM with _em_once's seeding, stopping rule and cap.
+    """Plain n x k EM with fit_gmm's seeding, stopping rule and cap.
 
     The reference the in-place k x n loop is checked against: densities in
     linear space, every array allocated anew.  Returns the (w, mean, var)
@@ -78,6 +80,44 @@ def textbook_em(samples, k, rng, floor):
         variances = np.maximum(
             (resp * (samples[:, None] - means) ** 2).sum(axis=0) / mass, floor
         )
+
+
+def one_restart_em(samples, k, rng, floor):
+    """One restart's in-place k x n EM loop, as restarts ran one at a time:
+    the reference the stacked restarts must equal bit for bit."""
+    n = samples.size
+    weights, means, variances = _em_start(samples, k, rng, floor)
+    sq = np.square(samples - means[:, None])
+    resp = np.empty_like(sq)
+    log_l = -math.inf
+    history = []
+    for step in range(mixtures_module._EM_MAX_ITERS + 1):
+        np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
+        resp += (np.log(weights) - 0.5 * (np.log(variances) + math.log(2.0 * math.pi)))[:, None]
+        peak = resp.max(axis=0)
+        resp -= peak
+        np.exp(resp, out=resp)
+        norm = resp.sum(axis=0)
+        new_log_l = float(np.sum(peak + np.log(norm)))
+        history.append(new_log_l)
+        converged = abs(new_log_l - log_l) <= 1e-8 * max(1.0, abs(new_log_l))
+        log_l = new_log_l
+        if converged or step == mixtures_module._EM_MAX_ITERS:
+            break
+        resp /= norm
+        mass = np.maximum(resp.sum(axis=1), 1e-300)
+        weights = mass / n
+        means = resp @ samples / mass
+        np.subtract(samples, means[:, None], out=sq)
+        np.square(sq, out=sq)
+        variances = np.maximum(np.einsum("kn,kn->k", resp, sq) / mass, floor)
+    return GaussianMixture1D(
+        components=tuple(zip(weights, means, variances)),
+        fitted_n=n,
+        log_likelihood=log_l,
+        history=tuple(history),
+        converged=converged,
+    )
 
 
 @st.composite
@@ -227,14 +267,51 @@ class TestFitGmm:
     def test_em_matches_textbook_loop(self, k):
         samples = two_bump_samples(1000, 0)
         floor = 1e-4 * samples.var()
-        fitted, log_l = _em_once(samples, k, np.random.default_rng(0), floor)
+        [fitted] = _em_restarts(samples, k, [np.random.default_rng(0)], floor)
         comps, history = textbook_em(samples, k, np.random.default_rng(0), floor)
         assert len(fitted.history) == len(history)
         # only summation order and log- vs linear-space rounding differ
         np.testing.assert_allclose(fitted.history, history, rtol=1e-9)
         np.testing.assert_allclose(fitted.components, comps, rtol=1e-9)
-        assert log_l == fitted.log_likelihood == fitted.history[-1]
+        assert fitted.log_likelihood == fitted.history[-1]
         assert fitted.converged == (k == 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        centers=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+        n=st.integers(8, 1200),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        cap=st.sampled_from([1, 4, 30, _EM_MAX_ITERS]),
+    )
+    def test_stacked_restarts_equal_one_at_a_time(self, centers, n, k, seed, cap):
+        """Restarts advanced together take each restart's own steps, to the
+        bit, whichever step each stops at."""
+        rng = np.random.default_rng(seed)
+        samples = np.asarray(centers)[rng.integers(len(centers), size=n)] + rng.standard_normal(n)
+        floor = 1e-4 * samples.var()
+
+        def rngs():
+            return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(5)]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mixtures_module, "_EM_MAX_ITERS", cap)
+            stacked = _em_restarts(samples, k, rngs(), floor)
+            alone = [one_restart_em(samples, k, r, floor) for r in rngs()]
+            best = fit_gmm(samples, k, seed)
+        for got, want in zip(stacked, alone, strict=True):
+            assert got == want  # components, history, converged, log-likelihood
+            assert len(got.history) <= cap + 1
+        assert best == max(alone, key=lambda fit: fit.log_likelihood)
+
+    def test_restarts_stop_at_different_steps(self):
+        # the stack shrinks as restarts stop: here three restarts converge
+        # after 82, 85 and 201 E-steps and two run to the cap
+        samples = two_bump_samples(1000, 0)
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(0).spawn(5)]
+        fits = _em_restarts(samples, 4, rngs, 1e-4 * samples.var())
+        assert len({len(fit.history) for fit in fits}) >= 3
+        assert {fit.converged for fit in fits} == {True, False}
 
     def test_deterministic(self):
         samples = two_bump_samples(300, 4)
