@@ -14,7 +14,10 @@ left out.  The matrix:
   with ``explain --mean --order 2 --np 2000`` under the exact priors;
 - the river fixture: ``modes --k-max 6``; a linear model with
   ``explain --mode 0 --index-range 0:20 --svg``; a GBT with
-  ``explain --mode 0 --index 19``.
+  ``explain --mode 0 --index 19``;
+- six copies of one 3-component feature (``synth --spec``, 2,000 rows): a
+  linear model with ``explain --mode 0 --index 0 --budget-runs 2000`` under
+  the exact priors, a MAP search with hundreds of optima.
 
 Exit status 0 when every output file is identical, 1 when some differ or
 exist on one side only, 2 when a command fails.
@@ -33,6 +36,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 RIVER = Path("src") / "devexplain" / "data" / "river_fixture.csv"
 SEED = ["--seed", "3"]
+# one feature of weights 0.3/0.3/0.4, means 0/4/8 and stds 1/1/0.75
+FEATURE = {"weights": [0.3, 0.3, 0.4], "means": [0.0, 4.0, 8.0], "stds": [1.0, 1.0, 0.75]}
 
 
 def run_matrix(src: Path, out: Path) -> None:
@@ -69,6 +74,12 @@ def run_matrix(src: Path, out: Path) -> None:
         "--index-range", "0:20", "--svg", *SEED, "--out", "r/linear/explain")
     cli("explain", *river, "--model", "r/gbt/model.json", "--mode", 0, "--index", 19,
         *SEED, "--out", "r/gbt/explain")
+    (out / "spec6.json").write_text(json.dumps({"features": [FEATURE] * 6, "noise_std": 0.1}))
+    cli("synth", "--spec", "spec6.json", "--n", 2000, *SEED, "--out", "s6")
+    six = ["--data", "s6/synthetic.csv"]
+    cli("fit", *six, "--kind", "linear", *SEED, "--out", "s6/linear")
+    cli("explain", *six, "--model", "s6/linear/model.json", "--mode", 0, "--index", 0,
+        "--budget-runs", 2000, "--priors", "spec6.json", *SEED, "--out", "s6/linear/explain")
 
 
 def outputs(root: Path) -> dict[str, bytes]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SearchFailureError, ValidationError
-from .mixtures import FeaturePriors, _log_prior_and_resp, log_density, log_prior, modes
+from .mixtures import FeaturePriors, _log_prior_and_resp, log_density, modes
 from .models import PredictiveModel
 
 _STEP_TOL = 1e-10
@@ -75,17 +75,27 @@ class MapResult:
     n_converged: int
 
 
-def log_posterior(obj: PosteriorObjective, x) -> float:
-    """-(y_target - f(x))^2 / (2 sigma_e^2) + log p(x).
+def log_posterior(obj: PosteriorObjective, x) -> float | np.ndarray:
+    """-(y_target - f(x))^2 / (2 sigma_e^2) + log p(x): a float for a
+    d-vector x, and for an R x d stack the R row values, each bitwise the
+    value of its row alone.
 
     The likelihood normalization constant is dropped; it shifts every value
-    equally and cannot move the argmax.
+    equally and cannot move the argmax.  A misfit that overflows gives -inf.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != obj.model.d_x:
-        raise ValidationError(f"x has {x.size} entries, model expects {obj.model.d_x}")
-    misfit = obj.y_target - obj.model.predict_one(x)
-    return -misfit * misfit / (2.0 * obj.sigma_e_squared) + log_prior(obj.priors, x)
+    x = np.asarray(x, dtype=float)
+    rows = x if x.ndim == 2 else x.reshape(1, -1)
+    if rows.shape[1] != obj.model.d_x:
+        raise ValidationError(f"x has {rows.shape[1]} entries, model expects {obj.model.d_x}")
+    model = obj.model
+    with np.errstate(over="ignore"):
+        if model.kind == "linear":
+            misfit = obj.y_target - (model.intercept + _dot(rows, model.coefficients))
+        else:
+            misfit = obj.y_target - model.predict_batch(rows)
+        value = -misfit * misfit / (2.0 * obj.sigma_e_squared)
+    value += _log_prior_and_resp(obj.priors, rows)[0]
+    return value if x.ndim == 2 else float(value[0])
 
 
 def required_runs(assumed_k: int, min_basin_prob: float, failure_prob: float) -> int:
@@ -127,22 +137,20 @@ def _cell_candidates(obj: PosteriorObjective) -> tuple[tuple[int, np.ndarray, np
     (t_{k-1}, t_k] of a feature's split thresholds, on which the ensemble is
     constant, and its log-prior: a mode inside, t_k or the float above
     t_{k-1} (t_k on a tie)."""
-    if not hasattr(obj, "_cells"):
-        cells = []
-        thresholds = dict(obj.model._tables()[0])
-        for i, gmm in enumerate(obj.priors.per_feature):
-            cuts = thresholds.get(i, np.empty(0))
-            ends = cuts[np.isfinite(cuts)]
-            pool = np.concatenate(
-                [ends, np.nextafter(ends, np.inf), [mode.location for mode in modes(gmm)]]
-            )
-            log_p = log_density(gmm, pool)
-            cell = np.searchsorted(cuts, pool)
-            order = np.lexsort((-log_p, cell))  # stable: closed ends first
-            best = order[np.unique(cell[order], return_index=True)[1]]
-            cells.append((i, pool[best], log_p[best]))
-        object.__setattr__(obj, "_cells", tuple(cells))
-    return obj._cells
+    cells = []
+    thresholds = dict(obj.model._tables()[0])
+    for i, gmm in enumerate(obj.priors.per_feature):
+        cuts = thresholds.get(i, np.empty(0))
+        ends = cuts[np.isfinite(cuts)]
+        pool = np.concatenate(
+            [ends, np.nextafter(ends, np.inf), [mode.location for mode in modes(gmm)]]
+        )
+        log_p = log_density(gmm, pool)
+        cell = np.searchsorted(cuts, pool)
+        order = np.lexsort((-log_p, cell))  # stable: closed ends first
+        best = order[np.unique(cell[order], return_index=True)[1]]
+        cells.append((i, pool[best], log_p[best]))
+    return tuple(cells)
 
 
 def _dot(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -198,11 +206,12 @@ def _em_ascent(obj: PosteriorObjective, starts: np.ndarray) -> tuple[np.ndarray,
 def _cell_ascent(obj: PosteriorObjective, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate ascent over each feature's per-cell prior maxima
     (``_cell_candidates``) from every start in lockstep: each step scores
-    one coordinate's cells at every live start in one ``predict_batch``.
-    A start stops once every coordinate has been scored at its current
-    point without moving (a local optimum, exact along every coordinate),
-    or after 500 sweeps of steps.  Returns the endpoints and which of them
-    converged."""
+    one coordinate's cells at every live start in one ``predict_batch``,
+    which holds each distinct row once (starts that differ only in that
+    coordinate share its rows).  A start stops once every coordinate has
+    been scored at its current point without moving (a local optimum, exact
+    along every coordinate), or after 500 sweeps of steps.  Returns the
+    endpoints and which of them converged."""
     cells = _cell_candidates(obj)
     points = starts.copy()
     unscored = np.full(len(starts), len(cells))
@@ -210,10 +219,15 @@ def _cell_ascent(obj: PosteriorObjective, starts: np.ndarray) -> tuple[np.ndarra
     for i, cands, log_p in itertools.islice(itertools.cycle(cells), _MAX_ITERS * len(cells)):
         if not live.size:
             break
-        rows = np.repeat(points[live], cands.size, axis=0)
-        rows[:, i] = np.tile(cands, live.size)
-        misfit = (obj.y_target - obj.model.predict_batch(rows)).reshape(live.size, cands.size)
+        keys = points[live]
+        keys[:, i] = 0.0
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, shared = np.unique(keys, return_index=True, return_inverse=True)
+        rows = np.repeat(points[live[first]], cands.size, axis=0)
+        rows[:, i] = np.tile(cands, first.size)
+        misfit = (obj.y_target - obj.model.predict_batch(rows)).reshape(first.size, cands.size)
         best = cands[np.argmax(log_p - misfit * misfit / (2 * obj.sigma_e_squared), axis=1)]
+        best = best[shared]
         # a move leaves the others to score again at the new point
         moved = best != points[live, i]
         unscored[live] = np.where(moved, len(cells) - 1, unscored[live] - 1)
@@ -222,55 +236,43 @@ def _cell_ascent(obj: PosteriorObjective, starts: np.ndarray) -> tuple[np.ndarra
     return points, unscored == 0
 
 
-def _polish(obj: PosteriorObjective, starts: np.ndarray) -> list:
-    """Polish every row of ``starts`` together: per start (point, value,
-    converged), or a NumericalError where the objective is not finite at
-    the start.
+def _polish(
+    obj: PosteriorObjective, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polish every row of ``starts`` together: the (points, values,
+    converged) arrays, value NaN where the objective is not finite at the
+    start.
 
     Linear models take EM steps (``_em_ascent``), trees coordinate steps
     (``_cell_ascent``).  Each start's iterates are bitwise those it takes
-    alone.  ``log_posterior`` scores every start and endpoint; a start is
-    returned in place of an endpoint that scores lower or not at all.
+    alone.  Two stacked ``log_posterior`` calls score the starts and the
+    endpoints; a start is kept in place of an endpoint that scores lower or
+    not at all.
     """
-    f0 = [log_posterior(obj, x0) for x0 in starts]
-    finite = [math.isfinite(value) for value in f0]
+    values = log_posterior(obj, starts)
+    finite = np.flatnonzero(np.isfinite(values))
     ascent = _em_ascent if obj.model.kind == "linear" else _cell_ascent
-    ends = zip(*ascent(obj, starts[finite]))
-    out = []
-    for x0, start_value, ok in zip(starts, f0, finite):
-        if not ok:
-            out.append(NumericalError(f"objective is not finite at the starting point {x0}"))
-            continue
-        point, converged = next(ends)
-        value = log_posterior(obj, point)
-        if math.isfinite(value) and value >= start_value:
-            out.append((point, value, bool(converged)))
-        else:
-            out.append((x0, start_value, bool(converged)))
-    return out
+    ends, ended = ascent(obj, starts[finite])
+    end_values = log_posterior(obj, ends)
+    better = np.isfinite(end_values) & (end_values >= values[finite])
+    points, converged = starts.copy(), np.zeros(len(starts), dtype=bool)
+    points[finite[better]], values[finite[better]] = ends[better], end_values[better]
+    converged[finite] = ended
+    values[~np.isfinite(values)] = np.nan
+    return points, values, converged
 
 
 def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool]:
-    """Polish one starting point; returns (point, value, converged).
-
-    Linear models: EM steps until a step from x moves it by at most
-    1e-10 (1 + inf-norm of x) in the inf-norm, a fixed point and so a
-    stationary point, or for at most 500 steps.
-
-    Trees: coordinate ascent over each feature's per-cell prior maxima
-    (``_cell_candidates``), until every coordinate has been scored at the
-    current point without moving (a local optimum, exact along every
-    coordinate) or for at most 500 sweeps of steps.
-
-    An exhausted iteration budget returns converged=False, not an error.
-    The returned value never falls below the value at x0.  This is the
-    one-start case of the search's batched polish.
+    """Polish one starting point, the one-row case of the search's polish:
+    returns (point, value, converged).  The value never falls below the
+    value at x0; an exhausted iteration budget returns converged=False, and
+    a start where the objective is not finite raises NumericalError.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    polished = _polish(obj, x0)[0]
-    if isinstance(polished, NumericalError):
-        raise polished
-    return polished
+    points, values, converged = _polish(obj, x0)
+    if np.isnan(values[0]):
+        raise NumericalError(f"objective is not finite at the starting point {x0[0]}")
+    return points[0], float(values[0]), bool(converged[0])
 
 
 def dedup_radius(point: np.ndarray) -> float:
@@ -284,52 +286,47 @@ def direct_search_map(obj: PosteriorObjective, budget: SearchBudget, seed: int) 
     Starting points are drawn i.i.d. from ``obj.priors``, one per run in stream
     order, so a larger budget with the same seed reuses the smaller budget's
     starts as a prefix.  All starts are polished together (``_polish``),
-    each to the endpoint it reaches alone.  Converged endpoints are
-    clustered in the inf-norm with radius 1e-3 (1 + inf-norm); each
-    cluster keeps its best point and the number of runs that landed in it
-    (an empirical basin-probability estimate for budget diagnostics).
+    each to the endpoint it reaches alone.  Converged endpoints, in run
+    order, join the first cluster (in creation order) within
+    ``dedup_radius`` of them in the inf-norm, or start one; each cluster
+    keeps its best point and the number of runs that landed in it (an
+    empirical basin-probability estimate for budget diagnostics).  The
+    per-run diagnostics are built only when every run failed.
     """
     rng = np.random.default_rng(seed)
     starts = np.array([obj.priors.sample(rng, 1)[0] for _ in range(budget.n_runs)])
-    clusters: list[dict] = []
-    n_converged = 0
-    diagnostics = []
-    for run, (x0, polished) in enumerate(zip(starts, _polish(obj, starts))):
-        if isinstance(polished, NumericalError):
-            diagnostics.append({"run": run, "start": x0.tolist(), "error": str(polished)})
-            continue
-        point, value, converged = polished
-        if not converged:
-            diagnostics.append(
-                {"run": run, "start": x0.tolist(), "error": "iteration budget exhausted"}
-            )
-            continue
-        n_converged += 1
-        for cluster in clusters:
-            if np.abs(point - cluster["point"]).max() <= dedup_radius(point):
-                cluster["hits"] += 1
-                if value > cluster["value"]:
-                    cluster["point"], cluster["value"] = point, value
-                break
-        else:
-            clusters.append({"point": point, "value": value, "hits": 1})
-    if n_converged == 0:
+    points, values, converged = _polish(obj, starts)
+    if not converged.any():
         raise SearchFailureError(
             f"all {budget.n_runs} restarts failed to converge",
-            diagnostics=diagnostics,
+            diagnostics=[
+                {"run": run, "start": x0.tolist(), "error": (
+                    "iteration budget exhausted" if math.isfinite(value)
+                    else f"objective is not finite at the starting point {x0}"
+                )}
+                for run, (x0, value) in enumerate(zip(starts, values))
+            ],
         )
-    clusters.sort(key=lambda c: c["value"], reverse=True)
+    # each cluster's best point, in creation order; a better point joining
+    # a cluster replaces its row
+    ends = points[converged]
+    rows, best, hits = np.empty_like(ends), np.empty(len(ends)), np.zeros(len(ends), dtype=int)
+    n = 0
+    for point, value in zip(ends, values[converged]):
+        near = np.flatnonzero(np.abs(rows[:n] - point).max(axis=1) <= dedup_radius(point))
+        c = near[0] if near.size else n
+        n = max(n, c + 1)
+        hits[c] += 1
+        if hits[c] == 1 or value > best[c]:
+            rows[c], best[c] = point, value
     optima = tuple(
-        LocalOptimum(
-            point=c["point"], log_posterior=float(c["value"]), hit_count=c["hits"]
-        )
-        for c in clusters
+        LocalOptimum(point=rows[c], log_posterior=float(best[c]), hit_count=int(hits[c]))
+        for c in np.argsort(-best[:n], kind="stable")
     )
     return MapResult(
         map_point=optima[0].point,
         map_log_posterior=optima[0].log_posterior,
         local_optima=optima,
         n_runs_executed=budget.n_runs,
-        n_converged=n_converged,
+        n_converged=int(converged.sum()),
     )
-

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,21 +191,28 @@ class TestEmAscent:
             assert np.abs(point - optimum.point).max() <= dedup_radius(optimum.point)
             assert value - optimum.log_posterior <= 1e-9 * (1.0 + abs(value))
 
-    def test_two_evaluations_per_start(self, objective, monkeypatch):
-        # the objective is read at the start and at the end; the EM steps
-        # use the coefficients directly
-        calls = [0]
-        predict_one = LinearModel.predict_one
+    def test_two_evaluations_per_polish(self, objective, monkeypatch):
+        # the EM steps use the coefficients directly; one polish reads the
+        # objective twice, stacked over its starts and over their endpoints
+        def refuse(self, x):
+            raise AssertionError("the EM steps called the model")
 
-        def counting(self, x):
-            calls[0] += 1
-            return predict_one(self, x)
+        with monkeypatch.context() as patch:
+            patch.setattr(LinearModel, "predict_one", refuse)
+            patch.setattr(LinearModel, "predict_batch", refuse)
+            inverse._em_ascent(objective, np.array(LATTICE))
+        rows = []
+        evaluate = inverse.log_posterior
 
-        monkeypatch.setattr(LinearModel, "predict_one", counting)
-        for corner in LATTICE:
-            calls[0] = 0
-            local_maximize(objective, corner)
-            assert calls[0] == 2
+        def counting(obj, x):
+            rows.append(len(x))
+            return evaluate(obj, x)
+
+        monkeypatch.setattr(inverse, "log_posterior", counting)
+        for n in (1, 5, len(LATTICE)):
+            rows.clear()
+            inverse._polish(objective, np.array(LATTICE[:n]))
+            assert rows == [n, n]
 
 
 @st.composite
@@ -248,6 +256,49 @@ def tree_objectives(draw):
     )
     x0 = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)))
     return obj, x0
+
+
+class TestStackedLogPosterior:
+    """An R x d stack gives each row's value alone, bit for bit, and a
+    d-vector the value of the misfit and ``log_prior`` read one at a time."""
+
+    @staticmethod
+    def check(case, data):
+        obj, x0 = case
+        more = data.draw(st.lists(
+            st.lists(st.floats(-6.0, 6.0), min_size=x0.size, max_size=x0.size), max_size=6
+        ))
+        stack = np.array([x0, *more])[: data.draw(st.integers(0, 1 + len(more)))]
+        # one row where the objective is not finite
+        bad = data.draw(st.integers(0, len(stack)))
+        row = x0.copy()
+        row[data.draw(st.integers(0, x0.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300])
+        )
+        stack = np.insert(stack, bad, row, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = log_posterior(obj, stack)
+            alone = np.array([log_posterior(obj, x) for x in stack])
+        assert stacked.shape == (len(stack),)
+        # a NaN's sign bit is not part of its value
+        nan = np.isnan(stacked)
+        assert np.array_equal(nan, np.isnan(alone))
+        assert stacked[~nan].tobytes() == alone[~nan].tobytes()
+        assert not np.isfinite(stacked[bad])
+        for x, value in zip(np.delete(stack, bad, axis=0), np.delete(stacked, bad)):
+            misfit = obj.y_target - obj.model.predict_one(x)
+            penalty = -misfit * misfit / (2.0 * obj.sigma_e_squared)
+            assert value == penalty + log_prior(obj.priors, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=linear_objectives(lambda d: mixture_priors(d, 0.2)), data=st.data())
+    def test_linear(self, case, data):
+        self.check(case, data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=tree_objectives(), data=st.data())
+    def test_trees(self, case, data):
+        self.check(case, data)
 
 
 def feature_log_prior(obj, i, points):
@@ -371,16 +422,15 @@ class TestBatchedPolish:
         cap = data.draw(st.sampled_from([1, 3, inverse._MAX_ITERS]))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(inverse, "_MAX_ITERS", cap)
-            batched = inverse._polish(obj, starts)
+            points, values, converged = inverse._polish(obj, starts)
             alone = [per_start_polish(obj, x.copy()) for x in starts]
-        for got, want in zip(batched, alone, strict=True):
+        for point, value, ok, want in zip(points, values, converged, alone, strict=True):
             if want is None:
-                assert isinstance(got, NumericalError)
+                assert np.isnan(value) and not ok
                 continue
-            point, value, converged = got
             assert np.array_equal(point, want[0])
             assert value == want[1]
-            assert converged == want[2]
+            assert ok == want[2]
 
     @settings(max_examples=150, deadline=None)
     @given(case=linear_objectives(lambda d: mixture_priors(d, 0.2)), data=st.data())
@@ -420,6 +470,121 @@ class TestBatchedPolish:
         direct_search_map(objective, budget, seed=9)
         [searched] = polished
         assert np.array_equal(searched, want)
+
+    def test_cell_steps_predict_each_row_once(self, gbt10k, exact_priors):
+        """Starts that differ only in the stepped coordinate share its rows:
+        no row repeats inside one predict_batch of the tree ascent."""
+        batches = []
+
+        class Recording:
+            kind, d_x = "stub", gbt10k.d_x
+
+            def _tables(self):
+                return gbt10k._tables()
+
+            def predict_batch(self, x):
+                batches.append(x.copy())
+                return gbt10k.predict_batch(x)
+
+        obj = PosteriorObjective(
+            model=Recording(), priors=exact_priors, y_target=15.7, sigma_e_squared=0.5
+        )
+        # every start twice: the first step predicts each start's rows once
+        draws = exact_priors.sample(np.random.default_rng(0), 40)
+        starts = np.repeat(draws, 2, axis=0)
+        points, converged = inverse._cell_ascent(obj, starts)
+        plain = PosteriorObjective(
+            model=gbt10k, priors=exact_priors, y_target=15.7, sigma_e_squared=0.5
+        )
+        want = inverse._cell_ascent(plain, starts)
+        assert np.array_equal(points, want[0]) and np.array_equal(converged, want[1])
+        [(_, first_cells, _), *_] = inverse._cell_candidates(obj)
+        assert len(batches[0]) == len(draws) * first_cells.size
+        assert len(batches) > 1
+        for batch in batches:
+            assert len(np.unique(batch, axis=0)) == len(batch)
+
+
+def per_endpoint_clusters(points, values, converged):
+    """The search's clustering as it ran before the cluster points were
+    stacked: each converged endpoint, in run order, compared in Python with
+    every cluster so far.  The reference the stacked match must equal."""
+    clusters = []
+    for point, value, ok in zip(points, values, converged):
+        if not ok:
+            continue
+        for cluster in clusters:
+            if np.abs(point - cluster["point"]).max() <= dedup_radius(point):
+                cluster["hits"] += 1
+                if value > cluster["value"]:
+                    cluster["point"], cluster["value"] = point, value
+                break
+        else:
+            clusters.append({"point": point, "value": value, "hits": 1})
+    clusters.sort(key=lambda c: c["value"], reverse=True)
+    return clusters
+
+
+class TestClustering:
+    """``direct_search_map`` clusters the endpoints ``_polish`` returns as
+    the per-endpoint loop does: same optima, hit counts and order."""
+
+    @staticmethod
+    def check(objective, points, values, converged):
+        budget = SearchBudget(
+            n_runs=len(points), assumed_k=1, min_basin_prob=0.5, failure_prob=0.5
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inverse, "_polish", lambda obj, starts: (points, values, converged))
+            result = direct_search_map(objective, budget, seed=0)
+        want = per_endpoint_clusters(points, values, converged)
+        assert result.n_converged == converged.sum()
+        assert len(result.local_optima) == len(want)
+        for got, cluster in zip(result.local_optima, want):
+            assert np.array_equal(got.point, cluster["point"])
+            assert got.log_posterior == cluster["value"]
+            assert got.hit_count == cluster["hits"]
+        assert result.map_log_posterior == want[0]["value"]
+        return result
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_drawn_endpoints(self, objective, data):
+        # the first coordinate keeps every radius r = dedup_radius(5, ...),
+        # and the others sit 0, 1 or 2 radii apart, on and beside the edge
+        r = dedup_radius(np.array([5.0, 0.0, 0.0]))
+        offsets = [0.0, r, -r, 2 * r, np.nextafter(r, 0), np.nextafter(r, np.inf), 0.5, 0.5 + r]
+        n = data.draw(st.integers(1, 24))
+        points = np.array([
+            [5.0, data.draw(st.sampled_from(offsets)), data.draw(st.sampled_from(offsets))]
+            for _ in range(n)
+        ])
+        values = np.array(data.draw(st.lists(
+            st.sampled_from([-3.0, -2.0, -1.0, -0.5]), min_size=n, max_size=n
+        )))
+        converged = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        converged[data.draw(st.integers(0, n - 1))] = True
+        values[~converged & np.array(data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n)
+        ))] = np.nan
+        self.check(objective, points, values, converged)
+
+    def test_better_point_joins_an_early_cluster(self, objective):
+        r = dedup_radius(np.array([5.0, 0.0, 0.0]))
+        points = np.array([
+            [5.0, 0.0, 0.0],  # cluster A
+            [5.0, 2 * r, 0.0],  # cluster B, two radii from A
+            [5.0, 0.5, 0.0],  # cluster C
+            [5.0, r, 0.0],  # on the edge of A and B: joins A, better, so A's row moves
+            [5.0, 2 * r, r],  # on the edge of A's new row and of B: joins A
+            [5.0, 0.5, np.nextafter(r, np.inf)],  # just outside C: cluster D
+        ])
+        values = np.array([-2.0, -1.0, -1.0, -0.5, -3.0, -3.0])
+        result = self.check(objective, points, values, np.ones(len(points), dtype=bool))
+        assert [o.hit_count for o in result.local_optima] == [3, 1, 1, 1]
+        assert [o.log_posterior for o in result.local_optima] == [-0.5, -1.0, -1.0, -3.0]
+        assert np.array_equal(result.map_point, points[3])
+        assert np.array_equal(result.local_optima[1].point, points[1])
 
 
 class TestRequiredRuns:
@@ -491,7 +656,9 @@ class TestLocalMaximize:
         obj = PosteriorObjective(
             model=linear_outlier, priors=exact_priors, y_target=1e200, sigma_e_squared=1.0
         )
-        with pytest.raises(NumericalError):
+        # the misfit overflows to an infinite penalty, and says nothing
+        with warnings.catch_warnings(), pytest.raises(NumericalError):
+            warnings.simplefilter("error")
             local_maximize(obj, [0.0, 0.0, 0.0])
 
     def test_length_check(self, objective):
