@@ -210,62 +210,91 @@ def _em_start(samples: np.ndarray, k: int, rng: np.random.Generator,
 def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[GaussianMixture1D]:
     """EM from one start per generator in ``rngs``, all advanced together.
 
-    Raw-array EM loop; each restart's frozen mixture is built once, when it
-    stops, and the restart leaves the stack.  The live restarts form an
-    R x k x n stack and both stacked buffers are rewritten in place:
-    reductions over components run on axis 1 and the per-component sums
-    along n, in the order a single k x n restart sums, so each restart's
-    iterates are bitwise those it takes alone.  The squared distances to
-    the means one M-step computes are the ones the next E-step needs.
+    The loop runs in moment form on the standardized samples
+    z = (x - mean) / std.  A component's log-density is a quadratic in z,
+    so one batched product ``coef (R x k x 3) @ [1, z, z^2] (3 x n)`` gives
+    the E-step's R x k x n stack, and one product of the responsibilities
+    with ``[1, z, z^2] / norm`` gives the M-step's sums of r, r z and r z^2.
+    The variance is sum(r z^2) / sum(r) - mean^2; as |z| <= sqrt(n - 1) and
+    the variance floor is about 1e-4 in z units, that subtraction leaves a
+    relative error on the order of n * 1e-12.  The stopping rule and
+    ``history`` use the x-unit log-likelihood (the z-unit one minus
+    n log(std)), and the components go back to x units when a restart
+    stops.
+
+    The live restarts form one R x k x n stack; a restart leaves it once it
+    stops.  Reductions over components run on axis 1, the ones along n on
+    the last axis, and each product is one BLAS call per restart, so each
+    restart's iterates are bitwise those it takes alone.
     """
     n = samples.size
+    center, scale = samples.mean(), samples.std()
+    z = (samples - center) / scale
+    powers = np.stack([np.ones(n), z, z * z])
     weights, means, variances = map(
         np.array, zip(*(_em_start(samples, k, rng, floor) for rng in rngs))
     )
+    means = (means - center) / scale
+    variances = variances / (scale * scale)
+    floor = floor / (scale * scale)
+    log_scale = n * math.log(scale)
     live = np.arange(len(rngs))
-    sq = np.square(samples - means[:, :, None])
-    resp = np.empty_like(sq)
+    resp = np.empty((live.size, k, n))
     log_l = np.full(live.size, -math.inf)
-    histories = [[] for _ in live]
-    fitted = [None] * live.size
+    history = np.empty((live.size, _EM_MAX_ITERS + 1))
+    steps = np.empty(live.size, dtype=int)
+    converged_at = np.empty(live.size, dtype=bool)
+    final = np.empty((live.size, k, 3))
     # the final pass is an E-step only: at the cap it scores the components
     # returned, so log_l and history[-1] never describe an earlier iterate
     for step in range(_EM_MAX_ITERS + 1):
-        np.multiply(sq, (-0.5 / variances)[:, :, None], out=resp)
-        resp += (np.log(weights) - 0.5 * (np.log(variances) + _LOG_2PI))[:, :, None]
+        half_prec = -0.5 / variances
+        coef = np.stack(
+            (
+                np.log(weights) - 0.5 * (np.log(variances) + _LOG_2PI) + half_prec * means * means,
+                -2.0 * half_prec * means,
+                half_prec,
+            ),
+            axis=2,
+        )
+        np.matmul(coef, powers, out=resp)
         peak = resp.max(axis=1)
         resp -= peak[:, None, :]
         np.exp(resp, out=resp)
         norm = resp.sum(axis=1)
-        new_log_l = np.sum(peak + np.log(norm), axis=1)
+        new_log_l = np.sum(peak + np.log(norm), axis=1) - log_scale
         converged = np.abs(new_log_l - log_l) <= _EM_REL_TOL * np.maximum(1.0, np.abs(new_log_l))
         log_l = new_log_l
+        history[live, step] = log_l
         stop = converged | (step == _EM_MAX_ITERS)
-        for j, r in enumerate(live):
-            histories[r].append(float(log_l[j]))
-            if stop[j]:
-                fitted[r] = GaussianMixture1D(
-                    components=tuple(zip(weights[j], means[j], variances[j])),
-                    fitted_n=n,
-                    log_likelihood=float(log_l[j]),
-                    history=tuple(histories[r]),
-                    converged=bool(converged[j]),
-                )
-        if stop.all():
-            break
         if stop.any():
+            done = live[stop]
+            steps[done] = step + 1
+            converged_at[done] = converged[stop]
+            final[done] = np.stack((weights, means, variances), axis=2)[stop]
+            if stop.all():
+                break
             keep = ~stop
             live, log_l, norm = live[keep], log_l[keep], norm[keep]
             weights, means, variances = weights[keep], means[keep], variances[keep]
-            sq, resp = sq[keep], resp[keep]
-        resp /= norm[:, None, :]
-        mass = np.maximum(resp.sum(axis=2), 1e-300)
+            resp = resp[keep]
+        moments = np.matmul(resp, (powers * (1.0 / norm)[:, None, :]).transpose(0, 2, 1))
+        mass = np.maximum(moments[:, :, 0], 1e-300)
         weights = mass / n
-        means = np.matmul(resp, samples) / mass
-        np.subtract(samples, means[:, :, None], out=sq)
-        np.square(sq, out=sq)
-        variances = np.maximum(np.einsum("rkn,rkn->rk", resp, sq) / mass, floor)
-    return fitted
+        means = moments[:, :, 1] / mass
+        variances = np.maximum(moments[:, :, 2] / mass - means * means, floor)
+    final[:, :, 1] = center + scale * final[:, :, 1]
+    final[:, :, 2] *= scale * scale
+    return [
+        GaussianMixture1D(
+            components=comps,
+            fitted_n=n,
+            log_likelihood=float(hist[last - 1]),
+            history=tuple(hist[:last].tolist()),
+            converged=bool(conv),
+        )
+        for comps, hist, last, conv in zip(final, history, steps, converged_at)
+    ]
 
 
 def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
@@ -274,15 +303,18 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
     Each restart is k-means++ seeded from its own child stream of ``seed``
     and iterated until the relative log-likelihood change drops below 1e-8,
     or for at most 500 EM iterations; the restarts advance together and
-    each ends exactly where it ends run alone.  A restart that reaches that cap
-    returns its 500th iterate, scored by one more E-step, so
+    each ends exactly where it ends run alone.  A restart that reaches that
+    cap returns its 500th iterate, scored by one more E-step, so
     ``log_likelihood`` (also the last ``history`` entry; ``history`` holds
     one entry per E-step, 501 at the cap) is always the log-likelihood of
     the returned components, which restarts and BIC compare; ``converged``
     says whether the winning restart met the tolerance or stopped at the
     cap.  Variances are floored at 1e-4 times the sample variance: this
     both prevents numerical collapse and keeps model selection from
-    spending components on single points.
+    spending components on single points.  EM runs in moment form on the
+    standardized samples (see ``_em_restarts``): it agrees with the textbook
+    x-unit loop up to a relative error on the order of n * 1e-12 in the
+    variances, and components and log-likelihoods are returned in x units.
 
     Parameters
     ----------

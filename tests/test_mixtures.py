@@ -46,9 +46,9 @@ def two_bump_samples(n: int, seed: int, sep: float = 5.0) -> np.ndarray:
 def textbook_em(samples, k, rng, floor):
     """Plain n x k EM with fit_gmm's seeding, stopping rule and cap.
 
-    The reference the in-place k x n loop is checked against: densities in
-    linear space, every array allocated anew.  Returns the (w, mean, var)
-    rows and the log-likelihood at each E-step.
+    The reference the moment-form loop is checked against: x units,
+    densities in linear space, every array allocated anew.  Returns the
+    (w, mean, var) rows and the log-likelihood at each E-step.
     """
     n = samples.size
     centers = _kmeanspp_centers(samples, k, rng)
@@ -83,41 +83,63 @@ def textbook_em(samples, k, rng, floor):
 
 
 def one_restart_em(samples, k, rng, floor):
-    """One restart's in-place k x n EM loop, as restarts ran one at a time:
+    """One restart's k x n moment-form EM loop, as a restart runs alone:
     the reference the stacked restarts must equal bit for bit."""
     n = samples.size
+    center, scale = samples.mean(), samples.std()
+    z = (samples - center) / scale
+    powers = np.stack([np.ones(n), z, z * z])
     weights, means, variances = _em_start(samples, k, rng, floor)
-    sq = np.square(samples - means[:, None])
-    resp = np.empty_like(sq)
+    means = (means - center) / scale
+    variances = variances / (scale * scale)
+    floor = floor / (scale * scale)
     log_l = -math.inf
     history = []
     for step in range(mixtures_module._EM_MAX_ITERS + 1):
-        np.multiply(sq, (-0.5 / variances)[:, None], out=resp)
-        resp += (np.log(weights) - 0.5 * (np.log(variances) + math.log(2.0 * math.pi)))[:, None]
+        half_prec = -0.5 / variances
+        coef = np.column_stack(
+            (
+                np.log(weights)
+                - 0.5 * (np.log(variances) + math.log(2.0 * math.pi))
+                + half_prec * means * means,
+                -2.0 * half_prec * means,
+                half_prec,
+            )
+        )
+        resp = coef @ powers
         peak = resp.max(axis=0)
         resp -= peak
         np.exp(resp, out=resp)
         norm = resp.sum(axis=0)
-        new_log_l = float(np.sum(peak + np.log(norm)))
+        new_log_l = float(np.sum(peak + np.log(norm)) - n * math.log(scale))
         history.append(new_log_l)
         converged = abs(new_log_l - log_l) <= 1e-8 * max(1.0, abs(new_log_l))
         log_l = new_log_l
         if converged or step == mixtures_module._EM_MAX_ITERS:
             break
-        resp /= norm
-        mass = np.maximum(resp.sum(axis=1), 1e-300)
+        moments = resp @ (powers * (1.0 / norm)).T
+        mass = np.maximum(moments[:, 0], 1e-300)
         weights = mass / n
-        means = resp @ samples / mass
-        np.subtract(samples, means[:, None], out=sq)
-        np.square(sq, out=sq)
-        variances = np.maximum(np.einsum("kn,kn->k", resp, sq) / mass, floor)
+        means = moments[:, 1] / mass
+        variances = np.maximum(moments[:, 2] / mass - means * means, floor)
     return GaussianMixture1D(
-        components=tuple(zip(weights, means, variances)),
+        components=tuple(zip(weights, center + scale * means, variances * (scale * scale))),
         fitted_n=n,
         log_likelihood=log_l,
         history=tuple(history),
         converged=converged,
     )
+
+
+# far cluster distance from the bulk (in bulk stds), far cluster std and
+# offset of all samples; k cycles through 2..4 so that every pair of values
+# of two of those three meets every k
+HARD_CASES = [
+    (far, std, offset, 2 + (i + j + m) % 3)
+    for i, far in enumerate([5.0, 20.0, 100.0, 1000.0])
+    for j, std in enumerate([1.0, 0.01, 1e-3])
+    for m, offset in enumerate([0.0, 1e3, -5e4])
+]
 
 
 @st.composite
@@ -275,6 +297,21 @@ class TestFitGmm:
         np.testing.assert_allclose(fitted.components, comps, rtol=1e-9)
         assert fitted.log_likelihood == fitted.history[-1]
         assert fitted.converged == (k == 3)
+
+    @pytest.mark.parametrize(("far", "std", "offset", "k"), HARD_CASES)
+    def test_em_matches_textbook_loop_on_hard_data(self, far, std, offset, k):
+        """Standardizing keeps the moment form as accurate as the textbook
+        loop on far, tight and offset clusters."""
+        seed = HARD_CASES.index((far, std, offset, k))
+        rng = np.random.default_rng(seed)
+        bulk = rng.standard_normal(300)
+        samples = offset + np.concatenate([bulk, far + std * rng.standard_normal(40)])
+        floor = 1e-4 * samples.var()
+        [fitted] = _em_restarts(samples, k, [np.random.default_rng(seed)], floor)
+        comps, history = textbook_em(samples, k, np.random.default_rng(seed), floor)
+        assert len(fitted.history) == len(history)
+        np.testing.assert_allclose(fitted.history, history, rtol=1e-9)
+        np.testing.assert_allclose(fitted.components, comps, rtol=1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(
