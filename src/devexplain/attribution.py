@@ -78,26 +78,16 @@ def responsible_scores(
     """Divide every term of the decomposition by the total deviation.
 
     If |total| < degeneracy_tau * label_scale the observation sits too
-    close to the reference for ratios to mean anything; the scores come
-    back NaN with degenerate=True (a flagged state, not an error).
+    close to the reference for ratios to mean anything; the terms are divided
+    by NaN instead, so the scores come back NaN with degenerate=True (a
+    flagged state, not an error).
     """
     if not (math.isfinite(degeneracy_tau) and degeneracy_tau > 0):
         raise ValidationError("degeneracy_tau must be positive and finite")
     if label_scale < 0:
         raise ValidationError("label_scale must be nonnegative")
-    d = decomp.d_x
-    if abs(decomp.total_delta) < degeneracy_tau * label_scale:
-        return ResponsibleScores(
-            first_order=np.full(d, math.nan),
-            second_order=None
-            if decomp.second_order is None
-            else np.full((d, d), math.nan),
-            residual_share=math.nan,
-            reference_kind=reference_kind,
-            mode_index=mode_index,
-            degenerate=True,
-        )
-    total = decomp.total_delta
+    degenerate = bool(abs(decomp.total_delta) < degeneracy_tau * label_scale)
+    total = math.nan if degenerate else decomp.total_delta
     return ResponsibleScores(
         first_order=decomp.first_order / total,
         second_order=None
@@ -106,7 +96,7 @@ def responsible_scores(
         residual_share=decomp.residual / total,
         reference_kind=reference_kind,
         mode_index=mode_index,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 
@@ -249,7 +239,7 @@ def _command_seeds(seed: int) -> tuple[int, int, int]:
 
 def explain(
     model: PredictiveModel,
-    priors: FeaturePriors,
+    priors: FeaturePriors | None,
     data: Dataset,
     observation_index: int,
     reference,
@@ -288,7 +278,7 @@ def _parse_reference(reference) -> tuple[str, int | None]:
 
 def explain_many(
     model: PredictiveModel,
-    priors: FeaturePriors,
+    priors: FeaturePriors | None,
     data: Dataset,
     indices,
     references,
@@ -298,9 +288,11 @@ def explain_many(
     reports per reference, in the order given, each report identical to
     what a single `explain` call would produce.
 
-    The residuals, background draw and plain rows are computed once, the
+    The background draw and plain rows are computed once, the residuals and
     label mixture at most once, a MAP search once per mode reference, and
-    each row's observation-side coalitions and Shapley values once.
+    each row's observation-side coalitions and Shapley values once.  Only
+    the MAP search (residuals, priors) and a prior background (priors) read
+    them; ``priors`` may be None when nothing does.
     """
     indices = [int(i) for i in indices]
     for observation_index in indices:
@@ -309,16 +301,21 @@ def explain_many(
                 f"observation index {observation_index} out of range 0..{data.n - 1}"
             )
     parsed = [_parse_reference(reference) for reference in references]
-    if priors.d_x != data.d_x:
+    searched = any(ref_kind == "mode" for ref_kind, _ in parsed)
+    if priors is None:
+        if searched or settings.bg_source == "prior":
+            raise ValidationError("a mode reference or a prior background needs priors")
+    elif priors.d_x != data.d_x:
         raise ValidationError(f"priors cover {priors.d_x} features, data has {data.d_x}")
     if not indices or not parsed:
         return [[] for _ in parsed]
 
     gmm_seed, map_seed, bg_seed = _stage_seeds(settings.seed)
 
-    with _stage("residuals"):
-        stats = residual_stats(model, data)
-        sigma2 = clamp_sigma_e_squared(stats.sigma_e_squared, data.labels)
+    if searched:
+        with _stage("residuals"):
+            stats = residual_stats(model, data)
+            sigma2 = clamp_sigma_e_squared(stats.sigma_e_squared, data.labels)
 
     echo = {
         "seed": settings.seed,

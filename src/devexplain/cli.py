@@ -290,6 +290,8 @@ def cmd_explain(args) -> None:
     if args.priors:
         priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors
+    elif args.mean and args.bg == "resample":  # nothing reads them
+        priors = priors_source = None
     else:
         priors = fit_priors(data, args.k_max, priors_seed)
         priors_source = "fitted"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError, SearchFailureError, ValidationError
 from .mixtures import FeaturePriors, _log_prior_and_resp, log_density, modes
-from .models import PredictiveModel
+from .models import PredictiveModel, _dot
 
 _STEP_TOL = 1e-10
 _MAX_ITERS = 500
@@ -87,12 +87,8 @@ def log_posterior(obj: PosteriorObjective, x) -> float | np.ndarray:
     rows = x if x.ndim == 2 else x.reshape(1, -1)
     if rows.shape[1] != obj.model.d_x:
         raise ValidationError(f"x has {rows.shape[1]} entries, model expects {obj.model.d_x}")
-    model = obj.model
     with np.errstate(over="ignore"):
-        if model.kind == "linear":
-            misfit = obj.y_target - (model.intercept + _dot(rows, model.coefficients))
-        else:
-            misfit = obj.y_target - model.predict_batch(rows)
+        misfit = obj.y_target - obj.model.predict_batch(rows)
         value = -misfit * misfit / (2.0 * obj.sigma_e_squared)
     value += _log_prior_and_resp(obj.priors, rows)[0]
     return value if x.ndim == 2 else float(value[0])
@@ -151,12 +147,6 @@ def _cell_candidates(obj: PosteriorObjective) -> tuple[tuple[int, np.ndarray, np
         best = order[np.unique(cell[order], return_index=True)[1]]
         cells.append((i, pool[best], log_p[best]))
     return tuple(cells)
-
-
-def _dot(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """theta . v for every row v, each bitwise ``theta @ v`` (a stacked
-    1 x d by d x 1 product; ``rows @ theta`` sums in another order)."""
-    return (rows[:, None, :] @ theta[:, None])[:, 0, 0]
 
 
 def _em_step(obj: PosteriorObjective, x: np.ndarray) -> np.ndarray:
@@ -246,17 +236,17 @@ def _polish(
     Linear models take EM steps (``_em_ascent``), trees coordinate steps
     (``_cell_ascent``).  Each start's iterates are bitwise those it takes
     alone.  Two stacked ``log_posterior`` calls score the starts and the
-    endpoints; a start is kept in place of an endpoint that scores lower or
-    not at all.
+    endpoints; a finite endpoint replaces its start (EM steps never lower
+    the objective in exact arithmetic, so a lower score there is rounding).
     """
     values = log_posterior(obj, starts)
     finite = np.flatnonzero(np.isfinite(values))
     ascent = _em_ascent if obj.model.kind == "linear" else _cell_ascent
     ends, ended = ascent(obj, starts[finite])
     end_values = log_posterior(obj, ends)
-    better = np.isfinite(end_values) & (end_values >= values[finite])
+    kept = np.isfinite(end_values)
     points, converged = starts.copy(), np.zeros(len(starts), dtype=bool)
-    points[finite[better]], values[finite[better]] = ends[better], end_values[better]
+    points[finite[kept]], values[finite[kept]] = ends[kept], end_values[kept]
     converged[finite] = ended
     values[~np.isfinite(values)] = np.nan
     return points, values, converged
@@ -264,9 +254,10 @@ def _polish(
 
 def local_maximize(obj: PosteriorObjective, x0) -> tuple[np.ndarray, float, bool]:
     """Polish one starting point, the one-row case of the search's polish:
-    returns (point, value, converged).  The value never falls below the
-    value at x0; an exhausted iteration budget returns converged=False, and
-    a start where the objective is not finite raises NumericalError.
+    returns (point, value, converged) at the endpoint, or at x0 if the
+    objective is not finite at the endpoint.  An exhausted iteration budget
+    returns converged=False, and a start where the objective is not finite
+    raises NumericalError.
     """
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     points, values, converged = _polish(obj, x0)

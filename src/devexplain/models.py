@@ -23,9 +23,15 @@ _SIGMA_CLAMP_FRAC = 1e-12
 MODEL_SCHEMA = 1
 
 
+def _dot(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """theta . v for every row v, each bitwise ``theta @ v`` (a stacked
+    1 x d by d x 1 product; ``rows @ theta`` sums in another order)."""
+    return (rows[:, None, :] @ theta[:, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class LinearModel:
-    """f(x) = intercept + coefficients . x"""
+    """f(x) = intercept + coefficients . x; a row's value never depends on its batch."""
 
     intercept: float
     coefficients: np.ndarray
@@ -42,10 +48,10 @@ class LinearModel:
         return self.coefficients.size
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        return self.intercept + x @ self.coefficients
+        return self.intercept + _dot(x, self.coefficients)
 
     def predict_one(self, x: np.ndarray) -> float:
-        return float(self.intercept + x @ self.coefficients)
+        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ def grouped_bar_svg(
     ``series`` is a list of (name, values) where each values list has one
     entry per group.  Negative values hang below the zero baseline.
     """
+    from html import escape  # here, so a command that draws no chart never imports it
     if not series:
         raise ValidationError("need at least one series")
     n_groups = len(group_labels)
@@ -62,7 +63,7 @@ def grouped_bar_svg(
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{_fmt(width / 2)}" y="24" text-anchor="middle" font-size="15" '
-        f'font-weight="bold">{title}</text>',
+        f'font-weight="bold">{escape(title, False)}</text>',
     ]
     # legend
     lx = margin_left
@@ -70,7 +71,7 @@ def grouped_bar_svg(
         color = _PALETTE[idx]
         parts.append(f'<rect x="{_fmt(lx)}" y="36" width="12" height="12" fill="{color}"/>')
         parts.append(
-            f'<text x="{_fmt(lx + 16)}" y="46" font-size="12">{name}</text>'
+            f'<text x="{_fmt(lx + 16)}" y="46" font-size="12">{escape(name, False)}</text>'
         )
         lx += 16 + 8 * len(name) + 24
 
@@ -100,7 +101,7 @@ def grouped_bar_svg(
             )
         parts.append(
             f'<text x="{_fmt(gx + group_w / 2)}" y="{_fmt(height - margin_bottom + 18)}" '
-            f'text-anchor="middle" font-size="12">{label}</text>'
+            f'text-anchor="middle" font-size="12">{escape(label, False)}</text>'
         )
 
     parts.append("</svg>")

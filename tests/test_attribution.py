@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devexplain import attribution
 from devexplain.anova import BackgroundSample, PRIOR_SAMPLED, decompose_deviation, draw_background
@@ -24,7 +26,7 @@ from devexplain.dataset import Dataset
 from devexplain.errors import ValidationError
 from devexplain.inverse import default_budget
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D, fit_priors
-from devexplain.models import fit_linear, predict
+from devexplain.models import GbtParams, fit_gbt, fit_linear, predict
 
 
 class StubModel:
@@ -169,6 +171,90 @@ class TestShapleyValues:
         bg = draw_background(exact_priors, 10, seed=0)
         with pytest.raises(ValidationError):
             shapley_values(linear_outlier, bg, [1.0, 2.0])
+
+
+@st.composite
+def stub_functions(draw, m):
+    """f of an n x m array: linear, a sum of column products, or a small
+    GBT fitted to random labels."""
+    kind = draw(st.sampled_from(["linear", "products", "gbt"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "linear":
+        w, b = rng.normal(size=m), rng.normal()
+        return lambda x: b + x @ w
+    if kind == "products":
+        terms = [(rng.normal(), rng.random(m) < 0.5) for _ in range(3)]
+        return lambda x: sum(c * np.prod(x[:, cols], axis=1) for c, cols in terms)
+    train = Dataset(
+        features=rng.normal(size=(40, m)),
+        labels=rng.normal(size=40),
+        feature_names=tuple(f"x{i}" for i in range(m)),
+    )
+    return fit_gbt(train, GbtParams(n_trees=5, max_depth=2)).predict_batch
+
+
+@st.composite
+def backgrounds(draw, d):
+    """2-30 background rows and an observation, of one random scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-2, 1e2))
+    n = draw(st.integers(2, 30))
+    return rng.normal(0.0, scale, size=(n, d)), rng.normal(0.0, scale, size=d)
+
+
+def shapley_of(fn, points, x_obs):
+    bg = BackgroundSample(points=points, source=PRIOR_SAMPLED, seed=0)
+    return shapley_values(StubModel(fn, len(x_obs)), bg, x_obs)
+
+
+class TestShapleyAxioms:
+    """Efficiency, dummy and symmetry over random models and backgrounds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 5), data=st.data())
+    def test_efficiency(self, d, data):
+        fn = data.draw(stub_functions(d))
+        points, x_obs = data.draw(backgrounds(d))
+        shap = shapley_of(fn, points, x_obs)
+        # the largest |f| over every coalition's pinned rows
+        scale = 0.0
+        for mask in range(1 << d):
+            pinned = points.copy()
+            coalition = [i for i in range(d) if mask >> i & 1]
+            pinned[:, coalition] = x_obs[coalition]
+            scale = max(scale, float(np.abs(fn(pinned)).max()))
+        gap = math.fsum(shap.values) - (float(fn(x_obs[None, :])[0]) - shap.base_value)
+        assert abs(gap) <= 1e-9 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 5), data=st.data())
+    def test_ignored_feature_is_exactly_zero(self, d, data):
+        ignored = data.draw(st.integers(0, d - 1))
+        used = [i for i in range(d) if i != ignored]
+        fn = data.draw(stub_functions(d - 1))
+        points, x_obs = data.draw(backgrounds(d))
+        # v(all features) is f(x_obs) itself, and v(all but the ignored one)
+        # a background mean of copies of it, which is f(x_obs) again only
+        # when the sum is exact: so f takes integer values here
+        shap = shapley_of(lambda x: np.rint(64.0 * fn(x[:, used])), points, x_obs)
+        assert shap.values[ignored] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 5), data=st.data())
+    def test_twin_features_are_bitwise_equal(self, d, data):
+        i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        rest = [k for k in range(d) if k not in (i, j)]
+        # f reads the pair only through x_i + x_j and x_i * x_j, which
+        # round the same either way round
+        fn = data.draw(stub_functions(d))
+        points, x_obs = data.draw(backgrounds(d))
+        points[:, j], x_obs[j] = points[:, i], x_obs[i]
+
+        def twin(x):
+            return fn(np.column_stack([x[:, i] + x[:, j], x[:, i] * x[:, j], x[:, rest]]))
+
+        shap = shapley_of(twin, points, x_obs)
+        assert shap.values[i] == shap.values[j]
 
 
 @pytest.fixture(scope="module")
@@ -330,9 +416,10 @@ class TestExplainMany:
     ):
         d = 3
         pairs = d * (d - 1) // 2
-        # residuals once; the plain rows and the reference-side coalitions
-        # once; each row's own singletons (and pairs) once
-        expected = 1 + (1 + d + (pairs if order == 2 else 0)) + rows * (
+        # no residuals (a mean reference runs no MAP search); the plain rows
+        # and the reference-side coalitions once; each row's own singletons
+        # (and pairs) once
+        expected = (1 + d + (pairs if order == 2 else 0)) + rows * (
             d + (pairs if order == 2 else 0)
         )
         if order == 1:
@@ -348,6 +435,20 @@ class TestExplainMany:
         for index, report in enumerate(batch):
             solo = explain(model, fixture_priors, fixture_data, index, "mean", settings)
             assert report_to_json(report) == report_to_json(solo)
+
+    def test_priors_read_only_by_the_map_search_and_a_prior_background(
+        self, fixture_model, fixture_priors, fixture_data
+    ):
+        settings = ExplainSettings(seed=5, np_count=40)
+        without = explain(fixture_model, None, fixture_data, 3, "mean", settings)
+        with_priors = explain(fixture_model, fixture_priors, fixture_data, 3, "mean", settings)
+        assert report_to_json(without) == report_to_json(with_priors)
+        for reference, bg_source in ((("mode", 0), "resample"), ("mean", "prior")):
+            with pytest.raises(ValidationError, match="needs priors"):
+                explain(
+                    fixture_model, None, fixture_data, 3, reference,
+                    replace(settings, bg_source=bg_source),
+                )
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_shared_pinned_values_predicted_once(self, order):

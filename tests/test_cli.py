@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -361,6 +362,52 @@ class TestExplain:
         assert "np_count must be >= 2" in capsys.readouterr().err
         assert no_prior_fits == []
         assert not (tmp_path / "report_0.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, fits", [(["--mean"], 0), (["--mean", "--bg", "prior"], 1), (["--mode", "0"], 1)]
+    )
+    def test_priors_fitted_only_when_read(
+        self, river_ws, tmp_path, no_prior_fits, flags, fits
+    ):
+        # only a mode reference's MAP search and a prior background read them
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"), "--index", "0", *flags,
+            "--budget-runs", "12", "--seed", "3", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert len(no_prior_fits) == fits
+        config = json.loads((tmp_path / "explain_config.json").read_text())
+        assert config["priors"] == ("fitted" if fits else None)
+
+    def test_model_wider_than_data_is_validation_error(self, river_ws, tmp_path, capsys):
+        narrow = tmp_path / "narrow.csv"
+        with open(FIXTURE) as src, open(narrow, "w") as dst:
+            for line in src:
+                dst.write(line.split(",", 1)[1])
+        rc = run(
+            "explain", "--data", str(narrow), "--label", "njr",
+            "--model", str(river_ws / "model.json"), "--index", "0", "--mean",
+            "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "model expects d_x=3, background has 2 columns" in capsys.readouterr().err
+
+    def test_chart_escapes_header_names(self, tmp_path):
+        data = tmp_path / "markup.csv"
+        lines = Path(FIXTURE).read_text().splitlines(keepends=True)
+        data.write_text("R&D,x<1,ww,njr\n" + "".join(lines[1:]))
+        assert run("fit", "--data", str(data), "--label", "njr", "--split", "1",
+                   "--out", str(tmp_path)) == 0
+        rc = run(
+            "explain", "--data", str(data), "--label", "njr",
+            "--model", str(tmp_path / "model.json"), "--index", "0", "--mean", "--svg",
+            "--seed", "3", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        chart = ET.parse(tmp_path / "chart_0.svg").getroot()
+        texts = {node.text for node in chart.iter("{http://www.w3.org/2000/svg}text")}
+        assert {"R&D", "x<1", "ww"} <= texts
 
     def test_smallest_background_writes_standard_json(self, river_ws, tmp_path):
         rc = run(
@@ -738,7 +785,8 @@ class TestTopLevel:
         assert len(log) == 2
 
     def test_run_log_records_failure(self, river_ws, tmp_path):
-        # a constant feature column collapses its fitted prior: exit 4
+        # a constant feature column collapses its fitted prior (which a
+        # prior background reads): exit 4
         flat = tmp_path / "flat.csv"
         flat.write_text(
             "h,hp,ww,njr\n"
@@ -747,7 +795,7 @@ class TestTopLevel:
         argv = [
             "explain", "--data", str(flat), "--label", "njr",
             "--model", str(river_ws / "model.json"), "--index", "0", "--mean",
-            "--out", str(tmp_path),
+            "--bg", "prior", "--out", str(tmp_path),
         ]
         assert run(*argv) == 4
         log = (tmp_path / "run.log").read_text().splitlines()

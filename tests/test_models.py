@@ -12,6 +12,7 @@ from devexplain.errors import NumericalError, SingularFitError, ValidationError
 from devexplain.models import (
     GbtModel,
     GbtParams,
+    LinearModel,
     clamp_sigma_e_squared,
     fit_gbt,
     fit_linear,
@@ -79,6 +80,26 @@ class TestFitLinear:
         assert np.all(np.abs(synth10k.features.T @ resid) <= 1e-5 * synth10k.n)
 
 
+@st.composite
+def linear_models(draw):
+    d = draw(st.integers(1, 6))
+    floats = st.floats(-1e3, 1e3)
+    return LinearModel(
+        intercept=draw(floats),
+        coefficients=draw(st.lists(floats, min_size=d, max_size=d)),
+    )
+
+
+@st.composite
+def gbt_models(draw):
+    d = draw(st.integers(1, 4))
+    doc, _ = random_gbt_doc(
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 20)),
+        draw(st.integers(0, 4)), 0.7, d, d, 10,
+    )
+    return model_from_json(doc)
+
+
 class TestPredict:
     def test_linear_point(self):
         model = fit_linear(linear_data())
@@ -114,6 +135,20 @@ class TestPredict:
             predict(linear_outlier, [1.0, 2.0])
         with pytest.raises(ValidationError):
             predict(linear_outlier, [1.0, np.nan, 2.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        model=st.one_of(linear_models(), gbt_models()),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 50),
+        scale=st.floats(1e-3, 1e3),
+    )
+    @example(model=LinearModel(0.5, [1.0, -2.0, 3.0]), seed=0, n=50, scale=3.0)
+    def test_batch_rows_are_one_row_predictions(self, model, seed, n, scale):
+        # a row's value does not depend on the batch it is predicted in
+        rows = np.random.default_rng(seed).normal(0.0, scale, size=(n, model.d_x))
+        batch = model.predict_batch(rows)
+        assert batch.tobytes() == np.array([model.predict_one(x) for x in rows]).tobytes()
 
 
 def random_gbt_doc(

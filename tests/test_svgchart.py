@@ -1,5 +1,7 @@
 """Grouped-bar SVG writer."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from devexplain.errors import ValidationError
@@ -38,6 +40,13 @@ class TestGroupedBarSvg:
         assert "alpha" in svg
         assert "beta" in svg
         assert "demo" in svg
+
+    def test_markup_in_text_is_escaped(self):
+        # CSV header names reach the chart as group labels
+        title, labels, name = "R&D <vs> mean", ["R&D", "x<1", "a>b"], "s&p"
+        svg = grouped_bar_svg(title, labels, [(name, [0.1, 0.2, 0.3])])
+        texts = [node.text for node in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert {title, name, *labels} <= set(texts)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
