@@ -19,13 +19,23 @@ left out.  The matrix:
   linear model with ``explain --mode 0 --index 0 --budget-runs 2000`` under
   the exact priors, a MAP search with hundreds of optima.
 
+For each ``.json`` or ``.csv`` file that differs, the script prints the
+largest absolute change over its float values and where it occurs (a JSON
+path, or a CSV line and column).  A file is marked "non-float change" when
+anything else differs: keys, lengths, strings, ints, bools, nulls, a
+non-finite float, a cell that does not parse as a float, or any other file
+type.
+
 Exit status 0 when every output file is identical, 1 when some differ or
 exist on one side only, 2 when a command fails.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -90,6 +100,93 @@ def outputs(root: Path) -> dict[str, bytes]:
     }
 
 
+class NonFloatChange(Exception):
+    """Two versions differ in something other than a finite float value."""
+
+
+def _float_gap(a: float, b: float, where: str) -> tuple[float, str]:
+    """|b - a| of two floats at ``where``; equal NaNs count as no change."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, where
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFloatChange
+    return abs(b - a), where
+
+
+def _largest(gaps, where: str) -> tuple[float, str]:
+    return max(gaps, key=lambda gap: gap[0], default=(0.0, where))
+
+
+def _json_gap(a, b, where: str = "$") -> tuple[float, str]:
+    """The largest float change between two parsed JSON values, and its path."""
+    if type(a) is not type(b):
+        raise NonFloatChange
+    if isinstance(a, float):
+        return _float_gap(a, b, where)
+    if isinstance(a, dict) and list(a) == list(b):
+        return _largest((_json_gap(a[k], b[k], f"{where}.{k}") for k in a), where)
+    if isinstance(a, list) and len(a) == len(b):
+        pairs = enumerate(zip(a, b))
+        return _largest((_json_gap(x, y, f"{where}[{i}]") for i, (x, y) in pairs), where)
+    if isinstance(a, (dict, list)) or a != b:
+        raise NonFloatChange
+    return 0.0, where
+
+
+def _csv_float(cell: str) -> float:
+    """A cell's float value; an int, a string or an empty cell is no float."""
+    if cell.lstrip("+-").isdigit():
+        raise NonFloatChange
+    return float(cell)  # its ValueError, too, marks a non-float change
+
+
+def _csv_gap(a: str, b: str) -> tuple[float, str]:
+    """The largest float change between two CSV texts, and its line and column."""
+    old, new = (list(csv.reader(io.StringIO(text))) for text in (a, b))
+    header = new[0] if new else []
+    if len(old) != len(new) or {len(row) for row in old + new} - {len(header)}:
+        raise NonFloatChange
+    return _largest(
+        (
+            _float_gap(_csv_float(x), _csv_float(y), f"line {r}, column {header[c]}")
+            for r, (old_row, new_row) in enumerate(zip(old, new), start=1)
+            for c, (x, y) in enumerate(zip(old_row, new_row))
+            if x != y
+        ),
+        "",
+    )
+
+
+def change(name: str, old: bytes, new: bytes) -> str:
+    """How far a file that differs moved: its largest float change and where,
+    or "non-float change"."""
+    try:
+        if name.endswith(".json"):
+            gap, where = _json_gap(json.loads(old), json.loads(new))
+        elif name.endswith(".csv"):
+            gap, where = _csv_gap(old.decode(), new.decode())
+        else:
+            raise NonFloatChange
+    except (NonFloatChange, ValueError):
+        return "non-float change"
+    return f"max |change| {gap:.2g} at {where}"
+
+
+def report(old: dict[str, bytes], new: dict[str, bytes], label: str) -> int:
+    """Print what differs between two output sets; the exit status."""
+    names = old.keys() | new.keys()
+    differ = sorted(name for name in names if old.get(name) != new.get(name))
+    for name in differ:
+        if name not in new:
+            print(f"differs: {name} (base only)")
+        elif name not in old:
+            print(f"differs: {name} (working tree only)")
+        else:
+            print(f"differs: {name}: {change(name, old[name], new[name])}")
+    print(f"{len(names) - len(differ)} identical, {len(differ)} differ ({label})")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.splitlines()[2], file=sys.stderr)
@@ -112,16 +209,7 @@ def main(argv: list[str]) -> int:
             subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    names = old.keys() | new.keys()
-    differ = sorted(name for name in names if old.get(name) != new.get(name))
-    for name in differ:
-        if name not in new:
-            name += " (base only)"
-        elif name not in old:
-            name += " (working tree only)"
-        print(f"differs: {name}")
-    print(f"{len(names) - len(differ)} identical, {len(differ)} differ ({base} vs working tree)")
-    return 1 if differ else 0
+    return report(old, new, f"{base} vs working tree")
 
 
 if __name__ == "__main__":

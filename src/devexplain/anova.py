@@ -145,6 +145,16 @@ def _mean_and_stderr(summands: np.ndarray) -> tuple[float, float]:
     return est, stderr
 
 
+def _effect(model, bg: BackgroundSample, pins: dict) -> tuple[float, float]:
+    """Mean and MC stderr of the term over ``pins``' features at their values."""
+    _check_model(model, bg)
+    if not all(0 <= i < bg.d_x for i in pins):
+        raise ValidationError(f"feature index out of range 0..{bg.d_x - 1}")
+    if not all(math.isfinite(value) for value in pins.values()):
+        raise ValidationError("pinned values must be finite")
+    return _mean_and_stderr(_term_rows(model, bg, pins, tuple(pins), {}))
+
+
 def first_order_effect(
     model, bg: BackgroundSample, feature_index: int, value: float
 ) -> tuple[float, float]:
@@ -154,13 +164,7 @@ def first_order_effect(
     summand is predict(row with x_I = value) - predict(row); its sample
     std over sqrt(NP) is the standard error.
     """
-    _check_model(model, bg)
-    if not 0 <= feature_index < bg.d_x:
-        raise ValidationError(f"feature index {feature_index} out of range")
-    if not math.isfinite(value):
-        raise ValidationError("pinned value must be finite")
-    pins = {feature_index: value}
-    return _mean_and_stderr(_term_rows(model, bg, pins, (feature_index,), {}))
+    return _effect(model, bg, {feature_index: value})
 
 
 def second_order_effect(
@@ -177,16 +181,9 @@ def second_order_effect(
     the estimator to one per-row summand
     g_IJ - g_I - g_J + g, so additive models give (numerically) zero.
     """
-    _check_model(model, bg)
-    d = bg.d_x
-    if not (0 <= feature_i < d and 0 <= feature_j < d):
-        raise ValidationError("feature index out of range")
     if feature_i == feature_j:
         raise ValidationError("second-order effect needs two distinct features")
-    if not (math.isfinite(value_i) and math.isfinite(value_j)):
-        raise ValidationError("pinned values must be finite")
-    pins = {feature_i: value_i, feature_j: value_j}
-    return _mean_and_stderr(_term_rows(model, bg, pins, (feature_i, feature_j), {}))
+    return _effect(model, bg, {feature_i: value_i, feature_j: value_j})
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ s_I = delta_I / delta.  Scores are signed and unclamped; when the total
 deviation is smaller than a fraction of the label spread the ratio is
 meaningless and the result is flagged degenerate instead.
 
-Shapley values are computed by exact subset enumeration with marginal
-(interventional) expectations over a shared background sample, which keeps
-the efficiency, dummy, and symmetry axioms testable to machine precision.
+Shapley values come from exact subset enumeration over a shared background
+sample; every v(S), the full coalition included, is the mean of one pinned
+batch, so the dummy and symmetry axioms hold exactly, efficiency to rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .mixtures import (
     select_k,
     z_score,
 )
-from .models import PredictiveModel, clamp_sigma_e_squared, predict, residual_stats
+from .models import PredictiveModel, clamp_sigma_e_squared, residual_stats
 
 REPORT_SCHEMA = 1
 
@@ -107,7 +107,8 @@ def shapley_values(
 
     v(S) is the mean prediction over the background with the coordinates in
     S pinned to the observation; every subset shares the same background
-    rows.  v(empty) is f0 and v(full) is the plain prediction at x_obs.
+    rows.  v(empty) is f0, and v(all features) the mean with every feature
+    pinned, so the dummy axiom is exact and efficiency holds to rounding.
 
     ``rows`` holds the pinned coalitions already predicted, as
     ``decompose_deviation`` keeps them (see ``_coalition_rows``); v(S) is
@@ -118,17 +119,17 @@ def shapley_values(
     d = bg.d_x
     if x_obs.size != d:
         raise ValidationError(f"x_obs has {x_obs.size} entries, background has {d}")
+    if not np.all(np.isfinite(x_obs)):
+        raise ValidationError("x contains non-finite entries")
     if d > _ENUMERATION_LIMIT:
         raise ValidationError(
             f"exact enumeration is limited to d_x <= {_ENUMERATION_LIMIT}, got {d}"
         )
     _check_model(model, bg)
-    full = (1 << d) - 1
     v = np.empty(1 << d)
-    for mask in range(full):
+    for mask in range(1 << d):
         coalition = tuple(i for i in range(d) if mask >> i & 1)
         v[mask] = float(np.mean(_coalition_rows(model, bg, x_obs, coalition, rows)))
-    v[full] = predict(model, x_obs)
     fact = [math.factorial(i) for i in range(d + 1)]
     weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
     values = np.empty(d)
@@ -290,7 +291,7 @@ def explain_many(
 
     The background draw and plain rows are computed once, the residuals and
     label mixture at most once, a MAP search once per mode reference, and
-    each row's observation-side coalitions and Shapley values once.  Only
+    each row's coalitions once, by Shapley, for all its decompositions.  Only
     the MAP search (residuals, priors) and a prior background (priors) read
     them; ``priors`` may be None when nothing does.
     """
@@ -373,7 +374,8 @@ def explain_many(
     reports = [[] for _ in refs]
     for position, observation_index in enumerate(indices):
         x_obs, y_obs = data.row(observation_index)
-        shap = None
+        with _stage("shapley"):
+            shap = shapley_values(model, bg, x_obs, rows=rows)
         for (mode, shared), out in zip(refs, reports):
             with _stage("decompose"):
                 decomp = decompose_deviation(
@@ -385,9 +387,6 @@ def explain_many(
                     decomp, settings.degeneracy_tau, label_std,
                     shared["reference_kind"], shared["mode_index"],
                 )
-            if shap is None:  # after the first decomposition, reading its coalitions
-                with _stage("shapley"):
-                    shap = shapley_values(model, bg, x_obs, rows=rows)
             out.append(
                 ExplanationReport(
                     observation_index=observation_index,

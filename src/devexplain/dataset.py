@@ -192,13 +192,16 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
 
 def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint shuffled partition with round(train_fraction * N) training rows."""
-    if data.n < 2:
-        raise ValidationError("need at least 2 observations to split")
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError("train_fraction must be in (0, 1)")
+    n_train = int(round(train_fraction * data.n))
+    if not 0 < n_train < data.n:
+        empty = "training" if n_train == 0 else "test"
+        raise ValidationError(
+            f"train_fraction {train_fraction} leaves the {empty} set empty at N={data.n}"
+        )
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.n)
-    n_train = int(round(train_fraction * data.n))
     picks = (order[:n_train], order[n_train:])
     return tuple(
         Dataset(

@@ -172,6 +172,12 @@ class TestShapleyValues:
         with pytest.raises(ValidationError):
             shapley_values(linear_outlier, bg, [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_observation(self, linear_outlier, exact_priors, bad):
+        bg = draw_background(exact_priors, 10, seed=0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            shapley_values(linear_outlier, bg, [1.0, bad, 2.0])
+
 
 @st.composite
 def stub_functions(draw, m):
@@ -233,10 +239,7 @@ class TestShapleyAxioms:
         used = [i for i in range(d) if i != ignored]
         fn = data.draw(stub_functions(d - 1))
         points, x_obs = data.draw(backgrounds(d))
-        # v(all features) is f(x_obs) itself, and v(all but the ignored one)
-        # a background mean of copies of it, which is f(x_obs) again only
-        # when the sum is exact: so f takes integer values here
-        shap = shapley_of(lambda x: np.rint(64.0 * fn(x[:, used])), points, x_obs)
+        shap = shapley_of(lambda x: fn(x[:, used]), points, x_obs)
         assert shap.values[ignored] == 0.0
 
     @settings(max_examples=60, deadline=None)
@@ -417,14 +420,9 @@ class TestExplainMany:
         d = 3
         pairs = d * (d - 1) // 2
         # no residuals (a mean reference runs no MAP search); the plain rows
-        # and the reference-side coalitions once; each row's own singletons
-        # (and pairs) once
-        expected = (1 + d + (pairs if order == 2 else 0)) + rows * (
-            d + (pairs if order == 2 else 0)
-        )
-        if order == 1:
-            # the Shapley coalitions the decomposition did not pin
-            expected += rows * (2**d - 2 - d)
+        # and the reference-side coalitions once; each row's own coalitions,
+        # every one of the 2**d Shapley pins but the plain rows, once
+        expected = (1 + d + (pairs if order == 2 else 0)) + rows * (2**d - 1)
         settings = ExplainSettings(seed=5, np_count=40, order=order)
         model = RecordingModel()
         [batch] = explain_many(
@@ -499,9 +497,8 @@ class TestExplainMany:
                 fixture_model, fixture_priors, fixture_data, range(3), references, settings
             )
             assert [len(reports) for reports in batch] == [3] * len(references)
-            # Shapley runs once, after the first decomposition pinned the row's coalitions
-            row = ["decompose_deviation", "shapley_values"]
-            row += ["decompose_deviation"] * (len(references) - 1)
+            # Shapley runs once, first, pinning every coalition the decompositions read
+            row = ["shapley_values"] + ["decompose_deviation"] * len(references)
             assert calls == fits + row * 3, references
 
     def test_matches_single_calls(self, fixture_model, fixture_priors, fixture_data):

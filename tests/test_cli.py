@@ -211,6 +211,14 @@ class TestFit:
         )
         assert rc == 2
 
+    def test_split_with_an_empty_side_is_validation_error(self, tmp_path):
+        # 20 rows: round(0.99 * 20) = 20 training rows leave no test rows
+        rc = run(
+            "fit", "--data", FIXTURE, "--label", "njr", "--split", "0.99",
+            "--out", str(tmp_path),
+        )
+        assert rc == 2
+
     def test_constant_labels_are_numerical_error(self, tmp_path):
         flat = tmp_path / "flat.csv"
         flat.write_text("a,y\n" + "".join(f"{i}.0,5.0\n" for i in range(10)))

@@ -205,6 +205,12 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(synth10k, fraction, 0)
 
+    @pytest.mark.parametrize("fraction, empty", [(0.99, "test"), (0.01, "training")])
+    def test_empty_side_rejected(self, fraction, empty):
+        data = generate_synthetic(standard_normal_spec(1), 20, 0)
+        with pytest.raises(ValidationError, match=f"{empty} set empty at N=20"):
+            split(data, fraction, 0)
+
 
 class TestSpecFiles:
     def test_load_synthetic_spec(self, tmp_path):
