@@ -208,7 +208,8 @@ def cmd_modes(args) -> None:
         "modes",
         {"data": args.data, "label": args.label, "k_max": args.k_max, "seed": seed},
     )
-    print(f"fitted k={gmm.k} mixture; {len(mode_list)} mode(s):")
+    stop = "converged" if gmm.converged else "stopped at the cap"
+    print(f"fitted k={gmm.k} mixture (EM: {gmm.n_iter} E-steps, {stop}); {len(mode_list)} mode(s):")
     for i, m in enumerate(mode_list):
         print(f"  mode {i}: location {m.location:.4f}, sigma_m {m.sigma_m:.4f}")
 

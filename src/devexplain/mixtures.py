@@ -43,12 +43,15 @@ class GaussianMixture1D:
     components: tuple[tuple[float, float, float], ...]
     fitted_n: int = 0
     log_likelihood: float = math.nan
-    # Total log-likelihood at each E-step of the winning restart;
-    # empty for mixtures that were not fitted.
+    # Total log-likelihood of each iterate the winning restart accepted,
+    # nondecreasing; empty for mixtures that were not fitted.
     history: tuple[float, ...] = ()
-    # True when EM met its tolerance; False at the iteration cap and for
+    # True when EM met its tolerance; False at the E-step cap and for
     # mixtures that were not fitted.
     converged: bool = False
+    # E-steps (EM map evaluations) the winning restart spent; 0 for
+    # mixtures that were not fitted.
+    n_iter: int = 0
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     means: np.ndarray = field(init=False, repr=False, compare=False)
     variances: np.ndarray = field(init=False, repr=False, compare=False)
@@ -207,93 +210,172 @@ def _em_start(samples: np.ndarray, k: int, rng: np.random.Generator,
     return weights, means, variances
 
 
+def _em_map(theta: np.ndarray, powers: np.ndarray, floor: float,
+            resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One EM map evaluation per restart of a stack, in moment form.
+
+    ``theta`` is R x 3 x k: each restart's (weights, means, variances) rows
+    in z units, ``powers`` is [1, z, z^2] (3 x n) and ``resp`` the R x k x n
+    buffer the E-step fills in place.  Returns the z-unit log-likelihood of
+    each ``theta`` and the M-step's R x 3 x k result F(theta), variances
+    floored at ``floor``.
+
+    A component's log-density is a quadratic in z, so one batched product
+    ``coef (R x k x 3) @ powers`` gives the E-step's stack, and one product
+    of the responsibilities with ``powers / norm`` gives the M-step's sums
+    of r, r z and r z^2.  The variance is sum(r z^2) / sum(r) - mean^2; as
+    |z| <= sqrt(n - 1) and the variance floor is about 1e-4 in z units, that
+    subtraction leaves a relative error on the order of n * 1e-12.
+    Reductions over components run on axis 1, the ones along n on the last
+    axis, and each product is one BLAS call per restart, so each restart's
+    result is bitwise the one it gets alone.
+    """
+    weights, means, variances = theta[:, 0], theta[:, 1], theta[:, 2]
+    half_prec = -0.5 / variances
+    coef = np.stack(
+        (
+            np.log(weights) - 0.5 * (np.log(variances) + _LOG_2PI) + half_prec * means * means,
+            -2.0 * half_prec * means,
+            half_prec,
+        ),
+        axis=2,
+    )
+    np.matmul(coef, powers, out=resp)
+    peak = resp.max(axis=1)
+    resp -= peak[:, None, :]
+    np.exp(resp, out=resp)
+    norm = resp.sum(axis=1)
+    log_l = np.sum(peak + np.log(norm), axis=1)
+    moments = np.matmul(resp, (powers * (1.0 / norm)[:, None, :]).transpose(0, 2, 1))
+    mass = np.maximum(moments[:, :, 0], 1e-300)
+    means = moments[:, :, 1] / mass
+    variances = np.maximum(moments[:, :, 2] / mass - means * means, floor)
+    return log_l, np.stack((mass / powers.shape[1], means, variances), axis=1)
+
+
 def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[GaussianMixture1D]:
-    """EM from one start per generator in ``rngs``, all advanced together.
+    """SQUAREM-accelerated EM from one start per generator in ``rngs``, all
+    advanced together.
 
-    The loop runs in moment form on the standardized samples
-    z = (x - mean) / std.  A component's log-density is a quadratic in z,
-    so one batched product ``coef (R x k x 3) @ [1, z, z^2] (3 x n)`` gives
-    the E-step's R x k x n stack, and one product of the responsibilities
-    with ``[1, z, z^2] / norm`` gives the M-step's sums of r, r z and r z^2.
-    The variance is sum(r z^2) / sum(r) - mean^2; as |z| <= sqrt(n - 1) and
-    the variance floor is about 1e-4 in z units, that subtraction leaves a
-    relative error on the order of n * 1e-12.  The stopping rule and
-    ``history`` use the x-unit log-likelihood (the z-unit one minus
-    n log(std)), and the components go back to x units when a restart
-    stops.
+    The loop runs ``_em_map`` on the standardized samples
+    z = (x - mean) / std.  Each cycle of SQUAREM (Varadhan and Roland 2008,
+    S3 step length) takes two EM steps, theta1 = F(theta0) and
+    theta2 = F(theta1), then extrapolates along r = theta1 - theta0 and
+    v = theta2 - theta1 - r to theta' = theta0 + 2 a r + a^2 v, with
+    a = clip(|r| / |v|, 1, stepmax) per restart (a = 1 gives theta2), and
+    evaluates F once more at theta' to stabilize it.  theta' is kept only
+    when it is finite, has positive weights (renormalized to sum 1) and
+    variances at or above the floor, and its log-likelihood is no lower than
+    theta1's; the next cycle then starts from F(theta').  Otherwise the
+    restart goes on from theta2: from F(theta2) when theta' was invalid, as
+    the third evaluation then stabilizes theta2 instead.  stepmax starts at
+    1, grows 4-fold after a kept step at the bound and shrinks 4-fold (not
+    below 1) after one that was not kept.
 
-    The live restarts form one R x k x n stack; a restart leaves it once it
-    stops.  Reductions over components run on axis 1, the ones along n on
-    the last axis, and each product is one BLAS call per restart, so each
-    restart's iterates are bitwise those it takes alone.
+    A restart stops when the relative log-likelihood change over the plain
+    step theta0 -> theta1 is at most 1e-8, returning theta1, or after
+    ``_EM_MAX_ITERS`` map evaluations (E-steps), returning the last kept
+    iterate the E-steps scored.  ``history`` holds the x-unit
+    log-likelihood (the z-unit one minus n log(std)) of each kept iterate,
+    so it is nondecreasing up to rounding and ends with the returned
+    components' ``log_likelihood``; ``n_iter`` counts the E-steps spent.
+
+    The live restarts form one stack, and a restart leaves it when it
+    converges.  All three evaluations of a cycle reuse one R x k x n buffer.
+    Every other operation is elementwise or reduces one restart's own
+    entries, so each restart's iterates are bitwise those it takes alone.
     """
     n = samples.size
     center, scale = samples.mean(), samples.std()
     z = (samples - center) / scale
     powers = np.stack([np.ones(n), z, z * z])
-    weights, means, variances = map(
-        np.array, zip(*(_em_start(samples, k, rng, floor) for rng in rngs))
-    )
-    means = (means - center) / scale
-    variances = variances / (scale * scale)
+    theta = np.array([_em_start(samples, k, rng, floor) for rng in rngs])
+    theta[:, 1] = (theta[:, 1] - center) / scale
+    theta[:, 2] /= scale * scale
     floor = floor / (scale * scale)
     log_scale = n * math.log(scale)
+    buffer = np.empty((len(rngs), k, n))
+
+    def evaluate(at):
+        log_l, mapped = _em_map(at, powers, floor, buffer[: len(at)])
+        return log_l - log_scale, mapped
+
     live = np.arange(len(rngs))
-    resp = np.empty((live.size, k, n))
-    log_l = np.full(live.size, -math.inf)
-    history = np.empty((live.size, _EM_MAX_ITERS + 1))
-    steps = np.empty(live.size, dtype=int)
-    converged_at = np.empty(live.size, dtype=bool)
-    final = np.empty((live.size, k, 3))
-    # the final pass is an E-step only: at the cap it scores the components
-    # returned, so log_l and history[-1] never describe an earlier iterate
-    for step in range(_EM_MAX_ITERS + 1):
-        half_prec = -0.5 / variances
-        coef = np.stack(
-            (
-                np.log(weights) - 0.5 * (np.log(variances) + _LOG_2PI) + half_prec * means * means,
-                -2.0 * half_prec * means,
-                half_prec,
-            ),
-            axis=2,
-        )
-        np.matmul(coef, powers, out=resp)
-        peak = resp.max(axis=1)
-        resp -= peak[:, None, :]
-        np.exp(resp, out=resp)
-        norm = resp.sum(axis=1)
-        new_log_l = np.sum(peak + np.log(norm), axis=1) - log_scale
-        converged = np.abs(new_log_l - log_l) <= _EM_REL_TOL * np.maximum(1.0, np.abs(new_log_l))
-        log_l = new_log_l
-        history[live, step] = log_l
-        stop = converged | (step == _EM_MAX_ITERS)
+    step_max = np.ones(live.size)
+    history = np.empty((live.size, _EM_MAX_ITERS))
+    kept = np.zeros(live.size, dtype=int)
+    final = np.empty_like(theta)
+    steps = np.full(live.size, _EM_MAX_ITERS)
+    converged_at = np.zeros(live.size, dtype=bool)
+    spent = 0
+
+    def record(rows, log_l):
+        history[live[rows], kept[live[rows]]] = log_l[rows]
+        kept[live[rows]] += 1
+
+    every = slice(None)
+    while True:
+        log_0, theta1 = evaluate(theta)
+        spent += 1
+        record(every, log_0)
+        if spent == _EM_MAX_ITERS:
+            final[live] = theta
+            break
+        log_1, theta2 = evaluate(theta1)
+        spent += 1
+        record(every, log_1)
+        converged = np.abs(log_1 - log_0) <= _EM_REL_TOL * np.maximum(1.0, np.abs(log_1))
+        stop = converged | (spent == _EM_MAX_ITERS)
         if stop.any():
-            done = live[stop]
-            steps[done] = step + 1
-            converged_at[done] = converged[stop]
-            final[done] = np.stack((weights, means, variances), axis=2)[stop]
+            final[live[stop]] = theta1[stop]
+            steps[live[stop]] = spent
+            converged_at[live[stop]] = converged[stop]
             if stop.all():
                 break
             keep = ~stop
-            live, log_l, norm = live[keep], log_l[keep], norm[keep]
-            weights, means, variances = weights[keep], means[keep], variances[keep]
-            resp = resp[keep]
-        moments = np.matmul(resp, (powers * (1.0 / norm)[:, None, :]).transpose(0, 2, 1))
-        mass = np.maximum(moments[:, :, 0], 1e-300)
-        weights = mass / n
-        means = moments[:, :, 1] / mass
-        variances = np.maximum(moments[:, :, 2] / mass - means * means, floor)
-    final[:, :, 1] = center + scale * final[:, :, 1]
-    final[:, :, 2] *= scale * scale
+            live, theta, theta1, theta2 = live[keep], theta[keep], theta1[keep], theta2[keep]
+            log_1, step_max = log_1[keep], step_max[keep]
+        r = theta1 - theta
+        v = theta2 - theta1 - r
+        # |v| = 0 at a fixed point: a ratio of inf takes stepmax, 0/0 takes 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.sqrt(np.sum(r * r, axis=(1, 2)) / np.sum(v * v, axis=(1, 2)))
+        alpha = np.minimum(np.fmax(ratio, 1.0), step_max)
+        a = alpha[:, None, None]
+        jump = theta + 2.0 * a * r + a * a * v
+        valid = (
+            np.all(np.isfinite(jump), axis=(1, 2))
+            & np.all(jump[:, 0] > 0.0, axis=1)
+            & np.all(jump[:, 2] >= floor, axis=1)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump[:, 0] /= jump[:, 0].sum(axis=1, keepdims=True)
+        at = np.where(valid[:, None, None], jump, theta2)
+        log_2, theta3 = evaluate(at)
+        spent += 1
+        accept = valid & (log_2 >= log_1)
+        scored = accept | ~valid
+        record(scored, log_2)
+        if spent == _EM_MAX_ITERS:
+            final[live] = np.where(scored[:, None, None], at, theta1)
+            break
+        step_max = np.where(
+            accept, np.where(alpha == step_max, 4.0 * step_max, step_max),
+            np.maximum(step_max / 4.0, 1.0),
+        )
+        theta = np.where(scored[:, None, None], theta3, theta2)
+    final[:, 1] = center + scale * final[:, 1]
+    final[:, 2] *= scale * scale
     return [
         GaussianMixture1D(
-            components=comps,
+            components=comps.T,
             fitted_n=n,
             log_likelihood=float(hist[last - 1]),
             history=tuple(hist[:last].tolist()),
             converged=bool(conv),
+            n_iter=int(used),
         )
-        for comps, hist, last, conv in zip(final, history, steps, converged_at)
+        for comps, hist, last, used, conv in zip(final, history, kept, steps, converged_at)
     ]
 
 
@@ -301,20 +383,21 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
     """Fit a k-component mixture by EM, best of 5 seeded restarts.
 
     Each restart is k-means++ seeded from its own child stream of ``seed``
-    and iterated until the relative log-likelihood change drops below 1e-8,
-    or for at most 500 EM iterations; the restarts advance together and
-    each ends exactly where it ends run alone.  A restart that reaches that
-    cap returns its 500th iterate, scored by one more E-step, so
-    ``log_likelihood`` (also the last ``history`` entry; ``history`` holds
-    one entry per E-step, 501 at the cap) is always the log-likelihood of
-    the returned components, which restarts and BIC compare; ``converged``
-    says whether the winning restart met the tolerance or stopped at the
-    cap.  Variances are floored at 1e-4 times the sample variance: this
-    both prevents numerical collapse and keeps model selection from
-    spending components on single points.  EM runs in moment form on the
-    standardized samples (see ``_em_restarts``): it agrees with the textbook
-    x-unit loop up to a relative error on the order of n * 1e-12 in the
-    variances, and components and log-likelihoods are returned in x units.
+    and iterated by SQUAREM-accelerated EM (see ``_em_restarts``) until the
+    relative log-likelihood change over one plain EM step drops below 1e-8,
+    or for at most 500 E-steps; the restarts advance together and each ends
+    exactly where it ends run alone.  ``log_likelihood`` (also the last
+    ``history`` entry; ``history`` holds one entry per accepted iterate) is
+    always the log-likelihood of the returned components, which restarts
+    and BIC compare; ``n_iter`` counts the E-steps the winning restart
+    spent, and ``converged`` says whether it met the tolerance or stopped at
+    the 500-step cap.  Variances are floored at 1e-4 times the sample
+    variance: this both prevents numerical collapse and keeps model
+    selection from spending components on single points.  EM runs in moment
+    form on the standardized samples (see ``_em_map``): one map evaluation
+    agrees with the textbook x-unit step up to a relative error on the
+    order of n * 1e-12 in the variances, and components and
+    log-likelihoods are returned in x units.
 
     Parameters
     ----------

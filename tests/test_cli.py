@@ -252,6 +252,17 @@ class TestModes:
         assert doc["k"] == 1
         assert len(doc["modes"]) == 1
 
+    def test_summary_states_em_steps_and_stop(self, tmp_path, capsys):
+        rc = run(
+            "modes", "--data", FIXTURE, "--label", "njr", "--k-max", "1",
+            "--seed", "0", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        # k = 1 converges on its second E-step: the first step reaches the
+        # sample moments the start already holds
+        assert "fitted k=1 mixture (EM: 2 E-steps, converged);" in capsys.readouterr().out
+        assert "n_iter" not in (tmp_path / "modes.json").read_text()
+
 
     def test_lists_the_mixture_explain_uses(self, tmp_path):
         # the seed and data where the modes command and explain used to fit

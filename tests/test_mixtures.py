@@ -16,6 +16,7 @@ from devexplain.mixtures import (
     FeaturePriors,
     GaussianMixture1D,
     _component_log_pdfs,
+    _em_map,
     _em_restarts,
     _em_start,
     _kmeanspp_centers,
@@ -43,59 +44,59 @@ def two_bump_samples(n: int, seed: int, sep: float = 5.0) -> np.ndarray:
     return signs * sep + rng.standard_normal(n)
 
 
-def textbook_em(samples, k, rng, floor):
-    """Plain n x k EM with fit_gmm's seeding, stopping rule and cap.
+def textbook_step(samples, components, floor):
+    """One plain n x k EM step in x units from (w, mean, var) rows.
 
-    The reference the moment-form loop is checked against: x units,
+    The reference the moment-form map is checked against: x units,
     densities in linear space, every array allocated anew.  Returns the
-    (w, mean, var) rows and the log-likelihood at each E-step.
+    log-likelihood of ``components`` and the next (w, mean, var) rows.
     """
-    n = samples.size
-    centers = _kmeanspp_centers(samples, k, rng)
-    assign = np.argmin(np.abs(samples[:, None] - centers[None, :]), axis=1)
-    weights, means, variances = np.empty(k), np.empty(k), np.empty(k)
-    for j in range(k):
-        members = samples[assign == j]
-        weights[j] = max(members.size, 1) / n
-        means[j] = members.mean() if members.size else centers[j]
-        variances[j] = max(members.var() if members.size else 0.0, floor)
-    weights /= weights.sum()
-    history = []
-    while True:
-        dens = (
-            weights
-            * np.exp(-((samples[:, None] - means) ** 2) / (2.0 * variances))
-            / np.sqrt(2.0 * math.pi * variances)
-        )
-        history.append(float(np.sum(np.log(dens.sum(axis=1)))))
-        if len(history) > _EM_MAX_ITERS or (
-            len(history) > 1
-            and abs(history[-1] - history[-2]) <= 1e-8 * max(1.0, abs(history[-1]))
-        ):
-            return np.column_stack([weights, means, variances]), history
-        resp = dens / dens.sum(axis=1, keepdims=True)
-        mass = resp.sum(axis=0)
-        weights = mass / n
-        means = resp.T @ samples / mass
-        variances = np.maximum(
-            (resp * (samples[:, None] - means) ** 2).sum(axis=0) / mass, floor
-        )
+    weights, means, variances = np.asarray(components, dtype=float).T
+    dens = (
+        weights
+        * np.exp(-((samples[:, None] - means) ** 2) / (2.0 * variances))
+        / np.sqrt(2.0 * math.pi * variances)
+    )
+    resp = dens / dens.sum(axis=1, keepdims=True)
+    mass = resp.sum(axis=0)
+    means = resp.T @ samples / mass
+    variances = np.maximum((resp * (samples[:, None] - means) ** 2).sum(axis=0) / mass, floor)
+    return float(np.sum(np.log(dens.sum(axis=1)))), np.column_stack([mass / samples.size, means, variances])
+
+
+def em_map_x_units(samples, components, floor):
+    """``_em_map`` on one restart, with x-unit input and output, as
+    ``_em_restarts`` standardizes the samples."""
+    center, scale = samples.mean(), samples.std()
+    z = (samples - center) / scale
+    theta = np.asarray(components, dtype=float).T.copy()[None]
+    theta[:, 1] = (theta[:, 1] - center) / scale
+    theta[:, 2] /= scale * scale
+    resp = np.empty((1, theta.shape[2], samples.size))
+    powers = np.stack([np.ones(samples.size), z, z * z])
+    [log_l], [mapped] = _em_map(theta, powers, floor / (scale * scale), resp)
+    mapped[1] = center + scale * mapped[1]
+    mapped[2] *= scale * scale
+    return float(log_l - samples.size * math.log(scale)), mapped.T
 
 
 def one_restart_em(samples, k, rng, floor):
-    """One restart's k x n moment-form EM loop, as a restart runs alone:
-    the reference the stacked restarts must equal bit for bit."""
+    """One restart's SQUAREM loop with its own k x n moment-form map, as a
+    restart runs alone: the reference the stacked restarts must equal bit
+    for bit."""
     n = samples.size
+    cap = mixtures_module._EM_MAX_ITERS
     center, scale = samples.mean(), samples.std()
     z = (samples - center) / scale
     powers = np.stack([np.ones(n), z, z * z])
-    weights, means, variances = _em_start(samples, k, rng, floor)
-    means = (means - center) / scale
-    variances = variances / (scale * scale)
+    theta = np.array(_em_start(samples, k, rng, floor))
+    theta[1] = (theta[1] - center) / scale
+    theta[2] /= scale * scale
     floor = floor / (scale * scale)
-    log_l = -math.inf
-    history = []
-    for step in range(mixtures_module._EM_MAX_ITERS + 1):
+    log_scale = n * math.log(scale)
+
+    def em_map(theta):
+        weights, means, variances = theta
         half_prec = -0.5 / variances
         coef = np.column_stack(
             (
@@ -111,24 +112,83 @@ def one_restart_em(samples, k, rng, floor):
         resp -= peak
         np.exp(resp, out=resp)
         norm = resp.sum(axis=0)
-        new_log_l = float(np.sum(peak + np.log(norm)) - n * math.log(scale))
-        history.append(new_log_l)
-        converged = abs(new_log_l - log_l) <= 1e-8 * max(1.0, abs(new_log_l))
-        log_l = new_log_l
-        if converged or step == mixtures_module._EM_MAX_ITERS:
-            break
         moments = resp @ (powers * (1.0 / norm)).T
         mass = np.maximum(moments[:, 0], 1e-300)
-        weights = mass / n
         means = moments[:, 1] / mass
         variances = np.maximum(moments[:, 2] / mass - means * means, floor)
+        log_l = float(np.sum(peak + np.log(norm))) - log_scale
+        return log_l, np.array([mass / n, means, variances])
+
+    history = []
+    step_max = 1.0
+    spent = 0
+    converged = False
+    while True:
+        log_0, theta1 = em_map(theta)
+        spent += 1
+        history.append(log_0)
+        if spent == cap:
+            break
+        log_1, theta2 = em_map(theta1)
+        spent += 1
+        history.append(log_1)
+        converged = abs(log_1 - log_0) <= 1e-8 * max(1.0, abs(log_1))
+        if converged or spent == cap:
+            theta = theta1
+            break
+        r = theta1 - theta
+        v = theta2 - theta1 - r
+        rr, vv = np.sum(r * r), np.sum(v * v)
+        if vv > 0:
+            alpha = min(max(math.sqrt(rr / vv), 1.0), step_max)
+        else:
+            alpha = step_max if rr > 0 else 1.0
+        jump = theta + 2.0 * alpha * r + alpha * alpha * v
+        valid = bool(
+            np.all(np.isfinite(jump)) and np.all(jump[0] > 0.0) and np.all(jump[2] >= floor)
+        )
+        if valid:
+            jump[0] /= jump[0].sum()
+        at = jump if valid else theta2
+        log_2, theta3 = em_map(at)
+        spent += 1
+        accept = valid and log_2 >= log_1
+        if accept or not valid:
+            history.append(log_2)
+        if spent == cap:
+            theta = at if accept or not valid else theta1
+            break
+        if accept:
+            step_max = 4.0 * step_max if alpha == step_max else step_max
+        else:
+            step_max = max(step_max / 4.0, 1.0)
+        theta = theta3 if accept or not valid else theta2
+    weights, means, variances = theta
     return GaussianMixture1D(
         components=tuple(zip(weights, center + scale * means, variances * (scale * scale))),
         fitted_n=n,
-        log_likelihood=log_l,
+        log_likelihood=history[-1],
         history=tuple(history),
         converged=converged,
+        n_iter=spent,
     )
+
+
+def plain_em_log_likelihood(samples, k, rng, floor, max_steps=20_000):
+    """Log-likelihood that plain (unaccelerated) EM reaches from the same
+    start as ``_em_restarts``, after up to ``max_steps`` map evaluations.
+
+    It stops early once one step changes the log-likelihood by at most
+    1e-15 relative: at EM's linear rate rho, what remains is then that
+    change over (1 - rho), below 1e-10 relative unless rho > 1 - 1e-5."""
+    components = np.column_stack(_em_start(samples, k, rng, floor))
+    log_l = -math.inf
+    for _ in range(max_steps):
+        new_log_l, components = em_map_x_units(samples, components, floor)
+        if abs(new_log_l - log_l) <= 1e-15 * abs(new_log_l):
+            break
+        log_l = new_log_l
+    return max(log_l, new_log_l)
 
 
 # far cluster distance from the bulk (in bulk stds), far cluster std and
@@ -276,42 +336,55 @@ class TestFitGmm:
         assert gmm.log_likelihood == pytest.approx(recomputed, rel=1e-9)
 
     def test_reported_loglik_matches_density_at_cap(self, synth10k):
-        # the winning restart stops at the iteration cap; what it reports
-        # must score the components it returns, not the iterate before
-        gmm = fit_gmm(synth10k.labels, 5, 3)
-        assert len(gmm.history) == _EM_MAX_ITERS + 1
-        assert not gmm.converged
-        recomputed = float(np.sum(log_density(gmm, synth10k.labels)))
-        assert gmm.log_likelihood == pytest.approx(recomputed, rel=1e-9)
+        # the winning restart stops at the E-step cap; what it reports must
+        # score the components it returns, not an iterate before them.  The
+        # three caps stop a SQUAREM cycle after each of its three evaluations.
+        for cap in (30, 31, 32):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mixtures_module, "_EM_MAX_ITERS", cap)
+                gmm = fit_gmm(synth10k.labels, 5, 3)
+            assert gmm.n_iter == cap
+            assert not gmm.converged
+            assert gmm.log_likelihood == gmm.history[-1]
+            recomputed = float(np.sum(log_density(gmm, synth10k.labels)))
+            assert gmm.log_likelihood == pytest.approx(recomputed, rel=1e-9)
 
-    # k=3 converges after 72 E-steps; k=4 stops at the cap
+    # k=3 converges after 29 E-steps; k=4 stops at the cap
     @pytest.mark.parametrize("k", [3, 4])
     def test_em_matches_textbook_loop(self, k):
+        """One map evaluation is one textbook x-unit EM step, at the
+        k-means++ start and at the returned fit."""
         samples = two_bump_samples(1000, 0)
         floor = 1e-4 * samples.var()
         [fitted] = _em_restarts(samples, k, [np.random.default_rng(0)], floor)
-        comps, history = textbook_em(samples, k, np.random.default_rng(0), floor)
-        assert len(fitted.history) == len(history)
-        # only summation order and log- vs linear-space rounding differ
-        np.testing.assert_allclose(fitted.history, history, rtol=1e-9)
-        np.testing.assert_allclose(fitted.components, comps, rtol=1e-9)
-        assert fitted.log_likelihood == fitted.history[-1]
         assert fitted.converged == (k == 3)
+        start = np.column_stack(_em_start(samples, k, np.random.default_rng(0), floor))
+        for at in (start, fitted.components):
+            log_l, mapped = em_map_x_units(samples, at, floor)
+            want_log_l, want = textbook_step(samples, at, floor)
+            # only summation order and log- vs linear-space rounding differ
+            assert log_l == pytest.approx(want_log_l, rel=1e-9)
+            np.testing.assert_allclose(mapped, want, rtol=1e-9)
+        assert em_map_x_units(samples, fitted.components, floor)[0] == pytest.approx(
+            fitted.log_likelihood, rel=1e-12
+        )
 
     @pytest.mark.parametrize(("far", "std", "offset", "k"), HARD_CASES)
     def test_em_matches_textbook_loop_on_hard_data(self, far, std, offset, k):
-        """Standardizing keeps the moment form as accurate as the textbook
-        loop on far, tight and offset clusters."""
+        """Standardizing keeps the moment-form map as accurate as the
+        textbook step on far, tight and offset clusters."""
         seed = HARD_CASES.index((far, std, offset, k))
         rng = np.random.default_rng(seed)
         bulk = rng.standard_normal(300)
         samples = offset + np.concatenate([bulk, far + std * rng.standard_normal(40)])
         floor = 1e-4 * samples.var()
         [fitted] = _em_restarts(samples, k, [np.random.default_rng(seed)], floor)
-        comps, history = textbook_em(samples, k, np.random.default_rng(seed), floor)
-        assert len(fitted.history) == len(history)
-        np.testing.assert_allclose(fitted.history, history, rtol=1e-9)
-        np.testing.assert_allclose(fitted.components, comps, rtol=1e-8)
+        start = np.column_stack(_em_start(samples, k, np.random.default_rng(seed), floor))
+        for at in (start, fitted.components):
+            log_l, mapped = em_map_x_units(samples, at, floor)
+            want_log_l, want = textbook_step(samples, at, floor)
+            assert log_l == pytest.approx(want_log_l, rel=1e-9)
+            np.testing.assert_allclose(mapped, want, rtol=1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -337,18 +410,45 @@ class TestFitGmm:
             alone = [one_restart_em(samples, k, r, floor) for r in rngs()]
             best = fit_gmm(samples, k, seed)
         for got, want in zip(stacked, alone, strict=True):
-            assert got == want  # components, history, converged, log-likelihood
-            assert len(got.history) <= cap + 1
+            assert got == want  # components, history, converged, n_iter, log-likelihood
+            assert len(got.history) <= got.n_iter <= cap
         assert best == max(alone, key=lambda fit: fit.log_likelihood)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_clusters=st.integers(2, 3),
+        n=st.integers(60, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_acceleration_loses_no_likelihood(self, n_clusters, n, seed):
+        """On well-separated clusters (>= 5.3 stds apart) the accelerated
+        fit reaches at least the log-likelihood of plain EM from the same
+        start, less 1e-6 relative, both given 20,000 E-steps.  (At the
+        default 500-step cap a start that leaves two components on one
+        cluster can stop short: seed 3461897003 with 3 clusters and n = 401
+        ends 3.7e-4 relative below plain EM's limit.)"""
+        rng = np.random.default_rng(seed)
+        centers = 8.0 * np.arange(n_clusters) + rng.uniform(-1.0, 1.0, n_clusters)
+        stds = rng.uniform(0.5, 1.5, n_clusters)
+        pick = rng.integers(n_clusters, size=n)
+        samples = centers[pick] + stds[pick] * rng.standard_normal(n)
+        floor = 1e-4 * samples.var()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mixtures_module, "_EM_MAX_ITERS", 20_000)
+            [fitted] = _em_restarts(samples, n_clusters, [np.random.default_rng(seed)], floor)
+        plain = plain_em_log_likelihood(samples, n_clusters, np.random.default_rng(seed), floor)
+        assert fitted.log_likelihood >= plain - 1e-6 * abs(plain)
+
     def test_restarts_stop_at_different_steps(self):
-        # the stack shrinks as restarts stop: here three restarts converge
-        # after 82, 85 and 201 E-steps and two run to the cap
+        # the stack shrinks as restarts stop: at a 100 E-step cap three
+        # restarts converge after 29, 29 and 65 E-steps and two stop at it
         samples = two_bump_samples(1000, 0)
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(0).spawn(5)]
-        fits = _em_restarts(samples, 4, rngs, 1e-4 * samples.var())
-        assert len({len(fit.history) for fit in fits}) >= 3
-        assert {fit.converged for fit in fits} == {True, False}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mixtures_module, "_EM_MAX_ITERS", 100)
+            fits = _em_restarts(samples, 4, rngs, 1e-4 * samples.var())
+        assert [fit.n_iter for fit in fits] == [100, 29, 65, 29, 100]
+        assert [fit.converged for fit in fits] == [False, True, True, True, False]
 
     def test_deterministic(self):
         samples = two_bump_samples(300, 4)
