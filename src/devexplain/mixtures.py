@@ -309,21 +309,20 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[Gaussi
     converged_at = np.zeros(live.size, dtype=bool)
     spent = 0
 
-    def record(rows, log_l):
+    def record(log_l, rows=slice(None)):
         history[live[rows], kept[live[rows]]] = log_l[rows]
         kept[live[rows]] += 1
 
-    every = slice(None)
     while True:
         log_0, theta1 = evaluate(theta)
         spent += 1
-        record(every, log_0)
+        record(log_0)
         if spent == _EM_MAX_ITERS:
             final[live] = theta
             break
         log_1, theta2 = evaluate(theta1)
         spent += 1
-        record(every, log_1)
+        record(log_1)
         converged = np.abs(log_1 - log_0) <= _EM_REL_TOL * np.maximum(1.0, np.abs(log_1))
         stop = converged | (spent == _EM_MAX_ITERS)
         if stop.any():
@@ -337,25 +336,25 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[Gaussi
             log_1, step_max = log_1[keep], step_max[keep]
         r = theta1 - theta
         v = theta2 - theta1 - r
-        # |v| = 0 at a fixed point: a ratio of inf takes stepmax, 0/0 takes 1
+        # |v| = 0 at a fixed point: a ratio of inf takes stepmax, 0/0 takes
+        # 1; an invalid jump may divide by a zero weight sum, and is dropped
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.sqrt(np.sum(r * r, axis=(1, 2)) / np.sum(v * v, axis=(1, 2)))
-        alpha = np.minimum(np.fmax(ratio, 1.0), step_max)
-        a = alpha[:, None, None]
-        jump = theta + 2.0 * a * r + a * a * v
-        valid = (
-            np.all(np.isfinite(jump), axis=(1, 2))
-            & np.all(jump[:, 0] > 0.0, axis=1)
-            & np.all(jump[:, 2] >= floor, axis=1)
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.minimum(np.fmax(ratio, 1.0), step_max)
+            a = alpha[:, None, None]
+            jump = theta + 2.0 * a * r + a * a * v
+            valid = (
+                np.all(np.isfinite(jump), axis=(1, 2))
+                & np.all(jump[:, 0] > 0.0, axis=1)
+                & np.all(jump[:, 2] >= floor, axis=1)
+            )
             jump[:, 0] /= jump[:, 0].sum(axis=1, keepdims=True)
         at = np.where(valid[:, None, None], jump, theta2)
         log_2, theta3 = evaluate(at)
         spent += 1
         accept = valid & (log_2 >= log_1)
         scored = accept | ~valid
-        record(scored, log_2)
+        record(log_2, scored)
         if spent == _EM_MAX_ITERS:
             final[live] = np.where(scored[:, None, None], at, theta1)
             break
