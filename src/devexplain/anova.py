@@ -96,18 +96,13 @@ def _pinned_rows(model, bg: BackgroundSample, x, features) -> np.ndarray:
     """f per background row with ``features`` set from ``x``: the summands of v(S, x).
 
     ``x`` is anything indexed by feature, a full vector or a dict of pins.
-    With every feature pinned the NP rows are one row, predicted once: a
-    batch row is bit for bit its one-row prediction.
     """
     if not features:
         return model.predict_batch(bg.points)
-    n, d = bg.points.shape
-    full = len(features) == d
-    pinned = bg.points[: 1 if full else n].copy()
+    pinned = bg.points.copy()
     for i in features:
         pinned[:, i] = x[i]
-    predicted = model.predict_batch(pinned)
-    return np.repeat(predicted, n) if full else predicted
+    return model.predict_batch(pinned)
 
 
 def _coalition_rows(model, bg: BackgroundSample, x, coalition: tuple, rows: dict) -> np.ndarray:

