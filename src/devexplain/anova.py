@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _frozen_array
 from .errors import ValidationError
 from .mixtures import FeaturePriors
 
@@ -39,9 +40,7 @@ class BackgroundSample:
     seed: int
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen_array(np.atleast_2d(self.points)))
         if self.points.shape[0] < 1:
             raise ValidationError("background needs at least one row")
         if not np.all(np.isfinite(self.points)):
@@ -85,57 +84,56 @@ def draw_background(priors_or_data, np_count: int, seed: int) -> BackgroundSampl
     return BackgroundSample(points=points, source=source, seed=seed)
 
 
-def _check_model(model, bg: BackgroundSample) -> None:
-    if model.d_x != bg.d_x:
-        raise ValidationError(
-            f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
-        )
+class _Coalitions:
+    """The coalition values v(S, x) of one model over one background.
 
-
-def _pinned_rows(model, bg: BackgroundSample, x, features) -> np.ndarray:
-    """f per background row with ``features`` set from ``x``: the summands of v(S, x).
-
-    ``x`` is anything indexed by feature, a full vector or a dict of pins.
+    v(S, x) is the background mean of f with the features in S set from x.
+    Each pinned batch is predicted once and kept, keyed by S and the bits
+    of the values pinned to it, until ``release`` drops it.  ``points``
+    lists, in order, the points a caller will pin.
     """
-    if not features:
-        return model.predict_batch(bg.points)
-    pinned = bg.points.copy()
-    for i in features:
-        pinned[:, i] = x[i]
-    return model.predict_batch(pinned)
 
+    def __init__(self, model, bg: BackgroundSample, points=()):
+        if model.d_x != bg.d_x:
+            raise ValidationError(
+                f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
+            )
+        self.model, self.bg = model, bg
+        self._points = np.asarray(points, dtype=float).reshape(-1, bg.d_x)
+        self._batches = {}
+        self._last_use = {}
 
-def _coalition_rows(model, bg: BackgroundSample, x, coalition: tuple, rows: dict) -> np.ndarray:
-    """``_pinned_rows`` of ``coalition`` at x, read from ``rows`` when it holds them.
+    def rows(self, x, coalition: tuple) -> np.ndarray:
+        """The summands of v(S, x): f per background row with ``coalition``
+        set from ``x``, a full vector or a dict of pins."""
+        values = np.array([x[i] for i in coalition], dtype=float)
+        key = (coalition, values.tobytes())
+        if key not in self._batches:
+            pinned = self.bg.points.copy()
+            pinned[:, list(coalition)] = values
+            self._batches[key] = self.model.predict_batch(pinned)
+        return self._batches[key]
 
-    ``rows`` is keyed by the coalition and the bits of the values x pins to
-    it, so every x that pins the same values shares one entry; a missing one
-    is predicted and added.
-    """
-    key = (coalition, np.array([x[i] for i in coalition], dtype=float).tobytes())
-    if key not in rows:
-        rows[key] = _pinned_rows(model, bg, x, coalition)
-    return rows[key]
+    def term(self, x, term: tuple) -> np.ndarray:
+        """Inclusion-exclusion summands of ``term``: g_I - g or g_IJ - g_I - g_J + g."""
+        if len(term) == 1:
+            return self.rows(x, term) - self.rows(x, ())
+        i, j = term
+        return self.rows(x, term) - self.rows(x, (i,)) - self.rows(x, (j,)) + self.rows(x, ())
 
-
-def _term_rows(model, bg: BackgroundSample, x, term: tuple, rows: dict) -> np.ndarray:
-    """Inclusion-exclusion summands of ``term``: g_I - g or g_IJ - g_I - g_J + g,
-    with every coalition read through ``_coalition_rows``."""
-    g = {
-        coalition: _coalition_rows(model, bg, x, coalition, rows)
-        for size in range(len(term) + 1)
-        for coalition in itertools.combinations(term, size)
-    }
-    if len(term) == 1:
-        return g[term] - g[()]
-    i, j = term
-    return g[term] - g[(i,)] - g[(j,)] + g[()]
+    def release(self, q: int) -> None:
+        """Drop every batch whose pinned values no point after the q-th pins."""
+        for coalition, bits in list(self._batches):
+            if coalition not in self._last_use:
+                pinned = self._points[:, list(coalition)]
+                self._last_use[coalition] = {v.tobytes(): p for p, v in enumerate(pinned)}
+            if self._last_use[coalition].get(bits, -1) <= q:
+                del self._batches[coalition, bits]
 
 
 def f_zero(model, bg: BackgroundSample) -> float:
     """Grand mean f0: average prediction over the background."""
-    _check_model(model, bg)
-    return float(np.mean(_pinned_rows(model, bg, None, ())))
+    return float(np.mean(_Coalitions(model, bg).rows(None, ())))
 
 
 def _mean_and_stderr(summands: np.ndarray) -> tuple[float, float]:
@@ -145,14 +143,23 @@ def _mean_and_stderr(summands: np.ndarray) -> tuple[float, float]:
     return est, stderr
 
 
+def _feature_index(i, d: int) -> int:
+    """``i`` as a feature index in 0..d-1; bools and non-integers are refused."""
+    try:
+        if not isinstance(i, bool) and 0 <= operator.index(i) < d:
+            return operator.index(i)
+    except TypeError:
+        pass
+    raise ValidationError(f"feature index must be an integer in 0..{d - 1}, got {i!r}")
+
+
 def _effect(model, bg: BackgroundSample, pins: dict) -> tuple[float, float]:
     """Mean and MC stderr of the term over ``pins``' features at their values."""
-    _check_model(model, bg)
-    if not all(0 <= i < bg.d_x for i in pins):
-        raise ValidationError(f"feature index out of range 0..{bg.d_x - 1}")
+    coalitions = _Coalitions(model, bg)
+    pins = {_feature_index(i, bg.d_x): value for i, value in pins.items()}
     if not all(math.isfinite(value) for value in pins.values()):
         raise ValidationError("pinned values must be finite")
-    return _mean_and_stderr(_term_rows(model, bg, pins, tuple(pins), {}))
+    return _mean_and_stderr(coalitions.term(pins, tuple(pins)))
 
 
 def first_order_effect(
@@ -227,7 +234,7 @@ def decompose_deviation(
     y_ref: float,
     order: int = 1,
     *,
-    rows: dict | None = None,
+    coalitions: _Coalitions | None = None,
 ) -> DeviationDecomposition:
     """Deviation terms delta_I (and delta_IJ) between observation and reference.
 
@@ -235,24 +242,23 @@ def decompose_deviation(
     sides average the same rows, so the reported stderr is that of the
     paired per-row differences.  Each pinned coalition is predicted once.
 
-    ``rows`` holds the pinned coalitions already predicted, keyed by their
-    pinned values (see ``_coalition_rows``); the missing ones are predicted
-    and added.  A caller that keeps it across rows and references predicts
-    each distinct pinned batch once.
+    Every coalition value is read through ``coalitions``, an evaluator
+    built over the same model and background, or a fresh one when None.  A
+    caller that keeps one across rows and references predicts each
+    distinct pinned batch once.
     """
-    rows = {} if rows is None else rows
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    _check_model(model, bg)
+    coalitions = coalitions or _Coalitions(model, bg)
     d = bg.d_x
     if x_obs.size != d or x_ref.size != d:
         raise ValidationError("observation/reference length must match background")
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
         raise ValidationError("pinned value must be finite")
     total_delta = float(y_obs) - float(y_ref)
-    base = _coalition_rows(model, bg, x_obs, (), rows)
+    base = coalitions.rows(x_obs, ())
     first = np.empty(d)
     first_se = np.empty(d)
     second = second_se = None
@@ -262,8 +268,8 @@ def decompose_deviation(
         second_se = np.zeros((d, d))
         terms += itertools.combinations(range(d), 2)
     for term in terms:
-        obs = _term_rows(model, bg, x_obs, term, rows)
-        ref = _term_rows(model, bg, x_ref, term, rows)
+        obs = coalitions.term(x_obs, term)
+        ref = coalitions.term(x_ref, term)
         est, se = (first, first_se) if len(term) == 1 else (second, second_se)
         est[term] = float(obs.mean()) - float(ref.mean())
         se[term] = _mean_and_stderr(obs - ref)[1]

@@ -21,8 +21,7 @@ import numpy as np
 from .anova import (
     BackgroundSample,
     DeviationDecomposition,
-    _check_model,
-    _coalition_rows,
+    _Coalitions,
     decompose_deviation,
     draw_background,
 )
@@ -101,7 +100,7 @@ def responsible_scores(
 
 
 def shapley_values(
-    model, bg: BackgroundSample, x_obs, *, rows: dict | None = None
+    model, bg: BackgroundSample, x_obs, *, coalitions: _Coalitions | None = None
 ) -> ShapleyAttribution:
     """Interventional Shapley values by exact subset enumeration.
 
@@ -110,11 +109,10 @@ def shapley_values(
     rows.  v(empty) is f0, and v(all features) the mean with every feature
     pinned, so the dummy axiom is exact and efficiency holds to rounding.
 
-    ``rows`` holds the pinned coalitions already predicted, as
-    ``decompose_deviation`` keeps them (see ``_coalition_rows``); v(S) is
-    read from it where it can, and the missing coalitions are added.
+    Every v(S) is read through ``coalitions``, an evaluator built over the
+    same model and background, or a fresh one when None; one shared with
+    ``decompose_deviation`` predicts each pinned batch once for both.
     """
-    rows = {} if rows is None else rows
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
     d = bg.d_x
     if x_obs.size != d:
@@ -125,11 +123,11 @@ def shapley_values(
         raise ValidationError(
             f"exact enumeration is limited to d_x <= {_ENUMERATION_LIMIT}, got {d}"
         )
-    _check_model(model, bg)
+    coalitions = coalitions or _Coalitions(model, bg)
     v = np.empty(1 << d)
     for mask in range(1 << d):
         coalition = tuple(i for i in range(d) if mask >> i & 1)
-        v[mask] = float(np.mean(_coalition_rows(model, bg, x_obs, coalition, rows)))
+        v[mask] = float(np.mean(coalitions.rows(x_obs, coalition)))
     fact = [math.factorial(i) for i in range(d + 1)]
     weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
     values = np.empty(d)
@@ -365,22 +363,20 @@ def explain_many(
         bg = draw_background(source, settings.np_count, bg_seed)
 
     label_std = float(data.labels.std())
-    # Each pinned batch is predicted once for all rows and references: an
-    # entry of ``rows`` stays while a later row, or a reference (listed
-    # after the rows), pins its values.
-    pinned = np.vstack([data.features[indices], *(shared["x_ref"] for _, shared in refs)])
-    last_use = {}
-    rows = {}
+    # Each pinned batch is predicted once for all rows and references; it is
+    # released after the last row that pins its values (references come last).
+    points = np.vstack([data.features[indices], *(shared["x_ref"] for _, shared in refs)])
+    coalitions = _Coalitions(model, bg, points)
     reports = [[] for _ in refs]
     for position, observation_index in enumerate(indices):
         x_obs, y_obs = data.row(observation_index)
         with _stage("shapley"):
-            shap = shapley_values(model, bg, x_obs, rows=rows)
+            shap = shapley_values(model, bg, x_obs, coalitions=coalitions)
         for (mode, shared), out in zip(refs, reports):
             with _stage("decompose"):
                 decomp = decompose_deviation(
                     model, bg, x_obs, shared["x_ref"], y_obs, shared["y_ref"],
-                    settings.order, rows=rows,
+                    settings.order, coalitions=coalitions,
                 )
             with _stage("scores"):
                 scores = responsible_scores(
@@ -400,14 +396,7 @@ def explain_many(
                     **shared,
                 )
             )
-        for key in list(rows):
-            coalition, bits = key
-            if coalition not in last_use:
-                last_use[coalition] = {
-                    values.tobytes(): q for q, values in enumerate(pinned[:, list(coalition)])
-                }
-            if last_use[coalition].get(bits, -1) <= position:
-                del rows[key]
+        coalitions.release(position)
     return reports
 
 

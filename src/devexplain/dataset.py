@@ -22,7 +22,9 @@ from .mixtures import GaussianMixture1D, mixture_from_json, mixture_to_json
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+    """A read-only copy of ``values``: later writes to the caller's array
+    change nothing, and the caller's array stays writable."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 

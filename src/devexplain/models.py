@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, _json_doc, _read_json
+from .dataset import Dataset, _frozen_array, _json_doc, _read_json
 from .errors import NumericalError, SingularFitError, ValidationError
 
 _RANK_TOL = 1e-10
@@ -39,9 +39,7 @@ class LinearModel:
     kind = "linear"
 
     def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=float).reshape(-1)
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "coefficients", _frozen_array(np.reshape(self.coefficients, -1)))
 
     @property
     def d_x(self) -> int:

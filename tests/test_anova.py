@@ -1,5 +1,6 @@
 """Background sampling, ANOVA effects, and deviation decomposition."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from devexplain.anova import (
     DATASET_RESAMPLED,
     PRIOR_SAMPLED,
     BackgroundSample,
+    _Coalitions,
     decompose_deviation,
     draw_background,
     f_zero,
@@ -168,8 +170,12 @@ class TestFirstOrderEffect:
 
     def test_validation(self, linear_outlier, exact_priors):
         bg = draw_background(exact_priors, 10, seed=0)
+        # a bool would pin every feature (x[:, True]), a float is no index
+        for feature in (3, -1, True, 0.5):
+            with pytest.raises(ValidationError):
+                first_order_effect(linear_outlier, bg, feature, 1.0)
         with pytest.raises(ValidationError):
-            first_order_effect(linear_outlier, bg, 3, 1.0)
+            second_order_effect(linear_outlier, bg, 0, 1.0, 8.0, 8.0)
         with pytest.raises(ValidationError):
             first_order_effect(linear_outlier, bg, 0, math.nan)
 
@@ -197,6 +203,32 @@ class TestSecondOrderEffect:
         bg = draw_background(exact_priors, 10, seed=0)
         with pytest.raises(ValidationError):
             second_order_effect(linear_outlier, bg, 1, 1, 0.0, 0.0)
+
+
+class TestCoalitions:
+    def test_release_keeps_only_batches_a_later_point_pins(self, exact_priors):
+        # rows 0-2, then a reference: rows 0 and 1 share x0, rows 0 and 2
+        # share (x1, x2), row 1 and the reference share x2
+        points = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 6.0], [7.0, 2.0, 3.0], [0.0, 0.0, 6.0]])
+        every = [c for size in range(4) for c in itertools.combinations(range(3), size)]
+        bg = draw_background(exact_priors, 5, seed=0)
+        for q in range(3):
+            model = CountingModel(3)
+            coalitions = _Coalitions(model, bg, points)
+            for p in range(q + 1):
+                for c in every:
+                    coalitions.rows(points[p], c)
+            coalitions.release(q)
+            for p in range(q + 1):
+                for c in every:
+                    kept = any(
+                        np.array_equal(points[later, list(c)], points[p, list(c)])
+                        for later in range(q + 1, len(points))
+                    )
+                    calls = model.calls
+                    coalitions.rows(points[p], c)
+                    assert (model.calls == calls) == kept, (q, p, c)
+                    coalitions.release(q)
 
 
 class TestDecomposeDeviation:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from devexplain.anova import PRIOR_SAMPLED, BackgroundSample
 from devexplain.dataset import (
     Dataset,
     _json_doc,
@@ -21,6 +22,7 @@ from devexplain.dataset import (
 )
 from devexplain.errors import IngestionError, ValidationError
 from devexplain.mixtures import GaussianMixture1D, mixture_from_json, mixture_to_json
+from devexplain.models import LinearModel
 
 
 def standard_normal_spec(d: int) -> SyntheticSpec:
@@ -45,6 +47,20 @@ class TestDataset:
         data = Dataset(features=[[1.0]], labels=[2.0], feature_names=("a",))
         with pytest.raises(ValueError):
             data.features[0, 0] = 9.0
+
+    def test_caller_arrays_are_copied(self):
+        features, labels, points, coef = (
+            np.ones((2, 2)), np.ones(2), np.ones((3, 2)), np.ones(2)
+        )
+        data = Dataset(features=features, labels=labels, feature_names=("a", "b"))
+        bg = BackgroundSample(points=points, source=PRIOR_SAMPLED, seed=0)
+        model = LinearModel(0.0, coef)
+        for caller in (features, labels, points, coef):
+            assert caller.flags.writeable
+            caller[0] = 9.0
+        assert data.features.tolist() == [[1.0, 1.0]] * 2 and data.labels.tolist() == [1.0] * 2
+        assert bg.points.tolist() == [[1.0, 1.0]] * 3
+        assert model.predict_one(np.ones(2)) == 2.0
 
     @pytest.mark.parametrize(
         "features, labels, names",
