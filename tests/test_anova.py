@@ -228,6 +228,7 @@ class TestCoalitions:
                     calls = model.calls
                     coalitions.rows(points[p], c)
                     assert (model.calls == calls) == kept, (q, p, c)
+                    # drop a batch this check predicted again, as before it
                     coalitions.release(q)
 
 
