@@ -91,6 +91,11 @@ class _Coalitions:
     Each pinned batch is predicted once and kept, keyed by S and the bits
     of the values pinned to it, until ``release`` drops it.  ``points``
     lists, in order, the points a caller will pin.
+
+    A batch holds each distinct background row once and its predictions
+    are scattered back to the NP rows.  Every batch, the full coalition's
+    too, has the same shape, so a model whose row values depend on the
+    batch's size still differences like with like.
     """
 
     def __init__(self, model, bg: BackgroundSample, points=()):
@@ -99,6 +104,8 @@ class _Coalitions:
                 f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
             )
         self.model, self.bg = model, bg
+        self._distinct, inverse = np.unique(bg.points, axis=0, return_inverse=True)
+        self._inverse = inverse.reshape(-1)
         self._points = np.asarray(points, dtype=float).reshape(-1, bg.d_x)
         self._batches = {}
         self._last_use = {}
@@ -109,9 +116,9 @@ class _Coalitions:
         values = np.array([x[i] for i in coalition], dtype=float)
         key = (coalition, values.tobytes())
         if key not in self._batches:
-            pinned = self.bg.points.copy()
+            pinned = self._distinct.copy()
             pinned[:, list(coalition)] = values
-            self._batches[key] = self.model.predict_batch(pinned)
+            self._batches[key] = self.model.predict_batch(pinned)[self._inverse]
         return self._batches[key]
 
     def term(self, x, term: tuple) -> np.ndarray:

@@ -59,6 +59,7 @@ class GaussianMixture1D:
     _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
     _mu: np.ndarray = field(init=False, repr=False, compare=False)
     _two_var: np.ndarray = field(init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple((float(w), float(m), float(v)) for w, m, v in self.components)
@@ -74,6 +75,8 @@ class GaussianMixture1D:
         if any(v <= 0 for _, _, v in comps):
             raise ValidationError("component variances must be positive")
         weights, means, variances = (np.array(column) for column in zip(*comps))
+        cdf = weights.cumsum()  # rng.choice's component table
+        cdf /= cdf[-1]
         for name, value in (
             ("weights", weights),
             ("means", means),
@@ -82,6 +85,7 @@ class GaussianMixture1D:
             ("_log_norm", np.log(weights) - 0.5 * np.log(2.0 * math.pi * variances)),
             ("_mu", means),
             ("_two_var", 2.0 * variances),
+            ("_cdf", cdf),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -95,7 +99,8 @@ class GaussianMixture1D:
         return float(np.dot(self.weights, self.means))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        comps = rng.choice(self.k, size=n, p=self.weights)
+        # rng.choice(k, size=n, p=weights) without its checks: the same draws
+        comps = self._cdf.searchsorted(rng.random(n), side="right")
         return self.means[comps] + self.stds[comps] * rng.standard_normal(n)
 
 

@@ -117,9 +117,12 @@ def _threshold_tables(trees: tuple[_Tree, ...], learning_rate: float):
         return (), ()
     feature = np.concatenate([t.feature[t.feature >= 0] for t in trees])
     threshold = np.concatenate([t.threshold[t.feature >= 0] for t in trees])
-    features = tuple(
-        (int(f), np.unique(threshold[feature == f])) for f in np.unique(feature)
-    )
+    features = []
+    for f in range(feature.max(initial=-1) + 1):
+        # np.unique, which would import numpy.ma: a sort and a neighbour compare
+        t = np.sort(threshold[feature == f])
+        if t.size:
+            features.append((f, t[np.concatenate(([True], t[1:] != t[:-1]))]))
     blocks = tuple(
         _block_tables(trees[i : i + _BLOCK_TREES], features, learning_rate)
         for i in range(0, len(trees), _BLOCK_TREES)
@@ -277,97 +280,81 @@ def fit_linear(train: Dataset) -> LinearModel:
     return LinearModel(intercept=float(beta[0]), coefficients=beta[1:])
 
 
-def _best_split(xs: np.ndarray, rs: np.ndarray, min_leaf: int):
-    """Max variance-reduction threshold for one feature, or None.
-
-    ``xs`` is the node's column sorted ascending, ties in row order, and
-    ``rs`` the residuals in that order.  Returns (gain, threshold); among
-    equal gains the lowest threshold wins because argmax takes the first of
-    the sorted candidates.
-    """
-    n = xs.size
-    if n < 2 * min_leaf:
-        return None
-    prefix = np.cumsum(rs)
-    total = prefix[-1]
-    sizes = np.arange(1, n)  # left-child sizes for a cut after position i-1
-    valid = (xs[:-1] < xs[1:]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
-    if not valid.any():
-        return None
-    left_sum = prefix[:-1]
-    # SSE reduction = S_L^2/n_L + S_R^2/n_R - S^2/n, constant term dropped
-    score = left_sum**2 / sizes + (total - left_sum) ** 2 / (n - sizes)
-    score[~valid] = -np.inf
-    best = int(np.argmax(score))
-    gain = float(score[best] - total**2 / n)
-    if gain <= 0:
-        return None
-    threshold = float((xs[best] + xs[best + 1]) / 2.0)
-    return gain, threshold
-
-
 def _grow_tree(
-    columns: np.ndarray, orders: np.ndarray, residual: np.ndarray, params: GbtParams
+    stack: np.ndarray, values: np.ndarray, residual: np.ndarray, counts: np.ndarray,
+    params: GbtParams,
 ) -> tuple[_Tree, np.ndarray]:
     """One tree fitted to ``residual``, and its value at every training row.
 
-    ``columns`` is the features transposed (one row per feature) and
-    ``orders[f]`` the stable argsort of ``columns[f]``.  Each node keeps,
-    per feature, its rows in that order: the stable filter of its parent's,
-    so no node sorts again.
+    A node's m rows travel as a (d + 1) x m index stack: row f < d lists them
+    in feature f's presorted order (ties in row order), row d in row order;
+    ``values[f]`` holds feature f's values in that order.  A child takes the
+    stable filter of its parent's stack, so no node sorts again.  ``counts``
+    is 1, 1, 2, ..., n in floats: its slices are the child sizes of the cuts.
+
+    All cuts of all features are scored at once.  A cut is valid when it
+    separates two distinct values and leaves ``min_samples_leaf`` rows or
+    more on each side; it reduces the SSE by S_L^2/n_L + S_R^2/n_R - S^2/n.
+    Each feature's first best cut is taken, then the lowest feature among
+    equal gains; the threshold is the midpoint of the two values it separates.
     """
-    n = columns.shape[1]
-    fitted = np.empty(n)
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    in_left = np.empty(n, dtype=bool)
+    d = values.shape[0]
+    fitted, in_left = np.empty(residual.size), np.empty(residual.size, dtype=bool)
+    min_leaf = params.min_samples_leaf
+    features = np.arange(d)
+    nodes = []  # [feature, threshold, left, right, value] of each node, in preorder
 
-    def add_node() -> int:
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    def build(rows: np.ndarray, stack, values, depth: int) -> int:
+        m = rows.size
+        at = len(nodes)
+        node = [-1, math.nan, -1, -1, np.add.reduce(residual.take(rows)) / m]  # as np.mean
+        nodes.append(node)
+        if stack is not None:
+            # column b scores the cut after sorted position b.  The cut after
+            # the last row (counts[0] = 1 keeps it finite) scores S^2/n, a gain
+            # of exactly 0, so it never splits, masked below or not.
+            prefix = np.add.accumulate(residual.take(stack[:d]), axis=1)
+            total = prefix[:, -1:]
+            score = np.square(prefix)
+            score /= counts[1 : m + 1]
+            rest = np.subtract(total, prefix)
+            np.square(rest, out=rest)
+            rest /= counts[m - 1 :: -1]
+            score += rest
+            flat = values.ravel()
+            np.putmask(score.ravel()[:-1], flat[:-1] >= flat[1:], -np.inf)
+            if min_leaf > 1:
+                score[:, : min_leaf - 1] = score[:, m - min_leaf :] = -np.inf
+            best = score.argmax(axis=1)
+            gain = score[features, best] - np.square(total[:, 0]) / m
+            f = int(gain.argmax())
+        if stack is None or not gain[f] > 0:
+            fitted[rows] = node[4]
+            return at
+        b = best[f]
+        node[0], node[1] = f, (values[f, b] + values[f, b + 1]) / 2.0
+        in_left[stack[f]] = values[f] <= node[1]
+        # below the last split level a child carries only its rows
+        carry = stack if depth + 1 < params.max_depth else rows[None]
+        go = in_left[carry]
+        for side, keep in ((2, go), (3, ~go)):
+            # the flat positions kept, row by row: the first d * k of them
+            # also index the child's sorted values
+            kept = keep.ravel().nonzero()[0]
+            sub = carry.take(kept).reshape(carry.shape[0], -1)
+            k = sub.shape[1]
+            if carry is stack and k >= 2 * min_leaf:
+                sub_values = values.take(kept[: d * k]).reshape(d, k)
+                node[side] = build(sub[d], sub, sub_values, depth + 1)
+            else:
+                node[side] = build(sub[-1], None, None, depth + 1)
+        return at
 
-    def build(idx: np.ndarray, sorted_idx: list, depth: int) -> int:
-        node = add_node()
-        value[node] = float(residual[idx].mean())
-        best = None
-        if depth < params.max_depth:
-            for f, order in enumerate(sorted_idx):  # lowest feature index wins ties
-                cand = _best_split(
-                    columns[f, order], residual[order], params.min_samples_leaf
-                )
-                if cand is not None and (best is None or cand[0] > best[1]):
-                    best = (f, cand[0], cand[1])
-        if best is None:
-            fitted[idx] = value[node]
-            return node
-        f, _, thr = best
-        go_left = columns[f, idx] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        in_left[idx] = go_left
-        left_sorted, right_sorted = [], []
-        for order in sorted_idx:
-            mask = in_left[order]
-            left_sorted.append(order[mask])
-            right_sorted.append(order[~mask])
-        left[node] = build(idx[go_left], left_sorted, depth + 1)
-        right[node] = build(idx[~go_left], right_sorted, depth + 1)
-        return node
-
-    build(np.arange(n), list(orders), 0)
+    build(stack[d], stack, values, 0)
+    feature, threshold, left, right, value = zip(*nodes)
     tree = _Tree(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=np.intp),
-        right=np.array(right, dtype=np.intp),
-        value=np.array(value),
+        np.array(feature, dtype=np.intp), np.array(threshold),
+        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), np.array(value),
     )
     return tree, fitted
 
@@ -388,9 +375,12 @@ def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
     # the columns never change, so each is sorted once per fit
     columns = np.ascontiguousarray(train.features.T)
     orders = np.argsort(columns, axis=1, kind="stable")
+    stack = np.vstack([orders, np.arange(train.n)])
+    values = np.take_along_axis(columns, orders, axis=1)
+    counts = np.maximum(np.arange(train.n + 1.0), 1.0)
     trees = []
     for _ in range(params.n_trees):
-        tree, fitted = _grow_tree(columns, orders, residual, params)
+        tree, fitted = _grow_tree(stack, values, residual, counts, params)
         residual = residual - params.learning_rate * fitted
         trees.append(tree)
     return GbtModel(
@@ -458,49 +448,59 @@ def clamp_sigma_e_squared(sigma_e_squared: float, labels) -> float:
     return max(float(sigma_e_squared), _SIGMA_CLAMP_FRAC * label_var)
 
 
-def _tree_from_json(doc: dict, n_features: int, index: int) -> _Tree:
-    tree = _Tree(
+def _tree_from_json(doc: dict) -> _Tree:
+    return _Tree(
         feature=np.array(doc["feature"], dtype=np.intp),
-        threshold=np.array(
-            [math.nan if t is None else float(t) for t in doc["threshold"]]
-        ),
+        threshold=np.array(doc["threshold"], dtype=float),  # null reads as NaN
         left=np.array(doc["left"], dtype=np.intp),
         right=np.array(doc["right"], dtype=np.intp),
         value=np.array(doc["value"], dtype=float),
     )
-    problem = _tree_problem(tree, n_features)
-    if problem:
-        raise ValidationError(f"tree {index}: {problem}")
-    return tree
 
 
-def _tree_problem(tree: _Tree, n_features: int) -> str | None:
-    """Why ``tree`` is not a binary tree rooted at node 0, or None.
+def _check_trees(trees: tuple[_Tree, ...], n_features: int) -> None:
+    """Name the first tree that is not a binary tree rooted at node 0, and why.
 
     Children must come after their parent (so no path cycles) and every node
-    but the root must be the child of exactly one node.
+    but the root must be the child of exactly one node.  The checks run once
+    over the nodes of all the trees before the first misshapen one.
     """
-    n = tree.feature.size
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    if n == 0 or any(a.shape != (n,) for a in arrays):
-        return "the tree's arrays must be non-empty and of equal length"
-    leaf = tree.feature == -1
-    if np.any(tree.left[leaf] != -1) or np.any(tree.right[leaf] != -1):
-        return "a leaf (feature -1) has a child"
-    inner = np.flatnonzero(~leaf)
-    children = np.concatenate([tree.left[inner], tree.right[inner]])
-    if np.any(children <= np.tile(inner, 2)) or np.any(children >= n):
-        return "a child index is out of range or not after its parent"
-    if not np.array_equal(np.sort(children), np.arange(1, n)):
-        return "a node other than the root is not the child of exactly one node"
-    if np.any(tree.feature[inner] >= n_features) or np.any(tree.feature[inner] < 0):
-        return f"a split feature is outside [0, {n_features})"
-    # an infinite threshold is still a split (x <= t is defined); NaN is not
-    if np.any(np.isnan(tree.threshold[inner])):
-        return "a split threshold is null or NaN"
-    if not np.all(np.isfinite(tree.value[leaf])):
-        return "a leaf value is not finite"
-    return None
+    arrays = [(t.feature, t.threshold, t.left, t.right, t.value) for t in trees]
+    shaped = next(
+        (i for i, a in enumerate(arrays) if a[0].size == 0 or any(x.shape != a[0].shape for x in a)),
+        len(trees),
+    )
+    first, problem = shaped, "the tree's arrays must be non-empty and of equal length"
+    if shaped:
+        feature, threshold, left, right, value = map(np.concatenate, zip(*arrays[:shaped]))
+        sizes = np.array([a[0].size for a in arrays[:shaped]])
+        tree = np.repeat(np.arange(shaped), sizes)
+        start = (np.cumsum(sizes) - sizes)[tree]
+        index, size = np.arange(tree.size) - start, sizes[tree]  # within its tree
+        leaf = feature == -1
+        inner = ~leaf
+        unordered = inner & ((left <= index) | (left >= size) | (right <= index) | (right >= size))
+        linked = inner & ~unordered
+        parents = np.bincount(
+            np.concatenate([left[linked], right[linked]]) + np.tile(start[linked], 2),
+            minlength=tree.size,
+        )
+        problems = (
+            (leaf & ((left != -1) | (right != -1)), "a leaf (feature -1) has a child"),
+            (unordered, "a child index is out of range or not after its parent"),
+            ((index > 0) & (parents != 1),
+             "a node other than the root is not the child of exactly one node"),
+            (inner & ((feature >= n_features) | (feature < 0)),
+             f"a split feature is outside [0, {n_features})"),
+            # an infinite threshold is still a split (x <= t is defined); NaN is not
+            (inner & np.isnan(threshold), "a split threshold is null or NaN"),
+            (leaf & ~np.isfinite(value), "a leaf value is not finite"),
+        )
+        for bad, why in problems:
+            if bad.any() and tree[bad][0] < first:
+                first, problem = int(tree[bad][0]), why
+    if first < len(trees):
+        raise ValidationError(f"tree {first}: {problem}")
 
 
 def model_to_json(model: PredictiveModel) -> dict:
@@ -530,11 +530,10 @@ def model_from_json(doc: dict) -> PredictiveModel:
             )
         if kind == "gbt":
             n_features = int(doc["n_features"])
+            trees = tuple(_tree_from_json(t) for t in doc["trees"])
+            _check_trees(trees, n_features)
             return GbtModel(
-                trees=tuple(
-                    _tree_from_json(t, n_features, i)
-                    for i, t in enumerate(doc["trees"])
-                ),
+                trees=trees,
                 learning_rate=_finite(float(doc["learning_rate"]), "learning_rate"),
                 base_score=_finite(float(doc["base_score"]), "base_score"),
                 n_features=n_features,

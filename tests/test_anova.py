@@ -61,6 +61,17 @@ class CountingModel:
         return x @ np.arange(1.0, self.d_x + 1)
 
 
+class RowCountingModel:
+    """Wraps a model, recording the row count of every predict_batch call."""
+
+    def __init__(self, model):
+        self.model, self.d_x, self.rows = model, model.d_x, []
+
+    def predict_batch(self, x):
+        self.rows.append(x.shape[0])
+        return self.model.predict_batch(x)
+
+
 def standard_normal_priors(d: int) -> FeaturePriors:
     gmm = GaussianMixture1D(components=((1.0, 0.0, 1.0),))
     return FeaturePriors(per_feature=(gmm,) * d)
@@ -230,6 +241,30 @@ class TestCoalitions:
                     assert (model.calls == calls) == kept, (q, p, c)
                     # drop a batch this check predicted again, as before it
                     coalitions.release(q)
+
+
+    @pytest.mark.parametrize("kind", ["linear", "gbt"])
+    def test_each_distinct_background_row_predicted_once(
+        self, kind, linear_outlier, small_gbt, outlier_data
+    ):
+        # 400 rows resampled from 40: every row repeats
+        rows = Dataset(
+            features=outlier_data.features[-40:],
+            labels=outlier_data.labels[-40:],
+            feature_names=outlier_data.feature_names,
+        )
+        bg = draw_background(rows, 400, seed=6)
+        distinct = len({row.tobytes() for row in bg.points})
+        model = {"linear": linear_outlier, "gbt": small_gbt}[kind]
+        counting = RowCountingModel(model)
+        coalitions = _Coalitions(counting, bg)
+        x = outlier_data.features[17]
+        every = [c for size in range(4) for c in itertools.combinations(range(3), size)]
+        for c in every:
+            pinned = bg.points.copy()
+            pinned[:, list(c)] = x[list(c)]
+            assert coalitions.rows(x, c).tobytes() == model.predict_batch(pinned).tobytes()
+        assert counting.rows == [distinct] * len(every)
 
 
 class TestDecomposeDeviation:

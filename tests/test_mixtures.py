@@ -245,6 +245,21 @@ class TestGaussianMixture1D:
         b = gmm.sample(np.random.default_rng(3), 100)
         assert np.array_equal(a, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gmm=mixtures(k_max=8),
+        n=st.sampled_from([0, 1, 7, 2000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_draws_as_rng_choice(self, gmm, n, seed):
+        # the same components, normals and stream position as rng.choice
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = gmm.sample(rng, n)
+        comps = twin.choice(gmm.k, size=n, p=gmm.weights)
+        expected = gmm.means[comps] + gmm.stds[comps] * twin.standard_normal(n)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
     def test_from_spec_squares_stds(self):
         gmm = mixture_from_json({"weights": [1.0], "means": [1.0], "stds": [3.0]})
         assert gmm.variances[0] == 9.0

@@ -1,12 +1,20 @@
 """Linear and boosted-tree forward models, residual stats, serialization."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import devexplain
+from devexplain import models
 from devexplain.dataset import Dataset
 from devexplain.errors import NumericalError, SingularFitError, ValidationError
 from devexplain.models import (
@@ -247,6 +255,133 @@ class TestBatchEvaluator:
         assert np.array_equal(model.predict_batch(xs), textbook_predict(model, xs))
 
 
+def textbook_best_split(xs, rs, min_leaf):
+    """Max variance-reduction threshold for one feature, or None.
+
+    ``xs`` is the node's column sorted ascending, ties in row order, and
+    ``rs`` the residuals in that order.  Returns (gain, threshold); among
+    equal gains the lowest threshold wins because argmax takes the first of
+    the sorted candidates.
+    """
+    n = xs.size
+    if n < 2 * min_leaf:
+        return None
+    prefix = np.cumsum(rs)
+    total = prefix[-1]
+    sizes = np.arange(1, n)  # left-child sizes for a cut after position i-1
+    valid = (xs[:-1] < xs[1:]) & (sizes >= min_leaf) & (n - sizes >= min_leaf)
+    if not valid.any():
+        return None
+    left_sum = prefix[:-1]
+    # SSE reduction = S_L^2/n_L + S_R^2/n_R - S^2/n, constant term dropped
+    score = left_sum**2 / sizes + (total - left_sum) ** 2 / (n - sizes)
+    score[~valid] = -np.inf
+    best = int(np.argmax(score))
+    gain = float(score[best] - total**2 / n)
+    if gain <= 0:
+        return None
+    threshold = float((xs[best] + xs[best + 1]) / 2.0)
+    return gain, threshold
+
+
+def textbook_grow_tree(columns, orders, residual, params):
+    """The textbook grower: one split search per (node, feature).
+
+    ``columns`` is the features transposed and ``orders[f]`` the stable
+    argsort of ``columns[f]``; each node keeps, per feature, its rows in that
+    order.  Returns the tree's (feature, threshold, left, right, value)
+    arrays, in preorder, and its value at every training row.
+    """
+    fitted = np.empty(columns.shape[1])
+    nodes = []
+    in_left = np.empty(columns.shape[1], dtype=bool)
+
+    def build(idx, sorted_idx, depth):
+        node = len(nodes)
+        nodes.append([-1, math.nan, -1, -1, float(residual[idx].mean())])
+        best = None
+        if depth < params.max_depth:
+            for f, order in enumerate(sorted_idx):  # lowest feature index wins ties
+                cand = textbook_best_split(
+                    columns[f, order], residual[order], params.min_samples_leaf
+                )
+                if cand is not None and (best is None or cand[0] > best[1]):
+                    best = (f, cand[0], cand[1])
+        if best is None:
+            fitted[idx] = nodes[node][4]
+            return node
+        f, _, thr = best
+        go_left = columns[f, idx] <= thr
+        nodes[node][:2] = f, thr
+        in_left[idx] = go_left
+        left_sorted = [order[in_left[order]] for order in sorted_idx]
+        right_sorted = [order[~in_left[order]] for order in sorted_idx]
+        nodes[node][2] = build(idx[go_left], left_sorted, depth + 1)
+        nodes[node][3] = build(idx[~go_left], right_sorted, depth + 1)
+        return node
+
+    build(np.arange(columns.shape[1]), list(orders), 0)
+    feature, threshold, left, right, value = zip(*nodes)
+    arrays = (
+        np.array(feature, dtype=np.intp), np.array(threshold),
+        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp), np.array(value),
+    )
+    return arrays, fitted
+
+
+class TestGrowerOracle:
+    """fit_gbt grows every tree as the textbook grower does, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        d=st.integers(1, 4),
+        ties=st.booleans(),
+        constant=st.booleans(),
+        max_depth=st.integers(1, 5),
+        min_leaf=st.integers(1, 8),
+    )
+    @example(seed=0, n=60, d=4, ties=True, constant=True, max_depth=5, min_leaf=1)
+    @example(seed=1, n=60, d=3, ties=False, constant=False, max_depth=3, min_leaf=8)
+    def test_trees_and_fitted_values_match(
+        self, seed, n, d, ties, constant, max_depth, min_leaf
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 2.0, size=(n, d))
+        if ties:
+            x = np.round(x, 1)
+        if constant:
+            x[:, rng.integers(d)] = 0.5
+        y = np.round(x[:, 0] ** 2 + rng.normal(size=n), 2)
+        data = Dataset(features=x, labels=y, feature_names=tuple(f"x{i}" for i in range(d)))
+        params = GbtParams(
+            n_trees=3, max_depth=max_depth, learning_rate=0.5,
+            min_samples_leaf=min(min_leaf, n // 2),
+        )
+        grown = []
+
+        def spy(*args):
+            grown.append(grow(*args))
+            return grown[-1]
+
+        grow = models._grow_tree
+        with mock.patch.object(models, "_grow_tree", spy):
+            model = fit_gbt(data, params)
+        assert len(grown) == len(model.trees)
+        assert all(tree is kept for (tree, _), kept in zip(grown, model.trees))
+        columns = np.ascontiguousarray(x.T)
+        orders = np.argsort(columns, axis=1, kind="stable")
+        residual = y - model.base_score
+        for tree, fitted in grown:
+            arrays, want_fitted = textbook_grow_tree(columns, orders, residual, params)
+            got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+            for a, b in zip(got, arrays):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert fitted.tobytes() == want_fitted.tobytes()
+            residual = residual - params.learning_rate * want_fitted
+
+
 class TestFitGbt:
     def test_single_stump_fits_step(self):
         x = np.linspace(-1, 1, 40).reshape(-1, 1)
@@ -427,3 +562,43 @@ class TestModelJson:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             model_from_json({"schema": 1, "kind": "forest"})
+
+    def test_first_bad_tree_is_named(self):
+        # tree 1 has an out-of-range feature, tree 2 a cycle, tree 3 is short
+        doc, _ = random_gbt_doc(
+            seed=3, n_trees=5, max_depth=2, split_prob=1.0, n_features=2, n_split=2,
+            n_thresholds=4,
+        )
+        doc["trees"][1]["feature"][0] = 5
+        doc["trees"][2]["left"][0] = 0
+        doc["trees"][3]["value"].pop()
+        with pytest.raises(ValidationError, match=r"^tree 1: a split feature is outside"):
+            model_from_json(doc)
+        doc["trees"][1]["feature"][0] = 0
+        with pytest.raises(ValidationError, match=r"^tree 2: a child index"):
+            model_from_json(doc)
+        doc["trees"][2]["left"][0] = 1
+        with pytest.raises(ValidationError, match=r"^tree 3: the tree's arrays"):
+            model_from_json(doc)
+
+
+def test_gbt_fit_predict_and_reload_never_import_numpy_ma():
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from devexplain.dataset import Dataset\n"
+        "from devexplain.models import GbtParams, fit_gbt, model_from_json, model_to_json\n"
+        "rng = np.random.default_rng(0)\n"
+        "x = rng.normal(size=(80, 3))\n"
+        "data = Dataset(features=x, labels=x[:, 0] - x[:, 1], feature_names=('a', 'b', 'c'))\n"
+        "model = fit_gbt(data, GbtParams(n_trees=10))\n"
+        "again = model_from_json(json.loads(json.dumps(model_to_json(model))))\n"
+        "assert np.array_equal(again.predict_batch(x), model.predict_batch(x))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(devexplain.__file__).resolve().parents[1])},
+    )
+    assert out.stdout.split() == ["False"]
