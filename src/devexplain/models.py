@@ -467,7 +467,8 @@ def _check_trees(trees: tuple[_Tree, ...], n_features: int) -> None:
     """
     arrays = [(t.feature, t.threshold, t.left, t.right, t.value) for t in trees]
     shaped = next(
-        (i for i, a in enumerate(arrays) if a[0].size == 0 or any(x.shape != a[0].shape for x in a)),
+        (i for i, a in enumerate(arrays)
+         if a[0].size == 0 or any(x.shape != (a[0].size,) for x in a)),
         len(trees),
     )
     first, problem = shaped, "the tree's arrays must be non-empty and of equal length"

@@ -580,6 +580,11 @@ class TestModelJson:
         doc["trees"][2]["left"][0] = 1
         with pytest.raises(ValidationError, match=r"^tree 3: the tree's arrays"):
             model_from_json(doc)
+        # arrays of one shape that is not a plain list
+        doc["trees"][3]["value"].append(0.0)
+        doc["trees"][4] = {k: [[v] for v in column] for k, column in doc["trees"][4].items()}
+        with pytest.raises(ValidationError, match=r"^tree 4: the tree's arrays"):
+            model_from_json(doc)
 
 
 def test_gbt_fit_predict_and_reload_never_import_numpy_ma():
