@@ -103,7 +103,7 @@ class _Coalitions:
             raise ValidationError(
                 f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
             )
-        self.model, self.bg = model, bg
+        self.model = model
         self._distinct, inverse = np.unique(bg.points, axis=0, return_inverse=True)
         self._inverse = inverse.reshape(-1)
         self._points = np.asarray(points, dtype=float).reshape(-1, bg.d_x)
