@@ -2,20 +2,22 @@
 
 Usage:
 
-    python3 scripts/bench_pairs.py BASE [--change REV] [--fit-pairs 9] \
-        [--run-pairs trimodal-mean-gbt=10 trimodal-mode-linear=6] \
-        [--seconds 25] [--seed 3] [--out FILE.json]
+    python3 scripts/bench_pairs.py BASE [--change REV] \
+        [--workloads trimodal-mean-gbt trimodal-mode-linear] \
+        [--seed 3] [--out FILE.json]
 
 BASE and CHANGE (default ``HEAD``) are git revisions; each is exported with
 ``git archive`` into its own temporary directory (under ``$TMPDIR`` when it
-is set), so both sides run their committed files.  Two kinds of pair:
+is set), so both sides run their committed files.  Two kinds of pair,
+``PAIRS`` of each:
 
 - ``fit_gbt``: in a fresh interpreter per side, ``fit_gbt`` on the
   trimodal-mean-gbt training rows (``synth --preset trimodal --n 2000
   --seed 3``, the 0.8 train split of ``fit --seed 3``: 1,600 rows), 300
   trees of depth 3.  One untimed fit, then the CPU time of one fit.
-- ``perfbench``: ``perfbench/run.py --workload W --seed SEED --seconds S
-  --trace 0`` from each side's checkout; its end-to-end metrics.
+- ``perfbench``: ``perfbench/run.py --workload W --seed SEED --trace 0``
+  from each side's checkout, at the run length it configures; its
+  end-to-end metrics.
 
 Odd pairs run the base first, even pairs the change first.  For each
 number the record keeps every pair, both medians, the base's quartiles
@@ -37,6 +39,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_SEED = "3"  # the trimodal data seed of perfbench, and its fit split seed
+PAIRS = 10  # the fewest pairs that can show a gain: the change must win 9 of 10
 FIT = """
 import sys, time
 from devexplain.dataset import load_csv, split
@@ -71,8 +74,7 @@ def python(tree: Path, *args: str, cwd: Path) -> str:
 
 
 def summary(base: list[float], change: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(base * 2 if len(base) < 2 else base, n=4,
-                                     method="inclusive")
+    q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
     return {
         "base": base,
         "change": change,
@@ -84,10 +86,10 @@ def summary(base: list[float], change: list[float]) -> dict:
     }
 
 
-def interleave(pairs: int, sides: dict, measure) -> dict:
+def interleave(sides: dict, measure) -> dict:
     """``measure(tree)`` on both sides, alternating which goes first."""
     values = {name: [] for name in sides}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for name in order:
             values[name].append(measure(sides[name]))
@@ -99,9 +101,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--fit-pairs", type=int, default=9)
-    parser.add_argument("--run-pairs", nargs="*", default=[], metavar="WORKLOAD=N")
-    parser.add_argument("--seconds", default="25")
+    parser.add_argument("--workloads", nargs="*", default=[],
+                        help="perfbench workloads to pair after the fits")
     parser.add_argument("--seed", default="3", help="the perfbench workload seed")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
@@ -121,34 +122,32 @@ def main(argv=None) -> int:
                  "change": export(args.change, tmp / "change")}
         record["machine"]["numpy"] = python(
             sides["base"], "-c", "import numpy; print(numpy.__version__)", cwd=tmp).strip()
-        if args.fit_pairs:
-            python(sides["change"], "-m", "devexplain.cli", "synth", "--preset", "trimodal",
-                   "--n", "2000", "--seed", DATA_SEED, "--out", str(tmp / "data"), cwd=tmp)
-            csv = str(tmp / "data" / "synthetic.csv")
+        python(sides["change"], "-m", "devexplain.cli", "synth", "--preset", "trimodal",
+               "--n", "2000", "--seed", DATA_SEED, "--out", str(tmp / "data"), cwd=tmp)
+        csv = str(tmp / "data" / "synthetic.csv")
 
-            def fit_seconds(tree):
-                n, seconds = python(tree, "-c", FIT, csv, cwd=tmp).split()
-                if n != "1600":
-                    raise SystemExit(f"expected 1,600 training rows, got {n}")
-                return float(seconds)
+        def fit_seconds(tree):
+            n, seconds = python(tree, "-c", FIT, csv, cwd=tmp).split()
+            if n != "1600":
+                raise SystemExit(f"expected 1,600 training rows, got {n}")
+            return float(seconds)
 
-            fit = summary(*interleave(args.fit_pairs, sides, fit_seconds).values())
-            fit["ratios"] = [c / b for b, c in zip(fit["base"], fit["change"])]
-            fit["median_ratio"] = statistics.median(fit["ratios"])
-            record["fit_gbt_cpu_s"] = fit
-        for spec in args.run_pairs:
-            workload, pairs = spec.split("=")
+        fit = summary(*interleave(sides, fit_seconds).values())
+        fit["ratios"] = [c / b for b, c in zip(fit["base"], fit["change"])]
+        fit["median_ratio"] = statistics.median(fit["ratios"])
+        record["fit_gbt_cpu_s"] = fit
+        for workload in args.workloads:
 
             def run(tree):
                 out = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload,
-                     "--seed", args.seed, "--seconds", args.seconds, "--trace", "0"],
+                     "--seed", args.seed, "--trace", "0"],
                     cwd=tree, capture_output=True, text=True)
                 result = json.loads(out.stdout.splitlines()[-1])
                 metrics = {k: m["value"] for k, m in result["metrics"].items()}
                 return {**metrics, "correct": result["correct"], "failed": result["failed"]}
 
-            runs = interleave(int(pairs), sides, run)
+            runs = interleave(sides, run)
             record[workload] = {
                 "runs_correct": all(r["correct"] for side in runs.values() for r in side),
                 "failed": sum(r["failed"] for side in runs.values() for r in side),

@@ -92,10 +92,11 @@ class _Coalitions:
     of the values pinned to it, until ``release`` drops it.  ``points``
     lists, in order, the points a caller will pin.
 
-    A batch holds each distinct background row once and its predictions
-    are scattered back to the NP rows.  Every batch, the full coalition's
-    too, has the same shape, so a model whose row values depend on the
-    batch's size still differences like with like.
+    A batch from a resampled background holds each distinct row once and
+    its predictions are scattered back to the NP rows; draws from priors
+    do not repeat, so their batches hold the NP rows as they are.  Every
+    batch, the full coalition's too, has the same shape, so a model whose
+    row values depend on the batch's size still differences like with like.
     """
 
     def __init__(self, model, bg: BackgroundSample, points=()):
@@ -104,8 +105,11 @@ class _Coalitions:
                 f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
             )
         self.model = model
-        self._distinct, inverse = np.unique(bg.points, axis=0, return_inverse=True)
-        self._inverse = inverse.reshape(-1)
+        if bg.source == DATASET_RESAMPLED:
+            self._distinct, inverse = np.unique(bg.points, axis=0, return_inverse=True)
+            self._inverse = inverse.reshape(-1)
+        else:
+            self._distinct, self._inverse = bg.points, slice(None)
         self._points = np.asarray(points, dtype=float).reshape(-1, bg.d_x)
         self._batches = {}
         self._last_use = {}

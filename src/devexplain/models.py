@@ -119,7 +119,7 @@ def _threshold_tables(trees: tuple[_Tree, ...], learning_rate: float):
     threshold = np.concatenate([t.threshold[t.feature >= 0] for t in trees])
     features = []
     for f in range(feature.max(initial=-1) + 1):
-        # np.unique, which would import numpy.ma: a sort and a neighbour compare
+        # a sort and a neighbour compare: numpy 2.4's np.unique imports numpy.ma
         t = np.sort(threshold[feature == f])
         if t.size:
             features.append((f, t[np.concatenate(([True], t[1:] != t[:-1]))]))
@@ -448,60 +448,47 @@ def clamp_sigma_e_squared(sigma_e_squared: float, labels) -> float:
     return max(float(sigma_e_squared), _SIGMA_CLAMP_FRAC * label_var)
 
 
-def _tree_from_json(doc: dict) -> _Tree:
-    return _Tree(
+def _tree_from_json(doc: dict, n_features: int, index: int) -> _Tree:
+    tree = _Tree(
         feature=np.array(doc["feature"], dtype=np.intp),
         threshold=np.array(doc["threshold"], dtype=float),  # null reads as NaN
         left=np.array(doc["left"], dtype=np.intp),
         right=np.array(doc["right"], dtype=np.intp),
         value=np.array(doc["value"], dtype=float),
     )
+    problem = _tree_problem(tree, n_features)
+    if problem:
+        raise ValidationError(f"tree {index}: {problem}")
+    return tree
 
 
-def _check_trees(trees: tuple[_Tree, ...], n_features: int) -> None:
-    """Name the first tree that is not a binary tree rooted at node 0, and why.
+def _tree_problem(tree: _Tree, n_features: int) -> str | None:
+    """Why ``tree`` is not a binary tree rooted at node 0, or None.
 
     Children must come after their parent (so no path cycles) and every node
-    but the root must be the child of exactly one node.  The checks run once
-    over the nodes of all the trees before the first misshapen one.
+    but the root must be the child of exactly one node.
     """
-    arrays = [(t.feature, t.threshold, t.left, t.right, t.value) for t in trees]
-    shaped = next(
-        (i for i, a in enumerate(arrays)
-         if a[0].size == 0 or any(x.shape != (a[0].size,) for x in a)),
-        len(trees),
-    )
-    first, problem = shaped, "the tree's arrays must be non-empty and of equal length"
-    if shaped:
-        feature, threshold, left, right, value = map(np.concatenate, zip(*arrays[:shaped]))
-        sizes = np.array([a[0].size for a in arrays[:shaped]])
-        tree = np.repeat(np.arange(shaped), sizes)
-        start = (np.cumsum(sizes) - sizes)[tree]
-        index, size = np.arange(tree.size) - start, sizes[tree]  # within its tree
-        leaf = feature == -1
-        inner = ~leaf
-        unordered = inner & ((left <= index) | (left >= size) | (right <= index) | (right >= size))
-        linked = inner & ~unordered
-        parents = np.bincount(
-            np.concatenate([left[linked], right[linked]]) + np.tile(start[linked], 2),
-            minlength=tree.size,
-        )
-        problems = (
-            (leaf & ((left != -1) | (right != -1)), "a leaf (feature -1) has a child"),
-            (unordered, "a child index is out of range or not after its parent"),
-            ((index > 0) & (parents != 1),
-             "a node other than the root is not the child of exactly one node"),
-            (inner & ((feature >= n_features) | (feature < 0)),
-             f"a split feature is outside [0, {n_features})"),
-            # an infinite threshold is still a split (x <= t is defined); NaN is not
-            (inner & np.isnan(threshold), "a split threshold is null or NaN"),
-            (leaf & ~np.isfinite(value), "a leaf value is not finite"),
-        )
-        for bad, why in problems:
-            if bad.any() and tree[bad][0] < first:
-                first, problem = int(tree[bad][0]), why
-    if first < len(trees):
-        raise ValidationError(f"tree {first}: {problem}")
+    n = tree.feature.size
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    if n == 0 or any(a.shape != (n,) for a in arrays):
+        return "the tree's arrays must be non-empty and of equal length"
+    leaf = tree.feature == -1
+    if np.any(tree.left[leaf] != -1) or np.any(tree.right[leaf] != -1):
+        return "a leaf (feature -1) has a child"
+    inner = np.flatnonzero(~leaf)
+    children = np.concatenate([tree.left[inner], tree.right[inner]])
+    if np.any(children <= np.tile(inner, 2)) or np.any(children >= n):
+        return "a child index is out of range or not after its parent"
+    if not np.array_equal(np.sort(children), np.arange(1, n)):
+        return "a node other than the root is not the child of exactly one node"
+    if np.any(tree.feature[inner] >= n_features) or np.any(tree.feature[inner] < 0):
+        return f"a split feature is outside [0, {n_features})"
+    # an infinite threshold is still a split (x <= t is defined); NaN is not
+    if np.any(np.isnan(tree.threshold[inner])):
+        return "a split threshold is null or NaN"
+    if not np.all(np.isfinite(tree.value[leaf])):
+        return "a leaf value is not finite"
+    return None
 
 
 def model_to_json(model: PredictiveModel) -> dict:
@@ -531,10 +518,11 @@ def model_from_json(doc: dict) -> PredictiveModel:
             )
         if kind == "gbt":
             n_features = int(doc["n_features"])
-            trees = tuple(_tree_from_json(t) for t in doc["trees"])
-            _check_trees(trees, n_features)
             return GbtModel(
-                trees=trees,
+                trees=tuple(
+                    _tree_from_json(t, n_features, i)
+                    for i, t in enumerate(doc["trees"])
+                ),
                 learning_rate=_finite(float(doc["learning_rate"]), "learning_rate"),
                 base_score=_finite(float(doc["base_score"]), "base_score"),
                 n_features=n_features,

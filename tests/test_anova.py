@@ -243,17 +243,18 @@ class TestCoalitions:
                     coalitions.release(q)
 
 
+    @pytest.mark.parametrize("source", ["resampled", "prior"])
     @pytest.mark.parametrize("kind", ["linear", "gbt"])
     def test_each_distinct_background_row_predicted_once(
-        self, kind, linear_outlier, small_gbt, outlier_data
+        self, kind, source, linear_outlier, small_gbt, outlier_data, exact_priors
     ):
-        # 400 rows resampled from 40: every row repeats
+        # 400 rows resampled from 40: every row repeats; 400 prior draws do not
         rows = Dataset(
             features=outlier_data.features[-40:],
             labels=outlier_data.labels[-40:],
             feature_names=outlier_data.feature_names,
         )
-        bg = draw_background(rows, 400, seed=6)
+        bg = draw_background(rows if source == "resampled" else exact_priors, 400, seed=6)
         distinct = len({row.tobytes() for row in bg.points})
         model = {"linear": linear_outlier, "gbt": small_gbt}[kind]
         counting = RowCountingModel(model)

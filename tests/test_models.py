@@ -591,6 +591,7 @@ def test_gbt_fit_predict_and_reload_never_import_numpy_ma():
     script = (
         "import json, sys\n"
         "import numpy as np\n"
+        "print('numpy.ma' in sys.modules)\n"
         "from devexplain.dataset import Dataset\n"
         "from devexplain.models import GbtParams, fit_gbt, model_from_json, model_to_json\n"
         "rng = np.random.default_rng(0)\n"
@@ -606,4 +607,7 @@ def test_gbt_fit_predict_and_reload_never_import_numpy_ma():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(devexplain.__file__).resolve().parents[1])},
     )
-    assert out.stdout.split() == ["False"]
+    with_numpy, after = out.stdout.split()
+    if with_numpy == "True":
+        pytest.skip(f"numpy {np.__version__} imports numpy.ma with numpy itself")
+    assert after == "False"
