@@ -19,34 +19,34 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, _frozen_array
+from .dataset import Dataset, _distinct_rows, _frozen_array
 from .errors import ValidationError
 from .mixtures import FeaturePriors
-
-PRIOR_SAMPLED = "prior-sampled"
-DATASET_RESAMPLED = "dataset-resampled"
 
 
 @dataclass(frozen=True)
 class BackgroundSample:
-    """NP feature vectors the conditional expectations average over."""
+    """NP feature vectors the conditional expectations average over: each
+    distinct row once in ``distinct`` (rows match bit for bit) and ``points``
+    equal to ``distinct[inverse]``, both found here however rows were drawn."""
 
     points: np.ndarray
-    source: str
-    seed: int
+    distinct: np.ndarray = field(init=False, repr=False, compare=False)
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _frozen_array(np.atleast_2d(self.points)))
-        if self.points.shape[0] < 1:
-            raise ValidationError("background needs at least one row")
+        if 0 in self.points.shape:
+            raise ValidationError("background needs at least one row and one column")
         if not np.all(np.isfinite(self.points)):
             raise ValidationError("background contains non-finite entries")
-        if self.source not in (PRIOR_SAMPLED, DATASET_RESAMPLED):
-            raise ValidationError(f"unknown background source {self.source!r}")
+        first, inverse = _distinct_rows(self.points)
+        object.__setattr__(self, "distinct", _frozen_array(self.points[first]))
+        object.__setattr__(self, "inverse", _frozen_array(inverse, dtype=np.intp))
 
     @property
     def np_used(self) -> int:
@@ -69,19 +69,16 @@ def draw_background(priors_or_data, np_count: int, seed: int) -> BackgroundSampl
     rng = np.random.default_rng(seed)
     if isinstance(priors_or_data, FeaturePriors):
         points = priors_or_data.sample(rng, np_count)
-        source = PRIOR_SAMPLED
     elif isinstance(priors_or_data, Dataset):
         if priors_or_data.n == 0:
             raise ValidationError("cannot resample an empty dataset")
-        idx = rng.integers(0, priors_or_data.n, size=np_count)
-        points = priors_or_data.features[idx]
-        source = DATASET_RESAMPLED
+        points = priors_or_data.features[rng.integers(0, priors_or_data.n, size=np_count)]
     else:
         raise ValidationError(
             "background source must be FeaturePriors or Dataset, "
             f"got {type(priors_or_data).__name__}"
         )
-    return BackgroundSample(points=points, source=source, seed=seed)
+    return BackgroundSample(points)
 
 
 class _Coalitions:
@@ -92,11 +89,9 @@ class _Coalitions:
     of the values pinned to it, until ``release`` drops it.  ``points``
     lists, in order, the points a caller will pin.
 
-    A batch from a resampled background holds each distinct row once and
-    its predictions are scattered back to the NP rows; draws from priors
-    do not repeat, so their batches hold the NP rows as they are.  Every
-    batch, the full coalition's too, has the same shape, so a model whose
-    row values depend on the batch's size still differences like with like.
+    A batch predicts each distinct background row once and scatters the
+    results to the NP rows: every batch has one shape, so a model whose row
+    values depend on the batch's size still differences like with like.
     """
 
     def __init__(self, model, bg: BackgroundSample, points=()):
@@ -105,11 +100,7 @@ class _Coalitions:
                 f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
             )
         self.model = model
-        if bg.source == DATASET_RESAMPLED:
-            self._distinct, inverse = np.unique(bg.points, axis=0, return_inverse=True)
-            self._inverse = inverse.reshape(-1)
-        else:
-            self._distinct, self._inverse = bg.points, slice(None)
+        self._distinct, self._inverse = bg.distinct, bg.inverse
         self._points = np.asarray(points, dtype=float).reshape(-1, bg.d_x)
         self._batches = {}
         self._last_use = {}

@@ -29,6 +29,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of a C-order 2-D array: ``rows[first]`` holds each
+    distinct row once, rows matching bit for bit, and ``rows[first][inverse]`` is ``rows``."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N observations of d_x features plus a scalar label per observation."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _distinct_rows
 from .errors import NumericalError, SearchFailureError, ValidationError
 from .mixtures import FeaturePriors, _log_prior_and_resp, log_density, modes
 from .models import PredictiveModel, _dot
@@ -211,8 +212,7 @@ def _cell_ascent(obj: PosteriorObjective, starts: np.ndarray) -> tuple[np.ndarra
             break
         keys = points[live]
         keys[:, i] = 0.0
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        _, first, shared = np.unique(keys, return_index=True, return_inverse=True)
+        first, shared = _distinct_rows(keys)
         rows = np.repeat(points[live[first]], cands.size, axis=0)
         rows[:, i] = np.tile(cands, first.size)
         misfit = (obj.y_target - obj.model.predict_batch(rows)).reshape(first.size, cands.size)

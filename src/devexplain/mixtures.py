@@ -77,12 +77,14 @@ class GaussianMixture1D:
         weights, means, variances = (np.array(column) for column in zip(*comps))
         cdf = weights.cumsum()  # rng.choice's component table
         cdf /= cdf[-1]
+        with np.errstate(divide="ignore"):  # a zero weight's log is -inf, as padding
+            log_w = np.log(weights)
         for name, value in (
             ("weights", weights),
             ("means", means),
             ("variances", variances),
             ("stds", np.sqrt(variances)),
-            ("_log_norm", np.log(weights) - 0.5 * np.log(2.0 * math.pi * variances)),
+            ("_log_norm", log_w - 0.5 * np.log(2.0 * math.pi * variances)),
             ("_mu", means),
             ("_two_var", 2.0 * variances),
             ("_cdf", cdf),

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from devexplain.anova import (
-    PRIOR_SAMPLED,
     BackgroundSample,
     decompose_deviation,
     draw_background,
@@ -310,16 +309,12 @@ def test_criterion_08_exactness_properties(linear_outlier, gbt10k, outlier_data)
 
     # dummy and symmetry, on integer-valued backgrounds so means are exact
     rng = np.random.default_rng(8)
-    int_bg = BackgroundSample(
-        points=rng.integers(-4, 5, size=(64, 3)).astype(float),
-        source=PRIOR_SAMPLED,
-        seed=8,
-    )
+    int_bg = BackgroundSample(points=rng.integers(-4, 5, size=(64, 3)).astype(float))
     dummy = shapley_values(_ColumnSkipper(), int_bg, [1.0, 5.0, 2.0])
     assert dummy.values[1] == 0.0
     twin_pts = int_bg.points.copy()
     twin_pts[:, 1] = twin_pts[:, 0]
-    twin_bg = BackgroundSample(points=twin_pts, source=PRIOR_SAMPLED, seed=8)
+    twin_bg = BackgroundSample(points=twin_pts)
     sym = shapley_values(_SymmetricPair(), twin_bg, [2.0, 2.0, -1.0])
     assert sym.values[0] == sym.values[1]
 

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devexplain.anova import (
-    DATASET_RESAMPLED,
-    PRIOR_SAMPLED,
     BackgroundSample,
     _Coalitions,
     decompose_deviation,
@@ -19,8 +17,9 @@ from devexplain.anova import (
     first_order_effect,
     second_order_effect,
 )
-from devexplain.attribution import ExplainSettings, explain, report_to_json
-from devexplain.dataset import Dataset
+from devexplain import anova, dataset
+from devexplain.attribution import ExplainSettings, explain, report_to_json, shapley_values
+from devexplain.dataset import Dataset, _distinct_rows
 from devexplain.errors import ValidationError
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D
 from devexplain.models import GbtParams, fit_gbt
@@ -61,6 +60,16 @@ class CountingModel:
         return x @ np.arange(1.0, self.d_x + 1)
 
 
+class StubModel:
+    """Stub: f is any row-wise callable."""
+
+    def __init__(self, fn, d_x: int):
+        self.fn, self.d_x = fn, d_x
+
+    def predict_batch(self, x):
+        return self.fn(x)
+
+
 class RowCountingModel:
     """Wraps a model, recording the row count of every predict_batch call."""
 
@@ -81,12 +90,10 @@ class TestDrawBackground:
     def test_single_prior_row(self, exact_priors):
         bg = draw_background(exact_priors, 1, seed=0)
         assert bg.points.shape == (1, 3)
-        assert bg.source == PRIOR_SAMPLED
         assert bg.np_used == 1
 
     def test_resample_rows_come_from_data(self, fixture_data):
         bg = draw_background(fixture_data, 50, seed=1)
-        assert bg.source == DATASET_RESAMPLED
         rows = {tuple(r) for r in fixture_data.features}
         assert all(tuple(r) in rows for r in bg.points)
 
@@ -114,9 +121,10 @@ class TestDrawBackground:
 
     def test_background_validation(self):
         with pytest.raises(ValidationError):
-            BackgroundSample(points=np.array([[np.inf]]), source=PRIOR_SAMPLED, seed=0)
-        with pytest.raises(ValidationError):
-            BackgroundSample(points=np.ones((2, 1)), source="elsewhere", seed=0)
+            BackgroundSample(points=np.array([[np.inf]]))
+        for empty in (np.empty((0, 2)), np.empty((2, 0))):
+            with pytest.raises(ValidationError):
+                BackgroundSample(points=empty)
 
 
 class TestFZero:
@@ -256,6 +264,8 @@ class TestCoalitions:
         )
         bg = draw_background(rows if source == "resampled" else exact_priors, 400, seed=6)
         distinct = len({row.tobytes() for row in bg.points})
+        assert bg.distinct[bg.inverse].tobytes() == bg.points.tobytes()
+        assert len({row.tobytes() for row in bg.distinct}) == len(bg.distinct) == distinct
         model = {"linear": linear_outlier, "gbt": small_gbt}[kind]
         counting = RowCountingModel(model)
         coalitions = _Coalitions(counting, bg)
@@ -266,6 +276,39 @@ class TestCoalitions:
             pinned[:, list(c)] = x[list(c)]
             assert coalitions.rows(x, c).tobytes() == model.predict_batch(pinned).tobytes()
         assert counting.rows == [distinct] * len(every)
+
+    def test_signed_zeros_are_distinct_rows(self):
+        # 0.0 == -0.0, but a model may tell them apart: rows match only bit for bit
+        data = Dataset(
+            features=[[0.0, 1.0], [-0.0, 1.0]], labels=[0.0, 0.0], feature_names=("a", "b")
+        )
+        bg = draw_background(data, 50, seed=0)
+        sign = StubModel(lambda x: np.copysign(1.0, x[:, 0]), 2)
+        assert len(bg.distinct) == 2
+        got = _Coalitions(sign, bg).rows(None, ())
+        assert got.tobytes() == sign.predict_batch(bg.points).tobytes()
+        assert abs(got.mean()) < 1.0
+
+    def test_background_sorted_once(self, linear_outlier, outlier_data, monkeypatch):
+        # the distinct rows are found when the background is drawn, not per call
+        bg = draw_background(outlier_data, 300, seed=7)
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return _distinct_rows(rows)
+
+        for module in (anova, dataset):
+            monkeypatch.setattr(module, "_distinct_rows", counted)
+        x, x_ref = outlier_data.features[-1], outlier_data.features[0]
+        for _ in range(2):
+            f_zero(linear_outlier, bg)
+            first_order_effect(linear_outlier, bg, 0, 1.5)
+            decompose_deviation(linear_outlier, bg, x, x_ref, 1.0, 0.0, order=2)
+            shapley_values(linear_outlier, bg, x)
+        assert calls == []
+        BackgroundSample(bg.points)
+        assert calls == [bg.points.shape]
 
 
 class TestDecomposeDeviation:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devexplain import attribution
-from devexplain.anova import BackgroundSample, PRIOR_SAMPLED, decompose_deviation, draw_background
+from devexplain.anova import BackgroundSample, decompose_deviation, draw_background
 from devexplain.attribution import (
     ExplainSettings,
     explain,
@@ -53,7 +53,7 @@ def integer_background(d, n=64, seed=0):
     # integer-valued floats keep every mean exact, so axiom checks can be bitwise
     rng = np.random.default_rng(seed)
     pts = rng.integers(-4, 5, size=(n, d)).astype(float)
-    return BackgroundSample(points=pts, source=PRIOR_SAMPLED, seed=seed)
+    return BackgroundSample(points=pts)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ class TestShapleyValues:
         bg = integer_background(3, seed=4)
         pts = bg.points.copy()
         pts[:, 1] = pts[:, 0]
-        twin_bg = BackgroundSample(points=pts, source=PRIOR_SAMPLED, seed=4)
+        twin_bg = BackgroundSample(points=pts)
         shap = shapley_values(model, twin_bg, [2.0, 2.0, -1.0])
         assert shap.values[0] == shap.values[1]
 
@@ -163,7 +163,7 @@ class TestShapleyValues:
 
     def test_dimension_limit(self):
         d = 21
-        bg = BackgroundSample(points=np.ones((2, d)), source=PRIOR_SAMPLED, seed=0)
+        bg = BackgroundSample(points=np.ones((2, d)))
         with pytest.raises(ValidationError):
             shapley_values(constant_model(0.0, d), bg, np.ones(d))
 
@@ -209,7 +209,7 @@ def backgrounds(draw, d):
 
 
 def shapley_of(fn, points, x_obs):
-    bg = BackgroundSample(points=points, source=PRIOR_SAMPLED, seed=0)
+    bg = BackgroundSample(points=points)
     return shapley_values(StubModel(fn, len(x_obs)), bg, x_obs)
 
 

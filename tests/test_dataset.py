@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from devexplain.anova import PRIOR_SAMPLED, BackgroundSample
+from devexplain.anova import BackgroundSample
 from devexplain.dataset import (
     Dataset,
     _json_doc,
@@ -53,7 +53,7 @@ class TestDataset:
             np.ones((2, 2)), np.ones(2), np.ones((3, 2)), np.ones(2)
         )
         data = Dataset(features=features, labels=labels, feature_names=("a", "b"))
-        bg = BackgroundSample(points=points, source=PRIOR_SAMPLED, seed=0)
+        bg = BackgroundSample(points=points)
         model = LinearModel(0.0, coef)
         for caller in (features, labels, points, coef):
             assert caller.flags.writeable

@@ -1,6 +1,7 @@
 """1-D Gaussian mixture fitting, model selection, modes, and z-scores."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,9 +205,11 @@ HARD_CASES = [
 
 @st.composite
 def mixtures(draw, k_max=4):
-    """1-k_max components, weights normalized from positive draws."""
+    """1-k_max components, weights normalized from draws that are zero or
+    positive, one of them positive."""
     k = draw(st.integers(1, k_max))
-    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    raw = draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=k, max_size=k))
+    raw[draw(st.integers(0, k - 1))] = draw(st.floats(0.05, 1.0))
     means = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
     # std >= 1 keeps the density below 0.4, so its log is never near 0
     stds = draw(st.lists(st.floats(1.0, 5.0), min_size=k, max_size=k))
@@ -221,6 +224,7 @@ def textbook_log_density(gmm, y: float) -> float:
     terms = [
         math.log(w) - 0.5 * math.log(2.0 * math.pi * v) - (y - m) ** 2 / (2.0 * v)
         for w, m, v in gmm.components
+        if w > 0  # a zero-weight component adds nothing
     ]
     peak = max(terms)
     return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
@@ -259,6 +263,21 @@ class TestGaussianMixture1D:
         expected = gmm.means[comps] + gmm.stds[comps] * twin.standard_normal(n)
         assert got.tobytes() == expected.tobytes()
         assert rng.random() == twin.random()
+
+    def test_zero_weight_component_is_silent(self):
+        # its log-weight is -inf, the padding FeaturePriors uses, and no warning
+        alone = GaussianMixture1D(components=((1.0, 2.0, 4.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gmm = GaussianMixture1D(components=((0.0, -5.0, 1.0), (1.0, 2.0, 4.0)))
+            draws = gmm.sample(np.random.default_rng(0), 500)
+            points = np.linspace(-8.0, 8.0, 9)
+            assert log_density(gmm, points).tobytes() == log_density(alone, points).tobytes()
+            found = modes(gmm)
+        assert draws.tobytes() == alone.sample(np.random.default_rng(0), 500).tobytes()
+        assert [(m.location, m.density) for m in found] == [
+            (m.location, m.density) for m in modes(alone)
+        ]
 
     def test_from_spec_squares_stds(self):
         gmm = mixture_from_json({"weights": [1.0], "means": [1.0], "stds": [3.0]})
