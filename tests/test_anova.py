@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devexplain import anova, dataset
 from devexplain.anova import (
     BackgroundSample,
     _Coalitions,
@@ -17,7 +18,6 @@ from devexplain.anova import (
     first_order_effect,
     second_order_effect,
 )
-from devexplain import anova, dataset
 from devexplain.attribution import ExplainSettings, explain, report_to_json, shapley_values
 from devexplain.dataset import Dataset, _distinct_rows
 from devexplain.errors import ValidationError
@@ -60,14 +60,13 @@ class CountingModel:
         return x @ np.arange(1.0, self.d_x + 1)
 
 
-class StubModel:
-    """Stub: f is any row-wise callable."""
+class SignModel:
+    """Stub: f(x) = the sign bit of x0 as +-1, so 0.0 and -0.0 differ."""
 
-    def __init__(self, fn, d_x: int):
-        self.fn, self.d_x = fn, d_x
+    d_x = 2
 
     def predict_batch(self, x):
-        return self.fn(x)
+        return np.copysign(1.0, x[:, 0])
 
 
 class RowCountingModel:
@@ -283,7 +282,7 @@ class TestCoalitions:
             features=[[0.0, 1.0], [-0.0, 1.0]], labels=[0.0, 0.0], feature_names=("a", "b")
         )
         bg = draw_background(data, 50, seed=0)
-        sign = StubModel(lambda x: np.copysign(1.0, x[:, 0]), 2)
+        sign = SignModel()
         assert len(bg.distinct) == 2
         got = _Coalitions(sign, bg).rows(None, ())
         assert got.tobytes() == sign.predict_batch(bg.points).tobytes()
