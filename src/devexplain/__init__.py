@@ -7,85 +7,109 @@ it by Bayesian MAP inversion under the feature priors, and split the
 observation's deviation into per-feature responsible scores via the ANOVA
 decomposition of f.
 Interventional Shapley values are computed alongside for comparison.
+
+The public names below resolve on first use (PEP 562), so ``import
+devexplain`` loads no numpy: the command line can choose the BLAS thread
+count before numpy starts its threads.
 """
 
-from .anova import (
-    BackgroundSample,
-    DeviationDecomposition,
-    decompose_deviation,
-    draw_background,
-    f_zero,
-    first_order_effect,
-    second_order_effect,
-)
-from .attribution import (
-    ExplainSettings,
-    ExplanationReport,
-    ResponsibleScores,
-    ShapleyAttribution,
-    explain,
-    explain_many,
-    mean_based_scores_equal_shap_check,
-    report_to_json,
-    responsible_scores,
-    shapley_values,
-)
-from .dataset import (
-    Dataset,
-    SyntheticSpec,
-    generate_synthetic,
-    load_csv,
-    trimodal_benchmark_spec,
-    river_fixture_path,
-    split,
-)
-from .errors import (
-    DevexplainError,
-    IngestionError,
-    NumericalError,
-    SearchFailureError,
-    SingularFitError,
-    ValidationError,
-)
-from .inverse import (
-    MapResult,
-    PosteriorObjective,
-    SearchBudget,
-    default_budget,
-    direct_search_map,
-    local_maximize,
-    log_posterior,
-    required_runs,
-)
-from .mixtures import (
-    FeaturePriors,
-    GaussianMixture1D,
-    ModeInfo,
-    density,
-    fit_gmm,
-    fit_priors,
-    log_prior,
-    mode_z_score,
-    modes,
-    select_k,
-    z_score,
-)
-from .models import (
-    GbtModel,
-    GbtParams,
-    LinearModel,
-    PredictiveModel,
-    ResidualStats,
-    clamp_sigma_e_squared,
-    fit_gbt,
-    fit_linear,
-    load_model,
-    model_from_json,
-    model_to_json,
-    predict,
-    residual_stats,
-)
+import importlib
+
+_EXPORTS = {
+    "anova": (
+        "BackgroundSample",
+        "DeviationDecomposition",
+        "decompose_deviation",
+        "draw_background",
+        "f_zero",
+        "first_order_effect",
+        "second_order_effect",
+    ),
+    "attribution": (
+        "ExplainSettings",
+        "ExplanationReport",
+        "ResponsibleScores",
+        "ShapleyAttribution",
+        "explain",
+        "explain_many",
+        "mean_based_scores_equal_shap_check",
+        "report_to_json",
+        "responsible_scores",
+        "shapley_values",
+    ),
+    "dataset": (
+        "Dataset",
+        "SyntheticSpec",
+        "generate_synthetic",
+        "load_csv",
+        "trimodal_benchmark_spec",
+        "river_fixture_path",
+        "split",
+    ),
+    "errors": (
+        "DevexplainError",
+        "IngestionError",
+        "NumericalError",
+        "SearchFailureError",
+        "SingularFitError",
+        "ValidationError",
+    ),
+    "inverse": (
+        "MapResult",
+        "PosteriorObjective",
+        "SearchBudget",
+        "default_budget",
+        "direct_search_map",
+        "local_maximize",
+        "log_posterior",
+        "required_runs",
+    ),
+    "mixtures": (
+        "FeaturePriors",
+        "GaussianMixture1D",
+        "ModeInfo",
+        "density",
+        "fit_gmm",
+        "fit_priors",
+        "log_prior",
+        "mode_z_score",
+        "modes",
+        "select_k",
+        "z_score",
+    ),
+    "models": (
+        "GbtModel",
+        "GbtParams",
+        "LinearModel",
+        "PredictiveModel",
+        "ResidualStats",
+        "clamp_sigma_e_squared",
+        "fit_gbt",
+        "fit_linear",
+        "load_model",
+        "model_from_json",
+        "model_to_json",
+        "predict",
+        "residual_stats",
+    ),
+}
+# public name -> the submodule that defines it
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_ORIGIN])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value  # resolved once, as an eager import would bind it
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,7 +20,15 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# The BLAS libraries' own thread-count variables.  The package's matrix
+# products are small, so extra BLAS threads gain nothing, while OpenBLAS's
+# idle worker spins on a second core; each CLI process runs one thread unless
+# the user set a count.  The libraries read these once, when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread count is chosen)
 
 from . import __version__
 from .attribution import (
@@ -131,10 +139,13 @@ def cmd_synth(args) -> None:
             "name": args.name,
         },
     )
-    print(
-        f"wrote {out / args.name}: {data.n} rows, {data.d_x} features, "
-        f"label mean {data.labels.mean():.4f}, std {data.labels.std():.4f}"
+    # zero rows have no label statistics
+    stats = (
+        f", label mean {data.labels.mean():.4f}, std {data.labels.std():.4f}"
+        if data.n
+        else ""
     )
+    print(f"wrote {out / args.name}: {data.n} rows, {data.d_x} features{stats}")
 
 
 def cmd_fit(args) -> None:

@@ -537,11 +537,16 @@ def _child_seeds(seed: int, n: int) -> list[int]:
 
 def fit_priors(data, k_max: int, seed: int) -> FeaturePriors:
     """Per-column BIC-selected mixture fits of a ``Dataset``'s features; one
-    child seed per column."""
-    fitted = [
-        select_k(data.features[:, i], k_max, col_seed)
-        for i, col_seed in enumerate(_child_seeds(seed, data.d_x))
-    ]
+    child seed per column.  A column that cannot be fitted (a constant one,
+    say) raises ``NumericalError`` naming it."""
+    fitted = []
+    for name, column, col_seed in zip(
+        data.feature_names, data.features.T, _child_seeds(seed, data.d_x)
+    ):
+        try:
+            fitted.append(select_k(column, k_max, col_seed))
+        except NumericalError as exc:
+            raise NumericalError(f"feature {name!r}: {exc}") from exc
     return FeaturePriors(per_feature=tuple(fitted))
 
 

@@ -127,6 +127,14 @@ class TestSynth:
             explicit / "synthetic.csv"
         ).read_bytes()
 
+    def test_zero_rows_print_no_statistics(self, tmp_path, capsys):
+        # RuntimeWarnings are errors in this suite, so an empty mean fails here
+        rc = run("synth", "--preset", "trimodal", "--n", "0", "--out", str(tmp_path))
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(": 0 rows, 3 features")
+        assert (tmp_path / "synthetic.csv").read_text() == "x0,x1,x2,y\n"
+
     def test_bad_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DEVEXPLAIN_SEED", "not-a-number")
         rc = run(
@@ -282,6 +290,23 @@ class TestModes:
 
 
 class TestExplain:
+    @pytest.mark.parametrize(
+        "reference", [("--mode", "0"), ("--mean", "--bg", "prior")], ids=["mode", "prior-bg"]
+    )
+    def test_constant_feature_is_named(self, reference, tmp_path, capsys):
+        # both references fit feature priors, and a constant column has none
+        flat = tmp_path / "flat.csv"
+        flat.write_text(
+            "x0,x1,x2,y\n"
+            + "".join(f"{i % 7}.0,1.0,{i % 5}.5,{(i % 7) + (i % 5) / 2}\n" for i in range(200))
+        )
+        common = ("--data", str(flat), "--out", str(tmp_path))
+        assert run("fit", "--kind", "gbt", "--trees", "5", *common) == 0
+        rc = run("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
+                 *reference, *common)
+        assert rc == 4
+        assert "error: feature 'x1': all samples identical" in capsys.readouterr().err
+
     def test_mean_reference_report(self, river_ws, tmp_path):
         rc = run(
             "explain", "--data", FIXTURE, "--label", "njr",
@@ -901,3 +926,81 @@ class TestTraceHarness:
         fits = [s for s in spans if s[2] == "mixtures.fit_gmm"]
         assert fits
         assert all("em_iters" in s[6] for s in fits)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# the package's public names before they resolved lazily
+PUBLIC_NAMES = sorted("""
+    BackgroundSample Dataset DevexplainError DeviationDecomposition ExplainSettings
+    ExplanationReport FeaturePriors GaussianMixture1D GbtModel GbtParams IngestionError
+    LinearModel MapResult ModeInfo NumericalError PosteriorObjective PredictiveModel
+    ResidualStats ResponsibleScores SearchBudget SearchFailureError ShapleyAttribution
+    SingularFitError SyntheticSpec ValidationError anova attribution clamp_sigma_e_squared
+    dataset decompose_deviation default_budget density direct_search_map draw_background
+    errors explain explain_many f_zero first_order_effect fit_gbt fit_gmm fit_linear
+    fit_priors generate_synthetic inverse load_csv load_model local_maximize log_posterior
+    log_prior mean_based_scores_equal_shap_check mixtures mode_z_score model_from_json
+    model_to_json models modes predict report_to_json required_runs residual_stats
+    responsible_scores river_fixture_path second_order_effect select_k shapley_values
+    split trimodal_benchmark_spec z_score
+""".split())
+
+
+def run_fresh(script, **env):
+    """Run ``script`` in a fresh interpreter with none of the BLAS thread
+    variables set (this process set them when it imported devexplain.cli),
+    plus ``env``; return its last stdout line, parsed as JSON."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, os, sys\n" + script],
+        capture_output=True, text=True, check=True,
+        env={**base, "PYTHONPATH": str(Path(devexplain.__file__).resolve().parents[1]), **env},
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestBlasThreads:
+    """A CLI process runs BLAS on one thread unless the user chose a count;
+    the package import itself loads no numpy and changes nothing."""
+
+    ENV = f"[os.environ.get(v) for v in {BLAS_THREAD_VARS!r}]"
+
+    def test_package_import_loads_no_numpy(self):
+        loaded, env = run_fresh(
+            f"import devexplain\nprint(json.dumps(['numpy' in sys.modules, {self.ENV}]))"
+        )
+        assert loaded is False
+        assert env == [None, None, None]
+
+    def test_public_names_resolve(self):
+        names, starred, resolved = run_fresh(
+            "import devexplain\n"
+            "ns = {}\n"
+            "exec('from devexplain import *', ns)\n"
+            "print(json.dumps([devexplain.__all__, sorted(set(ns) - {'__builtins__'}),\n"
+            "    all(getattr(devexplain, n) is ns[n] for n in devexplain.__all__)]))"
+        )
+        assert len(PUBLIC_NAMES) == 69
+        assert names == PUBLIC_NAMES
+        assert starred == PUBLIC_NAMES
+        assert resolved is True
+
+    def test_cli_runs_one_blas_thread(self):
+        env, threads = run_fresh(
+            "import devexplain.cli, numpy\n"
+            "task = '/proc/self/task'\n"
+            f"print(json.dumps([{self.ENV},\n"
+            "    len(os.listdir(task)) if os.path.isdir(task) else None]))"
+        )
+        assert env == ["1", "1", "1"]
+        if threads is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert threads == 1
+
+    def test_user_thread_count_is_kept(self):
+        env = run_fresh(
+            f"import devexplain.cli\nprint(json.dumps({self.ENV}))",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert env == ["2", "1", "1"]

@@ -663,6 +663,18 @@ class TestPriors:
         priors = fit_priors(data, 4, 0)
         assert priors.per_feature[0].k == 1
 
+    def test_constant_column_error_names_the_feature(self):
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((200, 3))
+        features[:, 1] = 1.0
+        data = Dataset(
+            features=features,
+            labels=rng.standard_normal(200),
+            feature_names=("x0", "x1", "x2"),
+        )
+        with pytest.raises(NumericalError, match="feature 'x1': all samples identical"):
+            fit_priors(data, 4, 0)
+
     def test_log_prior_standard_normals_at_origin(self):
         gmm = GaussianMixture1D(components=((1.0, 0.0, 1.0),))
         priors = FeaturePriors(per_feature=(gmm,) * 3)
