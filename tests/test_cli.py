@@ -13,7 +13,7 @@ import pytest
 
 import devexplain
 import devexplain.cli
-from devexplain.cli import main
+from devexplain.cli import BLAS_THREAD_VARS, main
 from devexplain.dataset import (
     load_csv,
     trimodal_benchmark_spec,
@@ -927,8 +927,6 @@ class TestTraceHarness:
         assert fits
         assert all("em_iters" in s[6] for s in fits)
 
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the package's public names before they resolved lazily
 PUBLIC_NAMES = sorted("""
