@@ -1,12 +1,15 @@
 """Command-line pipeline: synth, fit, modes, explain, compare.
 
-Every command writes machine-readable files under --out plus a config echo
-(<command>_config.json) that pins the resolved parameters; re-running with
-the same inputs reproduces the outputs byte-for-byte.  Timestamps never
-enter report files, only the run.log sidecar.
+Every command runs in one frame, ``_run``: it makes the --out directory,
+resolves the seed, calls the command, and, when the command succeeds, writes
+the config echo (<command>_config.json) from the parameters the command
+returns.  Re-running with the same inputs reproduces the outputs
+byte-for-byte.  Timestamps never enter report files, only the run.log
+sidecar.
 
-Exit codes: 0 success, 2 validation, 3 ingestion, 4 numerical failure,
-5 internal error.
+Exit codes: 0 success, otherwise the ``exit_code`` of the package error
+raised (2 validation, 3 ingestion, 4 numerical failure, 5 other), and 5 for
+any other exception.
 """
 
 from __future__ import annotations
@@ -50,12 +53,7 @@ from .dataset import (
     split,
     synthetic_spec_to_json,
 )
-from .errors import (
-    DevexplainError,
-    IngestionError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import DevexplainError, IngestionError, ValidationError
 from .mixtures import (
     FeaturePriors,
     fit_priors,
@@ -89,12 +87,6 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -116,29 +108,13 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _echo_config(out: Path, command: str, params: dict) -> None:
-    _write_json(out / f"{command}_config.json", {"command": command, **params})
-
-
-def cmd_synth(args) -> None:
-    out = _out_dir(args)
-    seed = _resolve_seed(args.seed)
+def cmd_synth(args, out: Path) -> dict:
     if args.preset:
         spec = trimodal_benchmark_spec()
     else:
         spec = load_synthetic_spec(args.spec)
-    data = generate_synthetic(spec, args.n, seed)
+    data = generate_synthetic(spec, args.n, args.seed)
     data.save_csv(out / args.name)
-    _echo_config(
-        out,
-        "synth",
-        {
-            "spec": synthetic_spec_to_json(spec),
-            "n": args.n,
-            "seed": seed,
-            "name": args.name,
-        },
-    )
     # zero rows have no label statistics
     stats = (
         f", label mean {data.labels.mean():.4f}, std {data.labels.std():.4f}"
@@ -146,16 +122,20 @@ def cmd_synth(args) -> None:
         else ""
     )
     print(f"wrote {out / args.name}: {data.n} rows, {data.d_x} features{stats}")
+    return {
+        "spec": synthetic_spec_to_json(spec),
+        "n": args.n,
+        "seed": args.seed,
+        "name": args.name,
+    }
 
 
-def cmd_fit(args) -> None:
-    out = _out_dir(args)
-    seed = _resolve_seed(args.seed)
+def cmd_fit(args, out: Path) -> dict:
     data = load_csv(args.data, args.label)
     if not 0 < args.split <= 1:
         raise ValidationError("--split must be in (0, 1]")
     if args.split < 1:
-        train, test = split(data, args.split, seed)
+        train, test = split(data, args.split, args.seed)
     else:
         train, test = data, None
     if args.kind == "linear":
@@ -182,21 +162,6 @@ def cmd_fit(args) -> None:
         metrics["intercept"] = model.intercept
         metrics["coefficients"] = model.coefficients.tolist()
     _write_json(out / "metrics.json", metrics)
-    _echo_config(
-        out,
-        "fit",
-        {
-            "data": args.data,
-            "label": args.label,
-            "kind": args.kind,
-            "split": args.split,
-            "seed": seed,
-            "trees": args.trees,
-            "depth": args.depth,
-            "lr": args.lr,
-            "min_leaf": args.min_leaf,
-        },
-    )
     test_part = (
         "" if stats.r_squared_test is None else f", test R^2 {stats.r_squared_test:.4f}"
     )
@@ -204,25 +169,30 @@ def cmd_fit(args) -> None:
         f"fitted {args.kind} on {train.n} rows: train R^2 "
         f"{stats.r_squared_train:.4f}{test_part}, sigma_e^2 {stats.sigma_e_squared:.6g}"
     )
+    return {
+        "data": args.data,
+        "label": args.label,
+        "kind": args.kind,
+        "split": args.split,
+        "seed": args.seed,
+        "trees": args.trees,
+        "depth": args.depth,
+        "lr": args.lr,
+        "min_leaf": args.min_leaf,
+    }
 
 
-def cmd_modes(args) -> None:
-    out = _out_dir(args)
-    seed = _resolve_seed(args.seed)
+def cmd_modes(args, out: Path) -> dict:
     data = load_csv(args.data, args.label)
-    gmm = select_k(data.labels, args.k_max, _command_seeds(seed)[2])
+    gmm = select_k(data.labels, args.k_max, _command_seeds(args.seed)[2])
     mode_list = modes(gmm)
     doc = {"k": gmm.k, "mixture": mixture_to_json(gmm), "modes": _json_doc(mode_list)}
     _write_json(out / "modes.json", doc)
-    _echo_config(
-        out,
-        "modes",
-        {"data": args.data, "label": args.label, "k_max": args.k_max, "seed": seed},
-    )
     stop = "converged" if gmm.converged else "stopped at the cap"
     print(f"fitted k={gmm.k} mixture (EM: {gmm.n_iter} E-steps, {stop}); {len(mode_list)} mode(s):")
     for i, m in enumerate(mode_list):
         print(f"  mode {i}: location {m.location:.4f}, sigma_m {m.sigma_m:.4f}")
+    return {"data": args.data, "label": args.label, "k_max": args.k_max, "seed": args.seed}
 
 
 def _parse_index_range(text: str) -> tuple[int, int]:
@@ -275,9 +245,7 @@ def _chart_for_report(report, mean_report) -> str | None:
     )
 
 
-def cmd_explain(args) -> None:
-    out = _out_dir(args)
-    seed = _resolve_seed(args.seed)
+def cmd_explain(args, out: Path) -> dict:
     data = load_csv(args.data, args.label)
     model = load_model(args.model)
     if args.index is not None:
@@ -287,7 +255,7 @@ def cmd_explain(args) -> None:
         indices = list(range(lo, hi))
     reference = "mean" if args.mean else ("mode", args.mode)
 
-    priors_seed, explain_seed, _ = _command_seeds(seed)
+    priors_seed, explain_seed, _ = _command_seeds(args.seed)
     np_count = args.np if args.np is not None else min(data.n, 2000)
     # built first, so a bad setting is refused before any prior is fitted
     settings = ExplainSettings(
@@ -336,31 +304,25 @@ def cmd_explain(args) -> None:
     if len(indices) > 1:
         _write_csv(out / "reports.csv", rows)
         print(f"wrote {out / 'reports.csv'} ({len(rows)} rows)")
-
-    _echo_config(
-        out,
-        "explain",
-        {
-            "data": args.data,
-            "label": args.label,
-            "model": args.model,
-            "indices": indices,
-            "reference": "mean" if args.mean else f"mode:{args.mode}",
-            "np": np_count,
-            "order": args.order,
-            "k_max": args.k_max,
-            "bg": args.bg,
-            "tau": args.tau,
-            "seed": seed,
-            "priors": priors_source,
-            "budget_runs": args.budget_runs,
-            "svg": bool(args.svg),
-        },
-    )
+    return {
+        "data": args.data,
+        "label": args.label,
+        "model": args.model,
+        "indices": indices,
+        "reference": "mean" if args.mean else f"mode:{args.mode}",
+        "np": np_count,
+        "order": args.order,
+        "k_max": args.k_max,
+        "bg": args.bg,
+        "tau": args.tau,
+        "seed": args.seed,
+        "priors": priors_source,
+        "budget_runs": args.budget_runs,
+        "svg": bool(args.svg),
+    }
 
 
-def cmd_compare(args) -> None:
-    out = _out_dir(args)
+def cmd_compare(args, out: Path) -> dict:
     rows = []
     for path in args.reports:
         doc = _read_json(path)
@@ -371,10 +333,8 @@ def cmd_compare(args) -> None:
         except (KeyError, IndexError, TypeError) as exc:
             raise IngestionError(f"{path}: malformed report ({exc!r})") from exc
     _write_csv(out / args.name, rows)
-    _echo_config(
-        out, "compare", {"reports": list(args.reports), "name": args.name}
-    )
     print(f"wrote {out / args.name} ({len(rows)} rows from {len(args.reports)} reports)")
+    return {"reports": list(args.reports), "name": args.name}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,8 +344,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # options shared by several commands, declared once
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("--out", default=".", help="output directory")
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    seed_opt.add_argument("--seed", type=int, default=None)
+    data_opts = argparse.ArgumentParser(add_help=False)
+    data_opts.add_argument("--data", required=True)
+    data_opts.add_argument("--label", default="y")
+    data_run = [data_opts, seed_opt, out_opt]  # fit, modes, explain
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[seed_opt, out_opt], help="generate a synthetic dataset")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="JSON generator spec (features + noise_std)")
     src.add_argument(
@@ -394,35 +363,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="built-in three-feature trimodal additive benchmark",
     )
     p.add_argument("--n", type=int, required=True, help="number of observations")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--name", default="synthetic.csv", help="output file name")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", help="fit a forward model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", default="y")
+    p = sub.add_parser("fit", parents=data_run, help="fit a forward model")
     p.add_argument("--kind", choices=["linear", "gbt"], default="linear")
     p.add_argument("--split", type=float, default=0.8, help="train fraction; 1 = no test split")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trees", type=int, default=300)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--min-leaf", type=int, default=1)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("modes", help="fit a label mixture and list its modes")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", default="y")
+    p = sub.add_parser("modes", parents=data_run, help="fit a label mixture and list its modes")
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_modes)
 
-    p = sub.add_parser("explain", help="explain one or more observations")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label", default="y")
+    p = sub.add_parser("explain", parents=data_run, help="explain one or more observations")
     p.add_argument("--model", required=True, help="model JSON from `fit`")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--index", type=int, help="observation index")
@@ -438,14 +395,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=0.05, help="degeneracy threshold (fraction of label std)")
     p.add_argument("--budget-runs", type=int, default=None, help="override restart count")
     p.add_argument("--svg", action="store_true", help="emit grouped bar charts")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("compare", help="tabulate reports into one CSV")
+    p = sub.add_parser("compare", parents=[out_opt], help="tabulate reports into one CSV")
     p.add_argument("reports", nargs="*", help="report JSON files")
     p.add_argument("--name", default="compare.csv")
-    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -461,21 +415,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
+    """Run one command in the frame every command shares: make --out,
+    resolve the seed, call the command and echo the config it returns;
+    map an error to its exit code."""
     try:
-        args.func(args)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(
+                f"--out {args.out}: cannot be a directory ({exc.strerror})"
+            ) from None
+        if "seed" in args:  # compare takes no seed
+            args.seed = _resolve_seed(args.seed)
+        config = args.func(args, out)
+        _write_json(out / f"{args.cmd}_config.json", {"command": args.cmd, **config})
         return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IngestionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except DevexplainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return exc.exit_code
     except Exception as exc:  # last-resort guard so scripts get a stable code
         print(f"internal error: {exc}", file=sys.stderr)
         return 5

@@ -145,7 +145,8 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
 
     The ``label_column`` becomes the labels; all remaining columns become
     features in header order.  Any cell that does not parse as a finite
-    number raises :class:`IngestionError` naming its row and column.
+    number raises :class:`IngestionError` naming its row and column; so
+    does a header name that is empty or repeated, the label's included.
     """
     path = Path(path)
     if not path.exists():
@@ -157,6 +158,13 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
         except StopIteration:
             raise IngestionError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        seen = set()
+        for c, name in enumerate(header, start=1):
+            if not name:
+                raise IngestionError(f"{path}: header column {c} has no name")
+            if name in seen:
+                raise IngestionError(f"{path}: header repeats column {name!r}")
+            seen.add(name)
         if label_column not in header:
             raise IngestionError(
                 f"{path}: label column {label_column!r} not in header {header}"

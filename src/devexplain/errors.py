@@ -1,24 +1,33 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes, so new error types should subclass one
-of the four roots below rather than raising bare exceptions.
+Each of the four roots below carries the exit code the command line returns
+for it (``exit_code``).  New error types subclass one of the roots, and so
+inherit its code, rather than raising bare exceptions.
 """
 
 
 class DevexplainError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 5
+
 
 class ValidationError(DevexplainError):
     """Invalid argument, specification, or domain-object state."""
+
+    exit_code = 2
 
 
 class IngestionError(DevexplainError):
     """A data file could not be read or parsed."""
 
+    exit_code = 3
+
 
 class NumericalError(DevexplainError):
     """A numerical procedure failed (degenerate data, singular system, ...)."""
+
+    exit_code = 4
 
 
 class SingularFitError(NumericalError):

@@ -20,6 +20,14 @@ from devexplain.dataset import (
     river_fixture_path,
     synthetic_spec_to_json,
 )
+from devexplain.errors import (
+    DevexplainError,
+    IngestionError,
+    NumericalError,
+    SearchFailureError,
+    SingularFitError,
+    ValidationError,
+)
 from devexplain.models import load_model
 
 FIXTURE = str(river_fixture_path())
@@ -226,6 +234,27 @@ class TestFit:
             "--out", str(tmp_path),
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "header, column",
+        [("a,y,b,y", "'y'"), ("a,a,y", "'a'"), (",b,y", "column 1")],
+        ids=["repeated-label", "repeated-feature", "empty-name"],
+    )
+    def test_bad_header_name_is_ingestion_error(self, header, column, tmp_path, capsys):
+        # a repeated label column must not become a feature (label leakage)
+        path = tmp_path / "bad.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + "".join(
+            ",".join(str(float(i + j)) for j in range(width)) + "\n" for i in range(6)
+        ))
+        rc = run(
+            "fit", "--data", str(path), "--label", "y", "--split", "1",
+            "--out", str(tmp_path),
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and column in err
+        assert not (tmp_path / "model.json").exists()
 
     def test_constant_labels_are_numerical_error(self, tmp_path):
         flat = tmp_path / "flat.csv"
@@ -845,6 +874,106 @@ class TestTopLevel:
         log = (tmp_path / "run.log").read_text().splitlines()
         assert len(log) == 1
         assert f" explain {argv} exit=4 elapsed=" in log[0]
+
+
+def command_argv(command, ws):
+    """A minimal valid argv for ``command``; ``ws`` holds a fitted model."""
+    data = ("--data", FIXTURE, "--label", "njr")
+    return {
+        "synth": ("synth", "--preset", "trimodal", "--n", "10"),
+        "fit": ("fit", *data, "--split", "1"),
+        "modes": ("modes", *data, "--k-max", "2"),
+        "explain": ("explain", *data, "--model", str(ws / "model.json"),
+                    "--index", "0", "--mean", "--np", "10"),
+        "compare": ("compare",),
+    }[command]
+
+
+COMMANDS = ["synth", "fit", "modes", "explain", "compare"]
+
+
+class TestCommandFrame:
+    """Every command runs in one frame: it makes --out, resolves the seed,
+    echoes the config on success and maps errors to exit codes."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_writes_one_config_echo(self, command, river_ws, tmp_path):
+        assert run(*command_argv(command, river_ws), "--out", str(tmp_path)) == 0
+        echoes = sorted(p.name for p in tmp_path.glob("*_config.json"))
+        assert echoes == [f"{command}_config.json"]
+        config = json.loads((tmp_path / echoes[0]).read_text())
+        assert config["command"] == command
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("synth", "--preset", "trimodal", "--n", "-1"), 2),
+            (("fit", "--data", FIXTURE, "--label", "njr", "--split", "1.5"), 2),
+            (("modes", "--data", FIXTURE, "--label", "njr", "--k-max", "0"), 2),
+            (("explain", "--data", FIXTURE, "--label", "njr", "--model", "model.json",
+              "--index", "0", "--mean", "--seed", "-1"), 2),
+            (("compare", "missing.json"), 3),
+        ],
+        ids=COMMANDS,
+    )
+    def test_refused_run_writes_no_config_echo(self, argv, code, tmp_path, capsys):
+        assert run(*argv, "--out", str(tmp_path)) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.glob("*_config.json")) == []
+        log = (tmp_path / "run.log").read_text().splitlines()
+        assert len(log) == 1
+        assert f" exit={code} " in log[0]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ValidationError("bad"), 2, "error: "),
+            (IngestionError("bad"), 3, "error: "),
+            (NumericalError("bad"), 4, "error: "),
+            (SingularFitError("bad", column="x0"), 4, "error: "),
+            (SearchFailureError("bad"), 4, "error: "),
+            (DevexplainError("bad"), 5, "error: "),
+            (RuntimeError("bad"), 5, "internal error: "),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+    )
+    def test_error_exit_codes(
+        self, command, error, code, prefix, river_ws, tmp_path, monkeypatch, capsys
+    ):
+        def fail(args, out):
+            raise error
+
+        monkeypatch.setattr(devexplain.cli, f"cmd_{command}", fail)
+        assert run(*command_argv(command, river_ws), "--out", str(tmp_path)) == code
+        assert capsys.readouterr().err == f"{prefix}bad\n"
+        assert list(tmp_path.glob("*_config.json")) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_sees_the_resolved_seed(
+        self, command, river_ws, tmp_path, monkeypatch
+    ):
+        seen = []
+
+        def record(args, out):
+            seen.append((args.seed if "seed" in args else "none", out))
+            return {}
+
+        monkeypatch.setenv("DEVEXPLAIN_SEED", "7")
+        monkeypatch.setattr(devexplain.cli, f"cmd_{command}", record)
+        assert run(*command_argv(command, river_ws), "--out", str(tmp_path / "new")) == 0
+        assert seen == [("none" if command == "compare" else 7, tmp_path / "new")]
+        assert (tmp_path / "new").is_dir()
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory(self, sub, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / sub if sub else afile
+        rc = run("synth", "--preset", "trimodal", "--n", "5", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+        assert afile.read_text() == ""
 
 
 def run_in_subprocess(*commands):

@@ -168,6 +168,22 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="label column"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("a,y,b,y", "repeats column 'y'"),
+            ("a,a,y", "repeats column 'a'"),
+            (",b,y", "column 1 has no name"),
+            ("a,b,y,", "column 4 has no name"),
+        ],
+    )
+    def test_bad_header_name(self, tmp_path, header, match):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(IngestionError, match=match) as exc:
+            load_csv(path, "y")
+        assert str(path) in str(exc.value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="no such file"):
             load_csv(tmp_path / "nope.csv", "y")
