@@ -15,6 +15,10 @@ is set), so both sides run their committed files.  Two kinds of pair,
   trimodal-mean-gbt training rows (``synth --preset trimodal --n 2000
   --seed 3``, the 0.8 train split of ``fit --seed 3``: 1,600 rows), 300
   trees of depth 3.  One untimed fit, then the CPU time of one fit.
+- ``tree_map``: in a fresh interpreter per side, ``explain --mode 0
+  --index 0 --k-max 4 --seed 3`` run in process against a 300-tree GBT
+  of depth 3 fitted (``fit --seed 3``) to the same data; the CPU time of
+  its MAP search (``direct_search_map``, 423 starts).
 - ``perfbench``: ``perfbench/run.py --workload W --seed SEED --trace 0``
   from each side's checkout, at the run length it configures; its
   end-to-end metrics.
@@ -50,6 +54,23 @@ fit_gbt(train, params)
 start = time.process_time()
 fit_gbt(train, params)
 print(train.n, time.process_time() - start)
+"""
+
+TREE_MAP = """
+import sys, time
+from devexplain import attribution, cli
+spent = []
+search = attribution.direct_search_map
+def timed(*args, **kwargs):
+    start = time.process_time()
+    result = search(*args, **kwargs)
+    spent.append(time.process_time() - start)
+    return result
+attribution.direct_search_map = timed
+data, model, out = sys.argv[1:]
+code = cli.main(["explain", "--data", data, "--model", model, "--mode", "0", "--index", "0",
+                 "--k-max", "4", "--seed", "3", "--out", out])
+print(code, *spent)
 """
 
 
@@ -136,6 +157,18 @@ def main(argv=None) -> int:
         fit["ratios"] = [c / b for b, c in zip(fit["base"], fit["change"])]
         fit["median_ratio"] = statistics.median(fit["ratios"])
         record["fit_gbt_cpu_s"] = fit
+        python(sides["change"], "-m", "devexplain.cli", "fit", "--data", csv, "--kind", "gbt",
+               "--trees", "300", "--depth", "3", "--seed", DATA_SEED,
+               "--out", str(tmp / "gbt"), cwd=tmp)
+
+        def map_seconds(tree):
+            code, seconds = python(tree, "-c", TREE_MAP, csv, str(tmp / "gbt" / "model.json"),
+                                   str(tmp / "map"), cwd=tmp).split()[-2:]
+            if code != "0":
+                raise SystemExit(f"the tree MAP explain exited {code}")
+            return float(seconds)
+
+        record["tree_map_cpu_s"] = summary(*interleave(sides, map_seconds).values())
         for workload in args.workloads:
 
             def run(tree):

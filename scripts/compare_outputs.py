@@ -12,7 +12,8 @@ left out.  The matrix:
 - trimodal data (2,000 rows, seed 3): ``modes --k-max 4``; a linear model
   with ``explain --mode 0 --index-range 0:4 --k-max 4``; a 300-tree GBT
   with ``explain --mean --order 2 --np 2000`` under the exact priors, over
-  resampled rows and over prior draws (``--bg prior``);
+  resampled rows and over prior draws (``--bg prior``), and with
+  ``explain --mode 0 --index 0 --k-max 4``, a tree MAP search;
 - the river fixture: ``modes --k-max 6``; a linear model with
   ``explain --mode 0 --index-range 0:20 --svg``; a GBT with
   ``explain --mode 0 --index 19``;
@@ -80,6 +81,8 @@ def run_matrix(src: Path, out: Path) -> None:
     cli("explain", *trimodal, "--model", "t/gbt/model.json", "--mean", "--order", 2,
         "--bg", "prior", "--np", 2000, "--priors", "t/spec.json", "--index-range", "0:2",
         *SEED, "--out", "t/gbt/explain-prior")
+    cli("explain", *trimodal, "--model", "t/gbt/model.json", "--mode", 0, "--index", 0,
+        "--k-max", 4, *SEED, "--out", "t/gbt/explain-mode")
     river = ["--data", "river.csv", "--label", "njr"]
     cli("modes", *river, "--k-max", 6, *SEED, "--out", "r/modes")
     for kind in ("linear", "gbt"):

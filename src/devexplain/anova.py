@@ -19,24 +19,20 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _distinct_rows, _frozen_array
+from .dataset import Dataset, _frozen_array
 from .errors import ValidationError
 from .mixtures import FeaturePriors
 
 
 @dataclass(frozen=True)
 class BackgroundSample:
-    """NP feature vectors the conditional expectations average over: each
-    distinct row once in ``distinct`` (rows match bit for bit) and ``points``
-    equal to ``distinct[inverse]``, both found here however rows were drawn."""
+    """NP finite feature vectors the conditional expectations average over."""
 
     points: np.ndarray
-    distinct: np.ndarray = field(init=False, repr=False, compare=False)
-    inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _frozen_array(np.atleast_2d(self.points)))
@@ -44,9 +40,6 @@ class BackgroundSample:
             raise ValidationError("background needs at least one row and one column")
         if not np.all(np.isfinite(self.points)):
             raise ValidationError("background contains non-finite entries")
-        first, inverse = _distinct_rows(self.points)
-        object.__setattr__(self, "distinct", _frozen_array(self.points[first]))
-        object.__setattr__(self, "inverse", _frozen_array(inverse, dtype=np.intp))
 
     @property
     def np_used(self) -> int:
@@ -85,13 +78,11 @@ class _Coalitions:
     """The coalition values v(S, x) of one model over one background.
 
     v(S, x) is the background mean of f with the features in S set from x.
-    Each pinned batch is predicted once and kept, keyed by S and the bits
-    of the values pinned to it, until ``release`` drops it.  ``points``
-    lists, in order, the points a caller will pin.
-
-    A batch predicts each distinct background row once and scatters the
-    results to the NP rows: every batch has one shape, so a model whose row
-    values depend on the batch's size still differences like with like.
+    Each pinned batch of NP rows is predicted once and kept, keyed by S and
+    the bits of the values pinned to it, until ``release`` drops it.
+    ``points`` lists, in order, the points a caller will pin.  Every batch
+    has one shape, so a model whose row values depend on the batch's size
+    still differences like with like.
     """
 
     def __init__(self, model, bg: BackgroundSample, points=()):
@@ -100,7 +91,7 @@ class _Coalitions:
                 f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
             )
         self.model = model
-        self._distinct, self._inverse = bg.distinct, bg.inverse
+        self._background = bg.points
         self._points = np.asarray(points, dtype=float).reshape(-1, bg.d_x)
         self._batches = {}
         self._last_use = {}
@@ -111,9 +102,9 @@ class _Coalitions:
         values = np.array([x[i] for i in coalition], dtype=float)
         key = (coalition, values.tobytes())
         if key not in self._batches:
-            pinned = self._distinct.copy()
+            pinned = self._background.copy()
             pinned[:, list(coalition)] = values
-            self._batches[key] = self.model.predict_batch(pinned)[self._inverse]
+            self._batches[key] = self.model.predict_batch(pinned)
         return self._batches[key]
 
     def term(self, x, term: tuple) -> np.ndarray:

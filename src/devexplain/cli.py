@@ -87,6 +87,12 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
+def _check_name(name: str) -> None:
+    """Refuse a --name that is not one file name inside --out."""
+    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ValidationError(f"--name {name!r}: must be a file name without a directory")
+
+
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -416,8 +422,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args) -> int:
     """Run one command in the frame every command shares: make --out,
-    resolve the seed, call the command and echo the config it returns;
-    map an error to its exit code."""
+    resolve the seed, check --name, call the command and echo the config it
+    returns; map an error to its exit code."""
     try:
         out = Path(args.out)
         try:
@@ -428,6 +434,8 @@ def _run(args) -> int:
             ) from None
         if "seed" in args:  # compare takes no seed
             args.seed = _resolve_seed(args.seed)
+        if "name" in args:  # synth and compare write one file into --out
+            _check_name(args.name)
         config = args.func(args, out)
         _write_json(out / f"{args.cmd}_config.json", {"command": args.cmd, **config})
         return 0

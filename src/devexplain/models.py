@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, _frozen_array, _json_doc, _read_json
+from .dataset import Dataset, _distinct_rows, _frozen_array, _json_doc, _read_json
 from .errors import NumericalError, SingularFitError, ValidationError
 
 _RANK_TOL = 1e-10
@@ -220,19 +220,27 @@ class GbtModel:
         return self.n_features
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        # leaf values are added one tree after another, in tree order, so the
-        # sum is the per-tree descent's to the last bit
-        out = np.full(x.shape[0], self.base_score)
+        """f at each row of x.  The ensemble is constant on each cell of its
+        split-threshold grid, a row's vector of threshold ranks, so each
+        distinct cell is evaluated once (no split feature: one cell) and
+        copied to its rows.  Leaf values are added tree by tree, in order, so
+        each row is bitwise its own per-tree descent."""
         features, blocks = self._tables()
-        ranks = [np.searchsorted(thr, x[:, f], side="left") for f, thr in features]
+        width = max((thr.size for _, thr in features), default=0)
+        cells = np.zeros((x.shape[0], max(len(features), 1)), np.min_scalar_type(width))
+        for column, (f, thr) in enumerate(features):
+            cells[:, column] = np.searchsorted(thr, x[:, f], side="left")
+        first, inverse = _distinct_rows(cells)
+        ranks = cells[first].T
+        out = np.full(first.size, self.base_score)
         for splits, scaled in blocks:
             n_trees, n_leaves = scaled.shape
-            reach = np.full((x.shape[0], n_trees, n_leaves // 8), 0xFF, dtype=np.uint8)
+            reach = np.full((first.size, n_trees, n_leaves // 8), 0xFF, dtype=np.uint8)
             for position, rank, table in splits:
                 reach &= np.take(table, rank[ranks[position]], axis=0)
             for values, leaves in zip(scaled, _exit_leaves(reach).T):
                 out += np.take(values, leaves)
-        return out
+        return out[inverse]
 
     def _tables(self):
         # built once per model: predict_batch and the MAP search's cells read them

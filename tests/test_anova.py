@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devexplain import anova, dataset
 from devexplain.anova import (
     BackgroundSample,
     _Coalitions,
@@ -18,8 +17,8 @@ from devexplain.anova import (
     first_order_effect,
     second_order_effect,
 )
-from devexplain.attribution import ExplainSettings, explain, report_to_json, shapley_values
-from devexplain.dataset import Dataset, _distinct_rows
+from devexplain.attribution import ExplainSettings, explain, report_to_json
+from devexplain.dataset import Dataset
 from devexplain.errors import ValidationError
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D
 from devexplain.models import GbtParams, fit_gbt
@@ -252,62 +251,38 @@ class TestCoalitions:
 
     @pytest.mark.parametrize("source", ["resampled", "prior"])
     @pytest.mark.parametrize("kind", ["linear", "gbt"])
-    def test_each_distinct_background_row_predicted_once(
+    def test_each_coalition_predicts_its_np_rows_once(
         self, kind, source, linear_outlier, small_gbt, outlier_data, exact_priors
     ):
-        # 400 rows resampled from 40: every row repeats; 400 prior draws do not
+        # 400 rows resampled from 40 repeat rows; 400 prior draws do not.  The
+        # model gets every batch whole: finding repeats is its own business
         rows = Dataset(
             features=outlier_data.features[-40:],
             labels=outlier_data.labels[-40:],
             feature_names=outlier_data.feature_names,
         )
         bg = draw_background(rows if source == "resampled" else exact_priors, 400, seed=6)
-        distinct = len({row.tobytes() for row in bg.points})
-        assert bg.distinct[bg.inverse].tobytes() == bg.points.tobytes()
-        assert len({row.tobytes() for row in bg.distinct}) == len(bg.distinct) == distinct
         model = {"linear": linear_outlier, "gbt": small_gbt}[kind]
         counting = RowCountingModel(model)
         coalitions = _Coalitions(counting, bg)
         x = outlier_data.features[17]
         every = [c for size in range(4) for c in itertools.combinations(range(3), size)]
-        for c in every:
+        for c in every * 2:
             pinned = bg.points.copy()
             pinned[:, list(c)] = x[list(c)]
             assert coalitions.rows(x, c).tobytes() == model.predict_batch(pinned).tobytes()
-        assert counting.rows == [distinct] * len(every)
+        assert counting.rows == [400] * len(every)
 
     def test_signed_zeros_are_distinct_rows(self):
-        # 0.0 == -0.0, but a model may tell them apart: rows match only bit for bit
+        # 0.0 == -0.0, but a model may tell them apart: it sees both
         data = Dataset(
             features=[[0.0, 1.0], [-0.0, 1.0]], labels=[0.0, 0.0], feature_names=("a", "b")
         )
         bg = draw_background(data, 50, seed=0)
         sign = SignModel()
-        assert len(bg.distinct) == 2
         got = _Coalitions(sign, bg).rows(None, ())
         assert got.tobytes() == sign.predict_batch(bg.points).tobytes()
         assert abs(got.mean()) < 1.0
-
-    def test_background_sorted_once(self, linear_outlier, outlier_data, monkeypatch):
-        # the distinct rows are found when the background is drawn, not per call
-        bg = draw_background(outlier_data, 300, seed=7)
-        calls = []
-
-        def counted(rows):
-            calls.append(rows.shape)
-            return _distinct_rows(rows)
-
-        for module in (anova, dataset):
-            monkeypatch.setattr(module, "_distinct_rows", counted)
-        x, x_ref = outlier_data.features[-1], outlier_data.features[0]
-        for _ in range(2):
-            f_zero(linear_outlier, bg)
-            first_order_effect(linear_outlier, bg, 0, 1.5)
-            decompose_deviation(linear_outlier, bg, x, x_ref, 1.0, 0.0, order=2)
-            shapley_values(linear_outlier, bg, x)
-        assert calls == []
-        BackgroundSample(bg.points)
-        assert calls == [bg.points.shape]
 
 
 class TestDecomposeDeviation:

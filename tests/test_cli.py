@@ -976,6 +976,18 @@ class TestCommandFrame:
         assert afile.read_text() == ""
 
 
+    @pytest.mark.parametrize("command", ["synth", "compare"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "nodir/x.csv", "../escape.csv"])
+    def test_name_is_one_file_inside_out(self, command, name, river_ws, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(*command_argv(command, river_ws), "--name", name, "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --name {name!r}: must be a file name without a directory\n"
+        )
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "run.log"]
+
+
 def run_in_subprocess(*commands):
     """Run each CLI command through main() in one fresh interpreter; return
     the exit codes and the scipy modules loaded by the end."""

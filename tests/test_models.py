@@ -1,5 +1,6 @@
 """Linear and boosted-tree forward models, residual stats, serialization."""
 
+import itertools
 import json
 import math
 import os
@@ -153,10 +154,16 @@ class TestPredict:
     )
     @example(model=LinearModel(0.5, [1.0, -2.0, 3.0]), seed=0, n=50, scale=3.0)
     def test_batch_rows_are_one_row_predictions(self, model, seed, n, scale):
-        # a row's value does not depend on the batch it is predicted in
+        # a row's value does not depend on the batch it is predicted in, nor
+        # on the rows that repeat it or share its cell; 0.0 and -0.0 included
         rows = np.random.default_rng(seed).normal(0.0, scale, size=(n, model.d_x))
-        batch = model.predict_batch(rows)
+        zeros = np.zeros((2, model.d_x))
+        zeros[1] = -0.0
+        rows = np.vstack([rows, rows[: n // 2], zeros])
+        batch, evaluated = cells_evaluated(model, rows)
         assert batch.tobytes() == np.array([model.predict_one(x) for x in rows]).tobytes()
+        if isinstance(model, GbtModel):
+            assert evaluated == [len(set(textbook_cells(model, rows)))] * n_blocks(model)
 
 
 def random_gbt_doc(
@@ -199,6 +206,31 @@ def random_gbt_doc(
         "n_features": n_features,
         "trees": [tree() for _ in range(n_trees)],
     }, pool
+
+
+def textbook_cells(model, xs):
+    """Each row's cell of the threshold grid: for every split feature, how
+    many of its distinct thresholds send the row right (not x <= t)."""
+    thresholds = {}
+    for tree in model.trees:
+        for f, t in zip(tree.feature.tolist(), tree.threshold.tolist()):
+            if f >= 0:
+                thresholds.setdefault(f, set()).add(t)
+    return [
+        tuple(sum(not row[f] <= t for t in thresholds[f]) for f in sorted(thresholds))
+        for row in xs
+    ]
+
+
+def n_blocks(model) -> int:
+    return -(-len(model.trees) // models._BLOCK_TREES)
+
+
+def cells_evaluated(model, xs):
+    """``model.predict_batch(xs)``, and the rows of every block's leaf lookup."""
+    with mock.patch.object(models, "_exit_leaves", wraps=models._exit_leaves) as spy:
+        out = model.predict_batch(xs)
+    return out, [call.args[0].shape[0] for call in spy.call_args_list]
 
 
 def textbook_predict(model, xs):
@@ -251,8 +283,77 @@ class TestBatchEvaluator:
         xs[30:35][rng.random((5, n_features)) < 0.3] = np.nan
         pinned = xs.copy()
         pinned[:, rng.random(n_features) < 0.5] = xs[0, 0]
-        xs = np.vstack([xs, pinned])
-        assert np.array_equal(model.predict_batch(xs), textbook_predict(model, xs))
+        # repeated rows, rows moved inside their cell, and both signed zeros
+        nudged = np.nextafter(xs[:20], -np.inf)
+        zeros = np.zeros((2, n_features))
+        zeros[1] = -0.0
+        xs = np.vstack([xs, pinned, xs[:10], nudged, zeros])
+        got, evaluated = cells_evaluated(model, xs)
+        assert np.array_equal(got, textbook_predict(model, xs))
+        # each distinct cell once per block; a leaf-only ensemble is one cell
+        assert evaluated == [len(set(textbook_cells(model, xs)))] * n_blocks(model)
+
+
+def stump(feature, threshold, left, right):
+    return {"feature": [feature, -1, -1], "threshold": [threshold, None, None],
+            "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, left, right]}
+
+
+class TestCells:
+    """predict_batch evaluates each distinct cell of the threshold grid once."""
+
+    def test_cell_edges(self):
+        # feature 0 splits at 0 and at +inf: x <= 0 (both zeros, -inf), then
+        # 0 < x (+inf too, as inf <= inf), then NaN, which goes right at both
+        model = model_from_json({
+            "schema": 1, "kind": "gbt", "learning_rate": 0.5, "base_score": 1.0,
+            "n_features": 2,
+            "trees": [stump(0, 0.0, -1.0, 2.0), stump(0, math.inf, 4.0, 8.0)],
+        })
+        xs = np.array([
+            [-1.0, 7.0], [-0.0, 3.0], [0.0, -2.0], [-np.inf, 0.0], [-0.0, 3.0],
+            [0.5, 1.0], [1e300, 9.0], [np.inf, 0.0], [5e-324, 1.0], [np.nan, 0.0],
+        ])
+        got, evaluated = cells_evaluated(model, xs)
+        assert evaluated == [3]
+        assert got.tolist() == [2.5] * 5 + [4.0] * 4 + [6.0]
+        assert np.array_equal(got, textbook_predict(model, xs))
+
+    def test_leaf_only_ensemble_is_one_cell(self):
+        leaves = [{"feature": [-1], "threshold": [None], "left": [-1], "right": [-1],
+                   "value": [0.1 * i]} for i in range(20)]
+        model = model_from_json({"schema": 1, "kind": "gbt", "learning_rate": 0.3,
+                                 "base_score": 2.0, "n_features": 2, "trees": leaves})
+        xs = np.random.default_rng(0).normal(size=(30, 2))
+        got, evaluated = cells_evaluated(model, xs)
+        assert evaluated == [1, 1]
+        assert got.tobytes() == textbook_predict(model, xs).tobytes()
+        assert got[0] != model.base_score
+
+    @pytest.mark.parametrize("source", ["resampled", "prior"])
+    def test_pinned_batches_evaluate_each_cell_once(self, source, synth10k, exact_priors):
+        # the coalition values' batches: 400 rows resampled from 40 repeat
+        # rows; 400 prior draws repeat none, yet share cells
+        data = Dataset(features=synth10k.features[:300], labels=synth10k.labels[:300],
+                       feature_names=synth10k.feature_names)
+        model = fit_gbt(data, GbtParams(n_trees=20, max_depth=3))
+        rng = np.random.default_rng(6)
+        points = (data.features[rng.integers(0, 40, size=400)] if source == "resampled"
+                  else exact_priors.sample(rng, 400))
+        x = synth10k.features[17]
+        counts = []
+        for size in range(4):
+            for c in itertools.combinations(range(3), size):
+                pinned = points.copy()
+                pinned[:, list(c)] = x[list(c)]
+                got, evaluated = cells_evaluated(model, pinned)
+                cells = len(set(textbook_cells(model, pinned)))
+                assert evaluated == [cells] * n_blocks(model)
+                assert np.array_equal(got, textbook_predict(model, pinned))
+                counts.append((cells, len({row.tobytes() for row in pinned})))
+        # the plain batch: fewer cells than distinct rows; the full coalition: one cell
+        assert counts[0][0] < counts[0][1]
+        assert counts[-1] == (1, 1)
 
 
 def textbook_best_split(xs, rs, min_leaf):
