@@ -231,7 +231,8 @@ class GbtModel:
         for column, (f, thr) in enumerate(features):
             cells[:, column] = np.searchsorted(thr, x[:, f], side="left")
         first, inverse = _distinct_rows(cells)
-        ranks = cells[first].T
+        # one contiguous intp row per feature: each block indexes with it as is
+        ranks = cells[first].T.astype(np.intp, order="C")
         out = np.full(first.size, self.base_score)
         for splits, scaled in blocks:
             n_trees, n_leaves = scaled.shape

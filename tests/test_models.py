@@ -261,6 +261,7 @@ class TestBatchEvaluator:
     )
     @example(seed=0, n_trees=0, max_depth=3, split_prob=1.0, n_split=2, n_unsplit=0,
              n_thresholds=5)
+    # leaf-only trees in two blocks: one cell, whose leaves still count
     @example(seed=1, n_trees=20, max_depth=0, split_prob=1.0, n_split=2, n_unsplit=0,
              n_thresholds=5)
     # full depth-8 trees: 256 leaves, four 64-bit words per tree
@@ -318,17 +319,6 @@ class TestCells:
         assert evaluated == [3]
         assert got.tolist() == [2.5] * 5 + [4.0] * 4 + [6.0]
         assert np.array_equal(got, textbook_predict(model, xs))
-
-    def test_leaf_only_ensemble_is_one_cell(self):
-        leaves = [{"feature": [-1], "threshold": [None], "left": [-1], "right": [-1],
-                   "value": [0.1 * i]} for i in range(20)]
-        model = model_from_json({"schema": 1, "kind": "gbt", "learning_rate": 0.3,
-                                 "base_score": 2.0, "n_features": 2, "trees": leaves})
-        xs = np.random.default_rng(0).normal(size=(30, 2))
-        got, evaluated = cells_evaluated(model, xs)
-        assert evaluated == [1, 1]
-        assert got.tobytes() == textbook_predict(model, xs).tobytes()
-        assert got[0] != model.base_score
 
     @pytest.mark.parametrize("source", ["resampled", "prior"])
     def test_pinned_batches_evaluate_each_cell_once(self, source, synth10k, exact_priors):
