@@ -975,7 +975,6 @@ class TestCommandFrame:
         assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
         assert afile.read_text() == ""
 
-
     @pytest.mark.parametrize("command", ["synth", "compare"])
     @pytest.mark.parametrize("name", ["", ".", "..", "nodir/x.csv", "../escape.csv"])
     def test_name_is_one_file_inside_out(self, command, name, river_ws, tmp_path, capsys):
