@@ -19,6 +19,10 @@ is set), so both sides run their committed files.  Two kinds of pair,
   --index 0 --k-max 4 --seed 3`` run in process against a 300-tree GBT
   of depth 3 fitted (``fit --seed 3``) to the same data; the CPU time of
   its MAP search (``direct_search_map``, 423 starts).
+- ``shapley``: in a fresh interpreter per side, ``shapley_values`` of one
+  row of a random linear model over 200 random background rows at d = 12
+  and d = 14, through an evaluator that already holds every pinned batch:
+  the best CPU time of 3 calls, the enumeration's own arithmetic.
 - ``perfbench``: ``perfbench/run.py --workload W --seed SEED --trace 0``
   from each side's checkout, at the run length it configures; its
   end-to-end metrics.
@@ -71,6 +75,27 @@ data, model, out = sys.argv[1:]
 code = cli.main(["explain", "--data", data, "--model", model, "--mode", "0", "--index", "0",
                  "--k-max", "4", "--seed", "3", "--out", out])
 print(code, *spent)
+"""
+
+SHAPLEY = """
+import time
+import numpy as np
+from devexplain.anova import BackgroundSample, _Coalitions
+from devexplain.attribution import shapley_values
+from devexplain.models import LinearModel
+for d in (12, 14):
+    rng = np.random.default_rng(d)
+    model = LinearModel(float(rng.normal()), rng.normal(size=d))
+    bg = BackgroundSample(rng.normal(size=(200, d)))
+    x = rng.normal(size=d)
+    coalitions = _Coalitions(model, bg)
+    shapley_values(model, bg, x, coalitions=coalitions)  # predicts every batch
+    best = []
+    for _ in range(3):
+        start = time.process_time()
+        shapley_values(model, bg, x, coalitions=coalitions)
+        best.append(time.process_time() - start)
+    print(d, min(best))
 """
 
 
@@ -169,6 +194,15 @@ def main(argv=None) -> int:
             return float(seconds)
 
         record["tree_map_cpu_s"] = summary(*interleave(sides, map_seconds).values())
+
+        def shapley_seconds(tree):
+            return dict(line.split() for line in python(tree, "-c", SHAPLEY, cwd=tmp).splitlines())
+
+        runs = interleave(sides, shapley_seconds)
+        record["shapley_cpu_s"] = {
+            f"d{d}": summary(*([float(r[d]) for r in runs[side]] for side in sides))
+            for d in runs["base"][0]
+        }
         for workload in args.workloads:
 
             def run(tree):

@@ -99,6 +99,14 @@ def responsible_scores(
     )
 
 
+def _check_enumerable(d_x: int) -> None:
+    """Refuse a feature count whose 2^d_x coalitions are too many to enumerate."""
+    if d_x > _ENUMERATION_LIMIT:
+        raise ValidationError(
+            f"exact Shapley enumeration is limited to d_x <= {_ENUMERATION_LIMIT}, got {d_x}"
+        )
+
+
 def shapley_values(
     model, bg: BackgroundSample, x_obs, *, coalitions: _Coalitions | None = None
 ) -> ShapleyAttribution:
@@ -119,26 +127,21 @@ def shapley_values(
         raise ValidationError(f"x_obs has {x_obs.size} entries, background has {d}")
     if not np.all(np.isfinite(x_obs)):
         raise ValidationError("x contains non-finite entries")
-    if d > _ENUMERATION_LIMIT:
-        raise ValidationError(
-            f"exact enumeration is limited to d_x <= {_ENUMERATION_LIMIT}, got {d}"
-        )
+    _check_enumerable(d)
     coalitions = coalitions or _Coalitions(model, bg)
     v = np.empty(1 << d)
     for mask in range(1 << d):
         coalition = tuple(i for i in range(d) if mask >> i & 1)
         v[mask] = float(np.mean(coalitions.rows(x_obs, coalition)))
+    # phi_i = sum over S without i of weight[|S|] (v(S + i) - v(S)), fsum exactly rounded
+    masks = np.arange(1 << d)
+    size = sum(masks >> i & 1 for i in range(d))
     fact = [math.factorial(i) for i in range(d + 1)]
-    weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
+    weight = np.array([fact[s] * fact[d - s - 1] / fact[d] for s in range(d)])
     values = np.empty(d)
     for i in range(d):
-        contrib = []
-        for mask in range(1 << d):
-            if mask >> i & 1:
-                continue
-            s = mask.bit_count()
-            contrib.append(weight[s] * (v[mask | (1 << i)] - v[mask]))
-        values[i] = math.fsum(contrib)
+        out = masks[masks >> i & 1 == 0]
+        values[i] = math.fsum(weight[size[out]] * (v[out | 1 << i] - v[out]))
     return ShapleyAttribution(values=values, base_value=float(v[0]), np_used=bg.np_used)
 
 
@@ -306,6 +309,7 @@ def explain_many(
             raise ValidationError("a mode reference or a prior background needs priors")
     elif priors.d_x != data.d_x:
         raise ValidationError(f"priors cover {priors.d_x} features, data has {data.d_x}")
+    _check_enumerable(data.d_x)  # before any costly stage
     if not indices or not parsed:
         return [[] for _ in parsed]
 

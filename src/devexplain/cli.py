@@ -38,6 +38,7 @@ from .attribution import (
     _REPORT_COLUMNS,
     REPORT_SCHEMA,
     ExplainSettings,
+    _check_enumerable,
     _command_seeds,
     explain_many,
     report_rows,
@@ -263,7 +264,8 @@ def cmd_explain(args, out: Path) -> dict:
 
     priors_seed, explain_seed, _ = _command_seeds(args.seed)
     np_count = args.np if args.np is not None else min(data.n, 2000)
-    # built first, so a bad setting is refused before any prior is fitted
+    # checked first, so a bad setting is refused before any prior is fitted
+    _check_enumerable(data.d_x)
     settings = ExplainSettings(
         seed=explain_seed,
         np_count=np_count,

@@ -110,8 +110,8 @@ class SyntheticSpec:
         object.__setattr__(self, "feature_specs", tuple(self.feature_specs))
         if len(self.feature_specs) < 1:
             raise ValidationError("need at least one feature spec")
-        if self.label_noise_std < 0:
-            raise ValidationError("label_noise_std must be nonnegative")
+        if not 0 <= self.label_noise_std < math.inf:
+            raise ValidationError("label_noise_std must be nonnegative and finite")
 
     @property
     def d_x(self) -> int:

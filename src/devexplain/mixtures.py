@@ -34,8 +34,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class GaussianMixture1D:
     """Weighted sum of 1-D normals; components are (weight, mean, variance).
 
-    Weights are nonnegative and sum to 1 within 1e-12; variances are
-    positive.  The read-only ``weights``, ``means``, ``variances`` and
+    Every parameter is finite; weights are nonnegative and sum to 1 within
+    1e-12; variances are positive.  The read-only ``weights``, ``means``, ``variances`` and
     ``stds`` arrays and the constants of every log-density evaluation,
     log w_k - 0.5 log(2 pi var_k), mu_k and 2 var_k, are computed once here.
     """
@@ -67,14 +67,17 @@ class GaussianMixture1D:
         object.__setattr__(self, "history", tuple(self.history))
         if not comps:
             raise ValidationError("mixture needs at least one component")
-        if any(w < 0 for w, _, _ in comps):
+        weights, means, variances = (np.array(column) for column in zip(*comps))
+        for name, column in (("weights", weights), ("means", means), ("variances", variances)):
+            if not np.isfinite(column).all():
+                raise ValidationError(f"mixture {name} must be finite, got {column.tolist()}")
+        if (weights < 0).any():
             raise ValidationError("mixture weights must be nonnegative")
-        total = math.fsum(w for w, _, _ in comps)
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
-        if any(v <= 0 for _, _, v in comps):
+        if (variances <= 0).any():
             raise ValidationError("component variances must be positive")
-        weights, means, variances = (np.array(column) for column in zip(*comps))
         cdf = weights.cumsum()  # rng.choice's component table
         cdf /= cdf[-1]
         with np.errstate(divide="ignore"):  # a zero weight's log is -inf, as padding
@@ -574,6 +577,6 @@ def mixture_from_json(doc: dict) -> GaussianMixture1D:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad mixture document: {exc}") from exc
-    if any(s <= 0 for _, _, s in triples):
-        raise ValidationError("mixture stds must be positive")
+    if not all(0 < s < math.inf for _, _, s in triples):
+        raise ValidationError("mixture stds must be positive and finite")
     return GaussianMixture1D(components=tuple((w, m, s * s) for w, m, s in triples))

@@ -198,8 +198,8 @@ class GbtParams:
             raise ValidationError("n_trees must be >= 0")
         if self.n_trees > 0 and self.max_depth < 1:
             raise ValidationError("max_depth must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValidationError("learning_rate must be positive and finite")
         if self.min_samples_leaf < 1:
             raise ValidationError("min_samples_leaf must be >= 1")
 
@@ -388,10 +388,18 @@ def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
     values = np.take_along_axis(columns, orders, axis=1)
     counts = np.maximum(np.arange(train.n + 1.0), 1.0)
     trees = []
-    for _ in range(params.n_trees):
-        tree, fitted = _grow_tree(stack, values, residual, counts, params)
-        residual = residual - params.learning_rate * fitted
-        trees.append(tree)
+    try:
+        # an overflow would leave NaN or infinite leaves in a model no one can load
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(params.n_trees):
+                tree, fitted = _grow_tree(stack, values, residual, counts, params)
+                residual = residual - params.learning_rate * fitted
+                trees.append(tree)
+    except FloatingPointError:
+        raise NumericalError(
+            f"boosting overflowed at tree {len(trees) + 1}: learning_rate "
+            f"{params.learning_rate!r} is too large for labels of this scale"
+        ) from None
     return GbtModel(
         trees=tuple(trees),
         learning_rate=params.learning_rate,

@@ -9,6 +9,7 @@ from __future__ import annotations
 from .errors import ValidationError
 
 _PALETTE = ("#4e79a7", "#f28e2b", "#76b7b2", "#e15759", "#59a14f")
+_WIDTH, _HEIGHT = 640, 400  # pixels
 
 
 def _fmt(value: float) -> str:
@@ -19,8 +20,6 @@ def grouped_bar_svg(
     title: str,
     group_labels: list[str],
     series: list[tuple[str, list[float]]],
-    width: int = 640,
-    height: int = 400,
 ) -> str:
     """Render one bar per (group, series) pair with numeric value labels.
 
@@ -39,6 +38,7 @@ def grouped_bar_svg(
     if len(series) > len(_PALETTE):
         raise ValidationError(f"at most {len(_PALETTE)} series supported")
 
+    width, height = _WIDTH, _HEIGHT
     margin_left, margin_right = 56.0, 16.0
     margin_top, margin_bottom = 64.0, 44.0
     plot_w = width - margin_left - margin_right

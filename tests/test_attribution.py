@@ -26,7 +26,7 @@ from devexplain.dataset import Dataset
 from devexplain.errors import ValidationError
 from devexplain.inverse import default_budget
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D, fit_priors
-from devexplain.models import GbtParams, fit_gbt, fit_linear, predict
+from devexplain.models import GbtParams, LinearModel, fit_gbt, fit_linear, predict
 
 
 class StubModel:
@@ -266,6 +266,48 @@ def mean_report(linear_outlier, exact_priors, outlier_data):
     return explain(
         linear_outlier, exact_priors, outlier_data, 10000, "mean", settings
     )
+
+
+def loop_shapley(fn, points, x_obs):
+    """The enumeration shapley_values first shipped with, as an oracle: v(S)
+    per mask, then per feature a list of weighted marginals summed by fsum."""
+    d = x_obs.size
+    v = np.empty(1 << d)
+    for mask in range(1 << d):
+        coalition = [i for i in range(d) if mask >> i & 1]
+        pinned = points.copy()
+        pinned[:, coalition] = x_obs[coalition]
+        v[mask] = float(np.mean(fn(pinned)))
+    fact = [math.factorial(i) for i in range(d + 1)]
+    weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
+    values = np.empty(d)
+    for i in range(d):
+        contrib = []
+        for mask in range(1 << d):
+            if mask >> i & 1:
+                continue
+            s = mask.bit_count()
+            contrib.append(weight[s] * (v[mask | (1 << i)] - v[mask]))
+        values[i] = math.fsum(contrib)
+    return values
+
+
+class TestShapleyBits:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 7), data=st.data())
+    def test_values_match_the_loop_oracle_bitwise(self, d, data):
+        points, x_obs = data.draw(backgrounds(d))
+        if d > 1 and data.draw(st.booleans()):
+            ignored = data.draw(st.integers(0, d - 1))
+            used = [i for i in range(d) if i != ignored]
+            fn = data.draw(stub_functions(d - 1))
+            model = StubModel(lambda x: fn(x[:, used]), d)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            model = LinearModel(float(rng.normal()), rng.normal(size=d))
+        shap = shapley_values(model, BackgroundSample(points=points), x_obs)
+        oracle = loop_shapley(model.predict_batch, points, x_obs)
+        assert shap.values.tobytes() == oracle.tobytes()
 
 
 class TestExplainMeanReference:
@@ -519,6 +561,32 @@ class TestExplainMany:
                     assert json.dumps(
                         report_to_json(report), sort_keys=True
                     ) == json.dumps(report_to_json(solo), sort_keys=True)
+
+    def test_too_many_features_refused_before_any_stage(self, monkeypatch):
+        d = 21
+        rng = np.random.default_rng(0)
+        data = Dataset(
+            features=rng.normal(size=(30, d)),
+            labels=rng.normal(size=30),
+            feature_names=tuple(f"x{i}" for i in range(d)),
+        )
+        priors = FeaturePriors(tuple(
+            GaussianMixture1D(components=((1.0, 0.0, 1.0),)) for _ in range(d)
+        ))
+        ran = []
+        for name in ("residual_stats", "select_k", "direct_search_map", "draw_background"):
+
+            def refused(*args, _name=name, **kwargs):
+                ran.append(_name)
+                raise AssertionError(f"{_name} ran")
+
+            monkeypatch.setattr(attribution, name, refused)
+        settings = ExplainSettings(seed=0, np_count=10, budget_runs=50, bg_source="prior")
+        with pytest.raises(ValidationError, match="d_x <= 20, got 21"):
+            explain_many(
+                LinearModel(0.0, np.ones(d)), priors, data, [0], [("mode", 0), "mean"], settings
+            )
+        assert ran == []
 
     def test_empty_indices(self, fixture_model, fixture_priors, fixture_data):
         settings = ExplainSettings(seed=0, np_count=10)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -95,6 +96,25 @@ class TestSynth:
         )
         assert rc == 0
         assert load_csv(tmp_path / "synthetic.csv", "y").n == 50
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("weights", float("nan"), "weights"),
+            ("means", float("inf"), "means"),
+            ("stds", float("nan"), "stds"),
+            ("stds", 1e200, "variances"),
+        ],
+    )
+    def test_non_finite_spec_is_validation_error(self, field, value, name, tmp_path, capsys):
+        spec = {"weights": [1.0], "means": [0.0], "stds": [1.0], field: [value]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"features": [spec]}))  # NaN and Infinity literals
+        out = tmp_path / "out"
+        rc = run("synth", "--spec", str(spec_path), "--n", "5", "--out", str(out))
+        assert rc == 2
+        assert f"mixture {name} must be" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["run.log"]
 
     def test_spec_and_preset_conflict(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -255,6 +275,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert str(path) in err and column in err
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("lr, code", [("inf", 2), ("nan", 2), ("1e308", 4)])
+    def test_unusable_learning_rate_writes_no_model(self, lr, code, tmp_path, capsys):
+        rc = run(
+            "fit", "--data", FIXTURE, "--label", "njr", "--kind", "gbt", "--trees", "5",
+            "--lr", lr, "--split", "1", "--out", str(tmp_path),
+        )
+        assert rc == code
+        assert "learning_rate" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.log"]
 
     def test_constant_labels_are_numerical_error(self, tmp_path):
         flat = tmp_path / "flat.csv"
@@ -452,6 +482,43 @@ class TestExplain:
         assert len(no_prior_fits) == fits
         config = json.loads((tmp_path / "explain_config.json").read_text())
         assert config["priors"] == ("fitted" if fits else None)
+
+    @pytest.mark.parametrize("reference", [("--mode", "0"), ("--mean", "--bg", "prior")])
+    def test_too_many_features_refused_before_any_fit(
+        self, reference, tmp_path, capsys, no_prior_fits
+    ):
+        # 2^21 coalitions are past the enumeration limit; the refusal comes
+        # before the priors, the label mixture and the MAP search
+        rng = random.Random(0)
+        wide = tmp_path / "wide.csv"
+        wide.write_text(",".join(f"x{i}" for i in range(21)) + ",y\n" + "".join(
+            ",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(22)) + "\n" for _ in range(40)
+        ))
+        common = ("--data", str(wide), "--out", str(tmp_path))
+        assert run("fit", "--split", "1", *common) == 0
+        capsys.readouterr()
+        rc = run("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
+                 *reference, *common)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: exact Shapley enumeration is limited to d_x <= 20, got 21\n"
+        )
+        assert no_prior_fits == []
+        assert not (tmp_path / "report_0.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--mean", "--bg", "prior"], ["--mode", "0"]])
+    def test_non_finite_priors_refused(self, flags, river_ws, tmp_path, capsys):
+        spec = {"weights": [float("nan")], "means": [0.0], "stds": [1.0]}
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps({"features": [spec] * 3}))
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"), "--index", "0", *flags,
+            "--priors", str(priors), "--budget-runs", "7", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert "mixture weights must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report_0.json").exists()
 
     def test_model_wider_than_data_is_validation_error(self, river_ws, tmp_path, capsys):
         narrow = tmp_path / "narrow.csv"

@@ -255,6 +255,16 @@ class TestSpecFiles:
         spec = load_synthetic_spec(path)
         assert spec.d_x == 1 and spec.label_noise_std == 0.1
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf, -1.0])
+    def test_noise_std_must_be_finite(self, noise_std, tmp_path):
+        # a NaN once passed as no noise, and its echo wrote a bare NaN
+        doc = {"features": [{"weights": [1.0], "means": [0.0], "stds": [1.0]}],
+               "noise_std": noise_std}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="label_noise_std must be nonnegative and finite"):
+            load_synthetic_spec(path)
+
     def test_load_synthetic_spec_bad_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{not json")

@@ -243,6 +243,23 @@ class TestGaussianMixture1D:
         with pytest.raises(ValidationError):
             GaussianMixture1D(components=((1.0, 0.0, 0.0),))
 
+    @pytest.mark.parametrize(
+        "component, name",
+        [
+            ((math.nan, 0.0, 1.0), "weights"),
+            ((math.inf, 0.0, 1.0), "weights"),
+            ((1.0, math.nan, 1.0), "means"),
+            ((1.0, math.inf, 1.0), "means"),
+            ((1.0, -math.inf, 1.0), "means"),
+            ((1.0, 0.0, math.nan), "variances"),
+            ((1.0, 0.0, math.inf), "variances"),
+        ],
+    )
+    def test_non_finite_parameter_named(self, component, name):
+        # a NaN weight passes both the sign and the sum test
+        with pytest.raises(ValidationError, match=f"^mixture {name} must be finite"):
+            GaussianMixture1D(components=(component,))
+
     def test_sample_deterministic(self):
         gmm = GaussianMixture1D(components=((0.5, -2.0, 1.0), (0.5, 2.0, 1.0)))
         a = gmm.sample(np.random.default_rng(3), 100)
@@ -721,6 +738,18 @@ class TestMixtureJson:
     def test_bad_document(self):
         with pytest.raises(ValidationError):
             mixture_from_json({"weights": [1.0], "means": [0.0]})
+
+    @pytest.mark.parametrize(
+        "stds, message",
+        [
+            ([math.nan], "stds must be positive and finite"),
+            ([math.inf], "stds must be positive and finite"),
+            ([1e200], "variances must be finite"),  # its square overflows
+        ],
+    )
+    def test_non_finite_stds(self, stds, message):
+        with pytest.raises(ValidationError, match=message):
+            mixture_from_json({"weights": [1.0], "means": [0.0], "stds": stds})
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValidationError):

@@ -537,12 +537,25 @@ class TestFitGbt:
             {"n_trees": -1},
             {"n_trees": 1, "max_depth": 0},
             {"learning_rate": 0.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
             {"min_samples_leaf": 0},
         ],
     )
     def test_param_validation(self, kwargs):
         with pytest.raises(ValidationError):
             GbtParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "lr, tree",
+        # 1e308 overflows the first residual update, 1e160 the second tree's
+        # squared sums
+        [(1e308, 1), (1e160, 2)],
+    )
+    def test_overflowing_learning_rate_is_numerical_error(self, lr, tree):
+        params = GbtParams(n_trees=3, max_depth=2, learning_rate=lr)
+        with pytest.raises(NumericalError, match=f"^boosting overflowed at tree {tree}: "):
+            fit_gbt(linear_data(), params)
 
 
 class TestResidualStats:

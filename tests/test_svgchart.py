@@ -60,8 +60,3 @@ class TestGroupedBarSvg:
         series = [(f"s{i}", [1.0]) for i in range(6)]
         with pytest.raises(ValidationError):
             grouped_bar_svg("t", ["a"], series)
-
-    def test_custom_dimensions(self):
-        svg = grouped_bar_svg("t", ["a"], [("s", [1.0])], width=800, height=300)
-        assert 'width="800"' in svg
-        assert 'height="300"' in svg
