@@ -35,9 +35,10 @@ class GaussianMixture1D:
     """Weighted sum of 1-D normals; components are (weight, mean, variance).
 
     Every parameter is finite; weights are nonnegative and sum to 1 within
-    1e-12; variances are positive.  The read-only ``weights``, ``means``, ``variances`` and
-    ``stds`` arrays and the constants of every log-density evaluation,
-    log w_k - 0.5 log(2 pi var_k), mu_k and 2 var_k, are computed once here.
+    1e-12; variances are positive.  The read-only ``weights``, ``means``,
+    ``variances`` and ``stds`` arrays and the constants of every log-density
+    evaluation, log w_k - 0.5 log(2 pi var_k), mu_k and 2 var_k, are
+    computed once here.
     """
 
     components: tuple[tuple[float, float, float], ...]
