@@ -19,10 +19,10 @@ is set), so both sides run their committed files.  Two kinds of pair,
   --index 0 --k-max 4 --seed 3`` run in process against a 300-tree GBT
   of depth 3 fitted (``fit --seed 3``) to the same data; the CPU time of
   its MAP search (``direct_search_map``, 423 starts).
-- ``shapley``: in a fresh interpreter per side, ``shapley_values`` of one
-  row of a random linear model over 200 random background rows at d = 12
-  and d = 14, through an evaluator that already holds every pinned batch:
-  the best CPU time of 3 calls, the enumeration's own arithmetic.
+- ``shapley``: in a fresh interpreter per side, ``shapley_values(model,
+  bg, x)`` of one row of a random linear model over 200 random background
+  rows at d = 12 and d = 14: the best CPU time of 3 calls, each predicting
+  its 2^d pinned batches.
 - ``perfbench``: ``perfbench/run.py --workload W --seed SEED --trace 0``
   from each side's checkout, at the run length it configures; its
   end-to-end metrics.
@@ -80,7 +80,7 @@ print(code, *spent)
 SHAPLEY = """
 import time
 import numpy as np
-from devexplain.anova import BackgroundSample, _Coalitions
+from devexplain.anova import BackgroundSample
 from devexplain.attribution import shapley_values
 from devexplain.models import LinearModel
 for d in (12, 14):
@@ -88,12 +88,10 @@ for d in (12, 14):
     model = LinearModel(float(rng.normal()), rng.normal(size=d))
     bg = BackgroundSample(rng.normal(size=(200, d)))
     x = rng.normal(size=d)
-    coalitions = _Coalitions(model, bg)
-    shapley_values(model, bg, x, coalitions=coalitions)  # predicts every batch
     best = []
     for _ in range(3):
         start = time.process_time()
-        shapley_values(model, bg, x, coalitions=coalitions)
+        shapley_values(model, bg, x)
         best.append(time.process_time() - start)
     print(d, min(best))
 """

@@ -16,7 +16,6 @@ the contract is deliberately loose so tests can use closed-form stubs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -74,59 +73,66 @@ def draw_background(priors_or_data, np_count: int, seed: int) -> BackgroundSampl
     return BackgroundSample(points)
 
 
+def _masks(d: int, size: int) -> np.ndarray:
+    """The bitmasks of the coalitions of at most ``size`` of d features, by
+    size and then by value, so a smaller table's rows lead a larger one's."""
+    masks = np.arange(1 << d)
+    sizes = sum(masks >> i & 1 for i in range(d))
+    return masks[np.argsort(sizes, kind="stable")][: np.count_nonzero(sizes <= size)]
+
+
+def _features(mask: int, features) -> tuple:
+    """The coalition of a bitmask over ``features``: bit k picks the k-th."""
+    return tuple(f for k, f in enumerate(features) if mask >> k & 1)
+
+
 class _Coalitions:
     """The coalition values v(S, x) of one model over one background.
 
     v(S, x) is the background mean of f with the features in S set from x.
-    Each pinned batch of NP rows is predicted once and kept, keyed by S and
-    the bits of the values pinned to it, until ``release`` drops it.
-    ``points`` lists, in order, the points a caller will pin.  Every batch
-    has one shape, so a model whose row values depend on the batch's size
-    still differences like with like.
+    The empty coalition, the plain background, is predicted once here; any
+    other once per ``table`` that holds it.  Every batch is NP rows, so a
+    model whose row values depend on the batch's size still differences
+    like with like.
     """
 
-    def __init__(self, model, bg: BackgroundSample, points=()):
+    def __init__(self, model, bg: BackgroundSample):
         if model.d_x != bg.d_x:
             raise ValidationError(
                 f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
             )
         self.model = model
         self._background = bg.points
-        self._points = np.asarray(points, dtype=float).reshape(-1, bg.d_x)
-        self._batches = {}
-        self._last_use = {}
+        self.empty = model.predict_batch(bg.points.copy())
 
-    def rows(self, x, coalition: tuple) -> np.ndarray:
-        """The summands of v(S, x): f per background row with ``coalition``
-        set from ``x``, a full vector or a dict of pins."""
-        values = np.array([x[i] for i in coalition], dtype=float)
-        key = (coalition, values.tobytes())
-        if key not in self._batches:
+    def table(self, x, size: int, features=None) -> np.ndarray:
+        """f per background row for every coalition of at most ``size`` of
+        ``features`` (all by default) set from ``x``, a full vector or a dict
+        of pins: one table row per bitmask of ``_masks(len(features), size)``."""
+        features = range(self._background.shape[1]) if features is None else features
+        masks = _masks(len(features), size)
+        table = np.empty((masks.size, self.empty.size))
+        table[0] = self.empty
+        for row, mask in enumerate(masks[1:].tolist(), 1):
+            coalition = list(_features(mask, features))
             pinned = self._background.copy()
-            pinned[:, list(coalition)] = values
-            self._batches[key] = self.model.predict_batch(pinned)
-        return self._batches[key]
+            pinned[:, coalition] = [x[i] for i in coalition]
+            table[row] = self.model.predict_batch(pinned)
+        return table
 
-    def term(self, x, term: tuple) -> np.ndarray:
-        """Inclusion-exclusion summands of ``term``: g_I - g or g_IJ - g_I - g_J + g."""
-        if len(term) == 1:
-            return self.rows(x, term) - self.rows(x, ())
-        i, j = term
-        return self.rows(x, term) - self.rows(x, (i,)) - self.rows(x, (j,)) + self.rows(x, ())
 
-    def release(self, q: int) -> None:
-        """Drop every batch whose pinned values no point after the q-th pins."""
-        for coalition, bits in list(self._batches):
-            if coalition not in self._last_use:
-                pinned = self._points[:, list(coalition)]
-                self._last_use[coalition] = {v.tobytes(): p for p, v in enumerate(pinned)}
-            if self._last_use[coalition].get(bits, -1) <= q:
-                del self._batches[coalition, bits]
+def _term(table: np.ndarray, row: int, term: tuple) -> np.ndarray:
+    """Inclusion-exclusion summands of ``term``, at ``row`` of a table in
+    ``_masks`` order: g_I - g or g_IJ - g_I - g_J + g."""
+    if len(term) == 1:
+        return table[row] - table[0]
+    i, j = term
+    return table[row] - table[1 + i] - table[1 + j] + table[0]
 
 
 def f_zero(model, bg: BackgroundSample) -> float:
     """Grand mean f0: average prediction over the background."""
-    return float(np.mean(_Coalitions(model, bg).rows(None, ())))
+    return float(np.mean(_Coalitions(model, bg).empty))
 
 
 def _mean_and_stderr(summands: np.ndarray) -> tuple[float, float]:
@@ -148,11 +154,12 @@ def _feature_index(i, d: int) -> int:
 
 def _effect(model, bg: BackgroundSample, pins: dict) -> tuple[float, float]:
     """Mean and MC stderr of the term over ``pins``' features at their values."""
-    coalitions = _Coalitions(model, bg)
     pins = {_feature_index(i, bg.d_x): value for i, value in pins.items()}
     if not all(math.isfinite(value) for value in pins.values()):
         raise ValidationError("pinned values must be finite")
-    return _mean_and_stderr(coalitions.term(pins, tuple(pins)))
+    # the table of the pinned features alone, the k-th as feature k
+    table = _Coalitions(model, bg).table(pins, len(pins), tuple(pins))
+    return _mean_and_stderr(_term(table, len(table) - 1, tuple(range(len(pins)))))
 
 
 def first_order_effect(
@@ -226,57 +233,50 @@ def decompose_deviation(
     y_obs: float,
     y_ref: float,
     order: int = 1,
-    *,
-    coalitions: _Coalitions | None = None,
 ) -> DeviationDecomposition:
     """Deviation terms delta_I (and delta_IJ) between observation and reference.
 
     delta_I = f_I(x_obs_I) - f_I(x_ref_I) on the common background.  Both
     sides average the same rows, so the reported stderr is that of the
-    paired per-row differences.  Each pinned coalition is predicted once.
-
-    Every coalition value is read through ``coalitions``, an evaluator
-    built over the same model and background, or a fresh one when None.  A
-    caller that keeps one across rows and references predicts each
-    distinct pinned batch once.
+    paired per-row differences.  Each pinned coalition is predicted once,
+    the plain background once for both sides.
     """
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    coalitions = coalitions or _Coalitions(model, bg)
-    d = bg.d_x
-    if x_obs.size != d or x_ref.size != d:
+    if x_obs.size != bg.d_x or x_ref.size != bg.d_x:
         raise ValidationError("observation/reference length must match background")
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
         raise ValidationError("pinned value must be finite")
-    total_delta = float(y_obs) - float(y_ref)
-    base = coalitions.rows(x_obs, ())
-    first = np.empty(d)
-    first_se = np.empty(d)
-    second = second_se = None
-    terms = list(itertools.combinations(range(d), 1))
-    if order == 2:
-        second = np.zeros((d, d))
-        second_se = np.zeros((d, d))
-        terms += itertools.combinations(range(d), 2)
-    for term in terms:
-        obs = coalitions.term(x_obs, term)
-        ref = coalitions.term(x_ref, term)
+    coalitions = _Coalitions(model, bg)
+    obs, ref = coalitions.table(x_obs, order), coalitions.table(x_ref, order)
+    return _decompose(obs, ref, x_obs, x_ref, y_obs, y_ref, order)
+
+
+def _decompose(obs, ref, x_obs, x_ref, y_obs, y_ref, order: int) -> DeviationDecomposition:
+    """The deviation terms from the coalition tables of the observation and
+    the reference, each holding at least the coalitions of ``order`` features."""
+    d = x_obs.size
+    first, first_se = np.empty(d), np.empty(d)
+    second, second_se = (np.zeros((d, d)), np.zeros((d, d))) if order == 2 else (None, None)
+    for row, mask in enumerate(_masks(d, order)[1:].tolist(), 1):
+        term = _features(mask, range(d))
+        obs_term, ref_term = _term(obs, row, term), _term(ref, row, term)
         est, se = (first, first_se) if len(term) == 1 else (second, second_se)
-        est[term] = float(obs.mean()) - float(ref.mean())
-        se[term] = _mean_and_stderr(obs - ref)[1]
+        est[term] = float(obs_term.mean()) - float(ref_term.mean())
+        se[term] = _mean_and_stderr(obs_term - ref_term)[1]
+    total_delta = float(y_obs) - float(y_ref)
     term_total = float(first.sum()) + (float(second.sum()) if second is not None else 0.0)
-    residual = total_delta - term_total
     return DeviationDecomposition(
         observation=x_obs,
         reference=x_ref,
         total_delta=total_delta,
         first_order=first,
         second_order=second,
-        residual=residual,
-        f0=float(np.mean(base)),
-        np_used=bg.np_used,
+        residual=total_delta - term_total,
+        f0=float(np.mean(obs[0])),
+        np_used=obs.shape[1],
         stderr_first_order=first_se,
         stderr_second_order=second_se,
     )

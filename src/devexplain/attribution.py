@@ -22,7 +22,8 @@ from .anova import (
     BackgroundSample,
     DeviationDecomposition,
     _Coalitions,
-    decompose_deviation,
+    _decompose,
+    _masks,
     draw_background,
 )
 from .dataset import Dataset, _json_doc
@@ -107,19 +108,13 @@ def _check_enumerable(d_x: int) -> None:
         )
 
 
-def shapley_values(
-    model, bg: BackgroundSample, x_obs, *, coalitions: _Coalitions | None = None
-) -> ShapleyAttribution:
+def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
     """Interventional Shapley values by exact subset enumeration.
 
     v(S) is the mean prediction over the background with the coordinates in
     S pinned to the observation; every subset shares the same background
     rows.  v(empty) is f0, and v(all features) the mean with every feature
     pinned, so the dummy axiom is exact and efficiency holds to rounding.
-
-    Every v(S) is read through ``coalitions``, an evaluator built over the
-    same model and background, or a fresh one when None; one shared with
-    ``decompose_deviation`` predicts each pinned batch once for both.
     """
     x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
     d = bg.d_x
@@ -128,11 +123,15 @@ def shapley_values(
     if not np.all(np.isfinite(x_obs)):
         raise ValidationError("x contains non-finite entries")
     _check_enumerable(d)
-    coalitions = coalitions or _Coalitions(model, bg)
+    return _shapley(_Coalitions(model, bg).table(x_obs, d))
+
+
+def _shapley(table: np.ndarray) -> ShapleyAttribution:
+    """Shapley values from a full coalition table, one row per bitmask of
+    ``_masks(d, d)``."""
+    d = table.shape[0].bit_length() - 1
     v = np.empty(1 << d)
-    for mask in range(1 << d):
-        coalition = tuple(i for i in range(d) if mask >> i & 1)
-        v[mask] = float(np.mean(coalitions.rows(x_obs, coalition)))
+    v[_masks(d, d)] = table.mean(axis=1)
     # phi_i = sum over S without i of weight[|S|] (v(S + i) - v(S)), fsum exactly rounded
     masks = np.arange(1 << d)
     size = sum(masks >> i & 1 for i in range(d))
@@ -142,7 +141,7 @@ def shapley_values(
     for i in range(d):
         out = masks[masks >> i & 1 == 0]
         values[i] = math.fsum(weight[size[out]] * (v[out | 1 << i] - v[out]))
-    return ShapleyAttribution(values=values, base_value=float(v[0]), np_used=bg.np_used)
+    return ShapleyAttribution(values=values, base_value=float(v[0]), np_used=table.shape[1])
 
 
 def mean_based_scores_equal_shap_check(model, report: "ExplanationReport") -> float:
@@ -291,10 +290,10 @@ def explain_many(
     what a single `explain` call would produce.
 
     The background draw and plain rows are computed once, the residuals and
-    label mixture at most once, a MAP search once per mode reference, and
-    each row's coalitions once, by Shapley, for all its decompositions.  Only
-    the MAP search (residuals, priors) and a prior background (priors) read
-    them; ``priors`` may be None when nothing does.
+    label mixture at most once, a MAP search and a coalition table once per
+    reference, and per row one table that its Shapley values and all its
+    decompositions read.  Only the MAP search (residuals, priors) and a prior
+    background (priors) read the priors; they may be None when nothing does.
     """
     indices = [int(i) for i in indices]
     for observation_index in indices:
@@ -367,20 +366,21 @@ def explain_many(
         bg = draw_background(source, settings.np_count, bg_seed)
 
     label_std = float(data.labels.std())
-    # Each pinned batch is predicted once for all rows and references; it is
-    # released after the last row that pins its values (references come last).
-    points = np.vstack([data.features[indices], *(shared["x_ref"] for _, shared in refs)])
-    coalitions = _Coalitions(model, bg, points)
+    coalitions = _Coalitions(model, bg)
+    with _stage("decompose"):
+        ref_tables = [coalitions.table(shared["x_ref"], settings.order) for _, shared in refs]
     reports = [[] for _ in refs]
-    for position, observation_index in enumerate(indices):
+    for observation_index in indices:
         x_obs, y_obs = data.row(observation_index)
         with _stage("shapley"):
-            shap = shapley_values(model, bg, x_obs, coalitions=coalitions)
-        for (mode, shared), out in zip(refs, reports):
+            # one full table per row: its Shapley values and every decomposition read it
+            table = coalitions.table(x_obs, data.d_x)
+            shap = _shapley(table)
+        for (mode, shared), ref_table, out in zip(refs, ref_tables, reports):
             with _stage("decompose"):
-                decomp = decompose_deviation(
-                    model, bg, x_obs, shared["x_ref"], y_obs, shared["y_ref"],
-                    settings.order, coalitions=coalitions,
+                decomp = _decompose(
+                    table, ref_table, x_obs, shared["x_ref"], y_obs, shared["y_ref"],
+                    settings.order,
                 )
             with _stage("scores"):
                 scores = responsible_scores(
@@ -400,7 +400,6 @@ def explain_many(
                     **shared,
                 )
             )
-        coalitions.release(position)
     return reports
 
 

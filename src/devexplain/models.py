@@ -379,6 +379,8 @@ def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
         raise ValidationError(
             f"need at least {2 * params.min_samples_leaf} observations"
         )
+    if train.d_x == 0:
+        raise ValidationError("need at least one feature column")
     base = float(train.labels.mean())
     residual = train.labels - base
     # the columns never change, so each is sorted once per fit

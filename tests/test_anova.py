@@ -79,6 +79,15 @@ class RowCountingModel:
         return self.model.predict_batch(x)
 
 
+def table_order(d: int, size: int) -> list[tuple]:
+    """The coalitions of a table's rows: by size, then by bitmask."""
+    return [
+        c
+        for k in range(size + 1)
+        for c in sorted(itertools.combinations(range(d), k), key=lambda c: sum(1 << i for i in c))
+    ]
+
+
 def standard_normal_priors(d: int) -> FeaturePriors:
     gmm = GaussianMixture1D(components=((1.0, 0.0, 1.0),))
     return FeaturePriors(per_feature=(gmm,) * d)
@@ -223,31 +232,29 @@ class TestSecondOrderEffect:
 
 
 class TestCoalitions:
-    def test_release_keeps_only_batches_a_later_point_pins(self, exact_priors):
-        # rows 0-2, then a reference: rows 0 and 1 share x0, rows 0 and 2
-        # share (x1, x2), row 1 and the reference share x2
-        points = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 6.0], [7.0, 2.0, 3.0], [0.0, 0.0, 6.0]])
-        every = [c for size in range(4) for c in itertools.combinations(range(3), size)]
+    def test_table_predicts_each_coalition_once(self, exact_priors):
+        # the plain rows once per evaluator, then each coalition of at most
+        # size features once per table, by size and then bitmask
+        points = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 6.0], [1.0, 2.0, 3.0]])
         bg = draw_background(exact_priors, 5, seed=0)
-        for q in range(3):
-            model = CountingModel(3)
-            coalitions = _Coalitions(model, bg, points)
-            for p in range(q + 1):
-                for c in every:
-                    coalitions.rows(points[p], c)
-            coalitions.release(q)
-            for p in range(q + 1):
-                for c in every:
-                    kept = any(
-                        np.array_equal(points[later, list(c)], points[p, list(c)])
-                        for later in range(q + 1, len(points))
-                    )
-                    calls = model.calls
-                    coalitions.rows(points[p], c)
-                    assert (model.calls == calls) == kept, (q, p, c)
-                    # drop a batch this check predicted again, as before it
-                    coalitions.release(q)
-
+        model = CountingModel(3)
+        counting = RowCountingModel(model)
+        coalitions = _Coalitions(counting, bg)
+        batches = 1
+        for size in range(4):
+            order = table_order(3, size)
+            for x in points:
+                table = coalitions.table(x, size)
+                batches += len(order) - 1
+                assert table.shape == (len(order), 5)
+                for row, c in zip(table, order):
+                    pinned = bg.points.copy()
+                    pinned[:, list(c)] = x[list(c)]
+                    assert row.tobytes() == model.predict_batch(pinned).tobytes()
+                # a smaller table's rows lead the full one's
+                assert np.array_equal(coalitions.table(x, 3)[: len(order)], table)
+                batches += 7
+        assert counting.rows == [5] * batches
 
     @pytest.mark.parametrize("source", ["resampled", "prior"])
     @pytest.mark.parametrize("kind", ["linear", "gbt"])
@@ -264,14 +271,13 @@ class TestCoalitions:
         bg = draw_background(rows if source == "resampled" else exact_priors, 400, seed=6)
         model = {"linear": linear_outlier, "gbt": small_gbt}[kind]
         counting = RowCountingModel(model)
-        coalitions = _Coalitions(counting, bg)
         x = outlier_data.features[17]
-        every = [c for size in range(4) for c in itertools.combinations(range(3), size)]
-        for c in every * 2:
+        table = _Coalitions(counting, bg).table(x, 3)
+        for row, c in zip(table, table_order(3, 3), strict=True):
             pinned = bg.points.copy()
             pinned[:, list(c)] = x[list(c)]
-            assert coalitions.rows(x, c).tobytes() == model.predict_batch(pinned).tobytes()
-        assert counting.rows == [400] * len(every)
+            assert row.tobytes() == model.predict_batch(pinned).tobytes()
+        assert counting.rows == [400] * 8
 
     def test_signed_zeros_are_distinct_rows(self):
         # 0.0 == -0.0, but a model may tell them apart: it sees both
@@ -280,7 +286,7 @@ class TestCoalitions:
         )
         bg = draw_background(data, 50, seed=0)
         sign = SignModel()
-        got = _Coalitions(sign, bg).rows(None, ())
+        [got] = _Coalitions(sign, bg).table(np.zeros(2), 0)
         assert got.tobytes() == sign.predict_batch(bg.points).tobytes()
         assert abs(got.mean()) < 1.0
 

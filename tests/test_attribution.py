@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from devexplain import attribution
+from devexplain import anova, attribution
 from devexplain.anova import BackgroundSample, decompose_deviation, draw_background
 from devexplain.attribution import (
     ExplainSettings,
@@ -491,10 +491,10 @@ class TestExplainMany:
                 )
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_shared_pinned_values_predicted_once(self, order):
+    def test_shared_pinned_values_predicted_per_row(self, order):
         # rows 0 and 3 are equal, rows 0, 1 and 4 share x0, rows 0 and 2
-        # share (x1, x2), row 2 ends its pins' last use before row 4 reuses
-        # another; the reference (the column means) shares none of them
+        # share (x1, x2), rows 4 and 5 pin -0.0 and 0.0: each row still gets a
+        # table of its own, and only the plain rows are predicted once for all
         features = np.array([
             [1.0, 2.0, 3.0],
             [1.0, 5.0, 6.0],
@@ -510,24 +510,31 @@ class TestExplainMany:
         settings = ExplainSettings(seed=2, np_count=4, order=order)
         model = RecordingModel()
         [batch] = explain_many(model, priors, data, range(6), ["mean"], settings)
-        # -0.0 and 0.0 pin different bits, so they stay apart
-        assert len(model.batches) == len(set(model.batches))
+        d, rows, refs = 3, 6, 1
+        reference_side = sum(math.comb(d, k) for k in range(1, order + 1))
+        assert len(model.batches) == 1 + rows * (2**d - 1) + refs * reference_side
         for index, report in enumerate(batch):
             solo = explain(model, priors, data, index, "mean", settings)
             assert json.dumps(report_to_json(report)) == json.dumps(report_to_json(solo))
 
-    def test_one_public_decomposition_and_shapley_per_row(
+    def test_one_table_per_row_and_per_reference(
         self, fixture_model, fixture_priors, fixture_data, monkeypatch
     ):
         calls = []
-        for name in ("decompose_deviation", "shapley_values", "select_k"):
 
-            def counted(*args, _name=name, _public=getattr(attribution, name), **kwargs):
-                calls.append(_name)
-                return _public(*args, **kwargs)
+        def spy(name, inner):
+            def spied(*args, **kwargs):
+                out = inner(*args, **kwargs)
+                calls.append((name, args, out))
+                return out
 
-            monkeypatch.setattr(attribution, name, counted)
+            return spied
+
+        monkeypatch.setattr(anova._Coalitions, "table", spy("table", anova._Coalitions.table))
+        for name in ("_shapley", "_decompose", "select_k"):
+            monkeypatch.setattr(attribution, name, spy(name, getattr(attribution, name)))
         settings = ExplainSettings(seed=5, np_count=40, order=2, budget_runs=3)
+        d = fixture_data.d_x
         for references, fits in [
             (["mean"], []),
             ([("mode", 0), "mean"], ["select_k"]),
@@ -539,9 +546,22 @@ class TestExplainMany:
                 fixture_model, fixture_priors, fixture_data, range(3), references, settings
             )
             assert [len(reports) for reports in batch] == [3] * len(references)
-            # Shapley runs once, first, pinning every coalition the decompositions read
-            row = ["shapley_values"] + ["decompose_deviation"] * len(references)
-            assert calls == fits + row * 3, references
+            # a table of order-many features per reference, then per row one
+            # full table that Shapley and every decomposition read
+            row = ["table", "_shapley"] + ["_decompose"] * len(references)
+            assert [name for name, _, _ in calls] == (
+                fits + ["table"] * len(references) + row * 3
+            ), references
+            sizes = [args[2] for name, args, _ in calls if name == "table"]
+            assert sizes == [2] * len(references) + [d] * 3
+            ref_tables = [out for _, _, out in calls[len(fits):][: len(references)]]
+            for name, args, out in calls[len(fits) + len(references):]:
+                if name == "table":
+                    table, refs_read = out, iter(ref_tables)
+                elif name == "_shapley":
+                    assert args[0] is table
+                else:
+                    assert args[0] is table and args[1] is next(refs_read)
 
     def test_matches_single_calls(self, fixture_model, fixture_priors, fixture_data):
         # work shared across rows and across references must not change any report

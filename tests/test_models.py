@@ -531,6 +531,16 @@ class TestFitGbt:
         with pytest.raises(ValidationError):
             fit_gbt(data, GbtParams(min_samples_leaf=1))
 
+    def test_needs_a_feature_column(self):
+        # a label-only table has no split to grow; the linear fit keeps its intercept
+        data = Dataset(features=np.empty((5, 0)), labels=[1.0, 2.0, 3.0, 4.0, 5.0],
+                       feature_names=())
+        with pytest.raises(ValidationError, match="need at least one feature column"):
+            fit_gbt(data, GbtParams(n_trees=2))
+        model = fit_linear(data)
+        assert model.intercept == pytest.approx(3.0)
+        assert model.coefficients.shape == (0,)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
