@@ -76,9 +76,8 @@ def draw_background(priors_or_data, np_count: int, seed: int) -> BackgroundSampl
 def _masks(d: int, size: int) -> np.ndarray:
     """The bitmasks of the coalitions of at most ``size`` of d features, by
     size and then by value, so a smaller table's rows lead a larger one's."""
-    masks = np.arange(1 << d)
-    sizes = sum(masks >> i & 1 for i in range(d))
-    return masks[np.argsort(sizes, kind="stable")][: np.count_nonzero(sizes <= size)]
+    sizes = sum(np.arange(1 << d) >> i & 1 for i in range(d))
+    return np.argsort(sizes, kind="stable")[: np.count_nonzero(sizes <= size)]
 
 
 def _features(mask: int, features) -> tuple:
