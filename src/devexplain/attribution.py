@@ -32,7 +32,7 @@ from .inverse import MapResult, PosteriorObjective, default_budget, direct_searc
 from .mixtures import (
     FeaturePriors,
     ModeInfo,
-    _child_seeds,
+    _stage_seeds,
     mode_z_score,
     modes,
     select_k,
@@ -224,18 +224,6 @@ def _stage(name: str):
             else:
                 exc.args = (name,)
         raise
-
-
-def _stage_seeds(seed: int) -> list[int]:
-    """The label-mixture, MAP and background seeds of a settings seed."""
-    return _child_seeds(seed, 3)
-
-
-def _command_seeds(seed: int) -> tuple[int, int, int]:
-    """The priors, settings and label-mixture seeds of a CLI seed: `modes`
-    fits the mixture that explain_many fits for `explain --mode`."""
-    priors_seed, explain_seed = _child_seeds(seed, 2)
-    return priors_seed, explain_seed, _stage_seeds(explain_seed)[0]
 
 
 def explain(

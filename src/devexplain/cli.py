@@ -31,46 +31,21 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
-import numpy as np  # noqa: E402  (after the thread count is chosen)
-
+# The package modules load numpy, so they come after the thread count.  Each
+# command imports the stages it runs: only `explain` loads the whole pipeline.
 from . import __version__
-from .attribution import (
-    _REPORT_COLUMNS,
-    REPORT_SCHEMA,
-    ExplainSettings,
-    _check_enumerable,
-    _command_seeds,
-    explain_many,
-    report_rows,
-    report_to_json,
-)
 from .dataset import (
     _json_doc,
     _read_json,
     generate_synthetic,
     load_csv,
     load_synthetic_spec,
-    trimodal_benchmark_spec,
     split,
     synthetic_spec_to_json,
+    trimodal_benchmark_spec,
 )
 from .errors import DevexplainError, IngestionError, ValidationError
-from .mixtures import (
-    FeaturePriors,
-    fit_priors,
-    mixture_to_json,
-    modes,
-    select_k,
-)
-from .models import (
-    GbtParams,
-    fit_gbt,
-    fit_linear,
-    load_model,
-    model_to_json,
-    residual_stats,
-)
-from .svgchart import grouped_bar_svg
+
 
 def _resolve_seed(value: int | None) -> int:
     if value is None:
@@ -109,6 +84,7 @@ def _log_run(args, argv: list[str], code: int, elapsed: float) -> None:
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
+    from .attribution import _REPORT_COLUMNS
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
         writer.writeheader()
@@ -138,6 +114,7 @@ def cmd_synth(args, out: Path) -> dict:
 
 
 def cmd_fit(args, out: Path) -> dict:
+    from .models import GbtParams, fit_gbt, fit_linear, model_to_json, residual_stats
     data = load_csv(args.data, args.label)
     if not 0 < args.split <= 1:
         raise ValidationError("--split must be in (0, 1]")
@@ -190,6 +167,7 @@ def cmd_fit(args, out: Path) -> dict:
 
 
 def cmd_modes(args, out: Path) -> dict:
+    from .mixtures import _command_seeds, mixture_to_json, modes, select_k
     data = load_csv(args.data, args.label)
     gmm = select_k(data.labels, args.k_max, _command_seeds(args.seed)[2])
     mode_list = modes(gmm)
@@ -215,7 +193,7 @@ def _parse_index_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _normalized(values: np.ndarray) -> list[float] | None:
+def _normalized(values) -> list[float] | None:
     total = float(values.sum())
     if total == 0:
         return None
@@ -226,6 +204,7 @@ def _chart_for_report(report, mean_report) -> str | None:
     """Bars of the report's scores, its mean-reference companion's scores
     (``mean_report``, None for a mean report) and its normalized SHAP values;
     None when all three are degenerate."""
+    from .svgchart import grouped_bar_svg
     series = []
     if not report.scores.degenerate:
         series.append(
@@ -253,6 +232,11 @@ def _chart_for_report(report, mean_report) -> str | None:
 
 
 def cmd_explain(args, out: Path) -> dict:
+    from .attribution import (
+        ExplainSettings, _check_enumerable, explain_many, report_rows, report_to_json,
+    )
+    from .mixtures import FeaturePriors, _command_seeds, fit_priors
+    from .models import load_model
     data = load_csv(args.data, args.label)
     model = load_model(args.model)
     if args.index is not None:
@@ -331,6 +315,7 @@ def cmd_explain(args, out: Path) -> dict:
 
 
 def cmd_compare(args, out: Path) -> dict:
+    from .attribution import REPORT_SCHEMA, report_rows
     rows = []
     for path in args.reports:
         doc = _read_json(path)

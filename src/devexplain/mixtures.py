@@ -539,6 +539,18 @@ def _child_seeds(seed: int, n: int) -> list[int]:
     ]
 
 
+def _stage_seeds(seed: int) -> list[int]:
+    """The label-mixture, MAP and background seeds of an explain settings seed."""
+    return _child_seeds(seed, 3)
+
+
+def _command_seeds(seed: int) -> tuple[int, int, int]:
+    """The priors, settings and label-mixture seeds of a CLI seed: `modes`
+    fits the mixture that explain_many fits for `explain --mode`."""
+    priors_seed, explain_seed = _child_seeds(seed, 2)
+    return priors_seed, explain_seed, _stage_seeds(explain_seed)[0]
+
+
 def fit_priors(data, k_max: int, seed: int) -> FeaturePriors:
     """Per-column BIC-selected mixture fits of a ``Dataset``'s features; one
     child seed per column.  A column that cannot be fitted (a constant one,

@@ -428,15 +428,16 @@ class TestExplain:
 
     @pytest.fixture
     def no_prior_fits(self, monkeypatch):
-        """Record every ``fit_priors`` call the CLI makes."""
+        """Record every ``fit_priors`` call the CLI makes (``explain`` looks
+        it up in ``mixtures`` when it runs)."""
         calls = []
-        fit = devexplain.cli.fit_priors
+        fit = devexplain.mixtures.fit_priors
 
         def recording(*args, **kwargs):
             calls.append(args)
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(devexplain.cli, "fit_priors", recording)
+        monkeypatch.setattr(devexplain.mixtures, "fit_priors", recording)
         return calls
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "0"])
@@ -1209,3 +1210,43 @@ class TestBlasThreads:
             OPENBLAS_NUM_THREADS="2",
         )
         assert env == ["2", "1", "1"]
+
+
+class TestImportFootprint:
+    """Each command loads only the package modules of the stages it runs:
+    one fresh interpreter per case, the CLI's own modules subtracted."""
+
+    BASE = ["cli", "dataset", "errors"]
+    PIPELINE = ["anova", "attribution", "inverse", "mixtures", "models"]
+
+    @staticmethod
+    def loaded(argv):
+        code, modules = run_fresh(
+            "import devexplain.cli\n"
+            f"code = devexplain.cli.main({list(argv)!r}) if {bool(argv)} else 0\n"
+            "print(json.dumps([code, sorted(m.split('.')[1] for m in sys.modules\n"
+            "    if m.startswith('devexplain.'))]))"
+        )
+        assert code == 0
+        return modules
+
+    def test_import_loads_the_frame_only(self):
+        assert self.loaded([]) == self.BASE
+
+    @pytest.mark.parametrize(
+        "argv, stages",
+        [
+            (["synth", "--preset", "trimodal", "--n", "20"], ["mixtures"]),
+            (["fit", "--kind", "linear", "--split", "1"], ["models"]),
+            (["modes", "--k-max", "2"], ["mixtures"]),
+            (["explain", "--index", "0", "--mean", "--np", "20"], PIPELINE),
+            (["explain", "--index", "0", "--mean", "--np", "20", "--svg"], PIPELINE + ["svgchart"]),
+        ],
+        ids=["synth", "fit", "modes", "explain", "explain-svg"],
+    )
+    def test_command_loads_its_stages(self, river_ws, tmp_path, argv, stages):
+        if argv[0] != "synth":
+            argv = argv + ["--data", FIXTURE, "--label", "njr"]
+        if argv[0] == "explain":
+            argv = argv + ["--model", str(river_ws / "model.json")]
+        assert self.loaded(argv + ["--out", str(tmp_path)]) == sorted(self.BASE + stages)

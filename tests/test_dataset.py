@@ -10,6 +10,7 @@ import pytest
 from devexplain.anova import BackgroundSample
 from devexplain.dataset import (
     Dataset,
+    _distinct_rows,
     _json_doc,
     SyntheticSpec,
     generate_synthetic,
@@ -200,6 +201,27 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="line 2"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("header", ["y,h", "h,y"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n1.0,2.0\n".encode())
+        data = load_csv(path, "y")
+        assert data.feature_names == ("h",)
+        assert data.label_name == "y"
+        assert data.n == 1
+
+    def test_directory_is_ingestion_error(self, tmp_path):
+        with pytest.raises(IngestionError, match="unreadable") as exc:
+            load_csv(tmp_path, "y")
+        assert str(tmp_path) in str(exc.value)
+
+    def test_non_utf8_is_ingestion_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("caf\u00e9,y\n1.0,2.0\n".encode("latin-1"))
+        with pytest.raises(IngestionError, match="unreadable") as exc:
+            load_csv(path, "y")
+        assert str(path) in str(exc.value)
+
     def test_save_load_roundtrip_is_exact(self, tmp_path, trimodal_spec):
         data = generate_synthetic(trimodal_spec, 25, 13)
         path = tmp_path / "rt.csv"
@@ -208,6 +230,13 @@ class TestLoadCsv:
         assert np.array_equal(again.features, data.features)
         assert np.array_equal(again.labels, data.labels)
         assert again.feature_names == data.feature_names
+
+    def test_saved_csv_is_utf8(self, tmp_path):
+        data = Dataset(features=[[1.0]], labels=[2.0], feature_names=("d\u00e9bit",))
+        path = tmp_path / "utf8.csv"
+        data.save_csv(path)
+        assert path.read_bytes().startswith("d\u00e9bit,y".encode("utf-8"))
+        assert load_csv(path, "y").feature_names == ("d\u00e9bit",)
 
 
 class TestSplit:
@@ -264,6 +293,12 @@ class TestSpecFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="label_noise_std must be nonnegative and finite"):
             load_synthetic_spec(path)
+
+    def test_spec_with_byte_order_mark(self, tmp_path):
+        doc = {"features": [{"weights": [1.0], "means": [0.0], "stds": [1.0]}]}
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
+        assert load_synthetic_spec(path).d_x == 1
 
     def test_load_synthetic_spec_bad_json(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -328,3 +363,37 @@ class TestJsonDoc:
         plain = [float(v) for v in values]
         assert json.dumps(_json_doc(values)) == json.dumps(plain)
         assert json.dumps(_json_doc(with_nan)) == json.dumps(plain[:3] + [None] + plain[4:])
+
+
+class TestDistinctRows:
+    """Rows of at most 8 bytes are keyed as one packed integer, wider rows as
+    one void key; both must group exactly the bit-equal rows."""
+
+    @staticmethod
+    def void_groups(rows):
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        return np.unique(keys, return_index=True, return_inverse=True)[1:]
+
+    def assert_same_groups(self, rows):
+        first, inverse = _distinct_rows(rows)
+        void_first, void_inverse = self.void_groups(rows)
+        # the same set of first occurrences, and each row in the group of the same one
+        assert sorted(first) == sorted(void_first)
+        assert np.array_equal(first[inverse], void_first[void_inverse])
+        assert np.array_equal(rows[first][inverse].view(np.uint8), rows.view(np.uint8))
+
+    @pytest.mark.parametrize(
+        "dtype, width", [(np.uint8, 1), (np.uint8, 8), (np.uint16, 3), (np.uint16, 4),
+                         (np.uint16, 5), (np.uint32, 2)]
+    )
+    def test_rank_rows(self, dtype, width):
+        rows = np.random.default_rng(width).integers(0, 4, (500, width)).astype(dtype)
+        self.assert_same_groups(rows)
+
+    def test_signed_zeros_and_nan_payloads_stay_apart(self):
+        quiet, payload = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64).view(float)
+        rows = np.array([[0.0], [-0.0], [quiet], [payload], [1.0], [0.0], [payload], [-0.0]])
+        first, inverse = _distinct_rows(rows)
+        assert first.size == 5
+        assert list(first[inverse]) == [0, 1, 2, 3, 4, 0, 3, 1]
+        self.assert_same_groups(rows)
