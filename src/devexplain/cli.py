@@ -40,9 +40,9 @@ from .dataset import (
     generate_synthetic,
     load_csv,
     load_synthetic_spec,
+    trimodal_benchmark_spec,
     split,
     synthetic_spec_to_json,
-    trimodal_benchmark_spec,
 )
 from .errors import DevexplainError, IngestionError, ValidationError
 

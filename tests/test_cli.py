@@ -1213,8 +1213,8 @@ class TestBlasThreads:
 
 
 class TestImportFootprint:
-    """Each command loads only the package modules of the stages it runs:
-    one fresh interpreter per case, the CLI's own modules subtracted."""
+    """Each command loads only the package modules of the stages it runs,
+    counted in a fresh interpreter per case once the command returns."""
 
     BASE = ["cli", "dataset", "errors"]
     PIPELINE = ["anova", "attribution", "inverse", "mixtures", "models"]
@@ -1223,7 +1223,8 @@ class TestImportFootprint:
     def loaded(argv):
         code, modules = run_fresh(
             "import devexplain.cli\n"
-            f"code = devexplain.cli.main({list(argv)!r}) if {bool(argv)} else 0\n"
+            f"argv = {list(argv)!r}\n"
+            "code = devexplain.cli.main(argv) if argv else 0\n"
             "print(json.dumps([code, sorted(m.split('.')[1] for m in sys.modules\n"
             "    if m.startswith('devexplain.'))]))"
         )
