@@ -11,13 +11,8 @@ explanation: the same year is far from the densest label bump.
 
 import numpy as np
 
-from devexplain.attribution import (
-    ExplainSettings,
-    explain_many,
-    report_rows,
-    report_to_json,
-)
-from devexplain.dataset import load_csv, river_fixture_path
+from devexplain.attribution import ExplainSettings, explain_many
+from devexplain.dataset import load_csv, report_rows, report_to_json, river_fixture_path
 from devexplain.mixtures import fit_priors
 from devexplain.models import fit_linear
 

@@ -13,10 +13,11 @@ left out.  The matrix:
   with ``explain --mode 0 --index-range 0:4 --k-max 4``; a 300-tree GBT
   with ``explain --mean --order 2 --np 2000`` under the exact priors, over
   resampled rows and over prior draws (``--bg prior``), and with
-  ``explain --mode 0 --index 0 --k-max 4``, a tree MAP search;
+  ``explain --mode 0 --index 0 --k-max 4``, a tree MAP search; ``compare``
+  over the linear model's four reports;
 - the river fixture: ``modes --k-max 6``; a linear model with
   ``explain --mode 0 --index-range 0:20 --svg``; a GBT with
-  ``explain --mode 0 --index 19``;
+  ``explain --mode 0 --index 19``; ``compare`` over those 21 reports;
 - six copies of one 3-component feature (``synth --spec``, 2,000 rows): a
   linear model with ``explain --mode 0 --index 0 --budget-runs 2000`` under
   the exact priors, a MAP search with hundreds of optima.
@@ -83,6 +84,8 @@ def run_matrix(src: Path, out: Path) -> None:
         *SEED, "--out", "t/gbt/explain-prior")
     cli("explain", *trimodal, "--model", "t/gbt/model.json", "--mode", 0, "--index", 0,
         "--k-max", 4, *SEED, "--out", "t/gbt/explain-mode")
+    cli("compare", *(f"t/linear/explain/report_{i}.json" for i in range(4)),
+        "--out", "t/compare")
     river = ["--data", "river.csv", "--label", "njr"]
     cli("modes", *river, "--k-max", 6, *SEED, "--out", "r/modes")
     for kind in ("linear", "gbt"):
@@ -91,6 +94,8 @@ def run_matrix(src: Path, out: Path) -> None:
         "--index-range", "0:20", "--svg", *SEED, "--out", "r/linear/explain")
     cli("explain", *river, "--model", "r/gbt/model.json", "--mode", 0, "--index", 19,
         *SEED, "--out", "r/gbt/explain")
+    cli("compare", *(f"r/linear/explain/report_{i}.json" for i in range(20)),
+        "r/gbt/explain/report_19.json", "--out", "r/compare")
     (out / "spec6.json").write_text(json.dumps({"features": [FEATURE] * 6, "noise_std": 0.1}))
     cli("synth", "--spec", "spec6.json", "--n", 2000, *SEED, "--out", "s6")
     six = ["--data", "s6/synthetic.csv"]

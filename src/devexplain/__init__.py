@@ -33,7 +33,6 @@ _EXPORTS = {
         "explain",
         "explain_many",
         "mean_based_scores_equal_shap_check",
-        "report_to_json",
         "responsible_scores",
         "shapley_values",
     ),
@@ -42,6 +41,7 @@ _EXPORTS = {
         "SyntheticSpec",
         "generate_synthetic",
         "load_csv",
+        "report_to_json",
         "trimodal_benchmark_spec",
         "river_fixture_path",
         "split",

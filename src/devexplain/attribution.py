@@ -26,12 +26,11 @@ from .anova import (
     _masks,
     draw_background,
 )
-from .dataset import Dataset, _json_doc
+from .dataset import Dataset
 from .errors import DevexplainError, ValidationError
 from .inverse import MapResult, PosteriorObjective, default_budget, direct_search_map
 from .mixtures import (
     FeaturePriors,
-    ModeInfo,
     _stage_seeds,
     mode_z_score,
     modes,
@@ -39,8 +38,6 @@ from .mixtures import (
     z_score,
 )
 from .models import PredictiveModel, clamp_sigma_e_squared, residual_stats
-
-REPORT_SCHEMA = 1
 
 _ENUMERATION_LIMIT = 20
 
@@ -388,51 +385,5 @@ def explain_many(
                     **shared,
                 )
             )
+        del table  # so the next row's table is never built beside this one
     return reports
-
-
-def report_to_json(report: ExplanationReport) -> dict:
-    return {"schema": REPORT_SCHEMA, **_json_doc(report)}
-
-
-# the columns of a CSV of report_rows, in order
-_REPORT_COLUMNS = (
-    "observation_index",
-    "feature",
-    "reference_kind",
-    "mode_index",
-    "y_obs",
-    "y_ref",
-    "z",
-    "z_m",
-    "delta",
-    "score",
-    "shap",
-    "degenerate",
-)
-
-
-def report_rows(doc: dict) -> list[dict]:
-    """One flat dict per feature of a report document (``report_to_json``),
-    for CSV export and cross-report tables."""
-    scores = doc["scores"]
-    degenerate = scores["degenerate"]
-    return [
-        {
-            "observation_index": doc["observation_index"],
-            "feature": name,
-            "reference_kind": doc["reference_kind"],
-            "mode_index": "" if doc["mode_index"] is None else doc["mode_index"],
-            "y_obs": doc["y_obs"],
-            "y_ref": doc["y_ref"],
-            "z": doc["z"],
-            "z_m": "" if doc["z_m"] is None else doc["z_m"],
-            "delta": doc["decomposition"]["first_order"][i],
-            "score": ""
-            if degenerate or scores["first_order"][i] is None
-            else scores["first_order"][i],
-            "shap": doc["shap"]["values"][i],
-            "degenerate": degenerate,
-        }
-        for i, name in enumerate(doc["feature_names"])
-    ]

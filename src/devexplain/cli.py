@@ -15,9 +15,7 @@ any other exception.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import json
 import os
 import sys
 import time
@@ -36,15 +34,18 @@ for _var in BLAS_THREAD_VARS:
 from . import __version__
 from .dataset import (
     _json_doc,
-    _read_json,
+    _write_json,
     generate_synthetic,
     load_csv,
     load_synthetic_spec,
+    read_report,
+    report_to_json,
     trimodal_benchmark_spec,
     split,
     synthetic_spec_to_json,
+    write_report_csv,
 )
-from .errors import DevexplainError, IngestionError, ValidationError
+from .errors import DevexplainError, ValidationError
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -69,26 +70,14 @@ def _check_name(name: str) -> None:
         raise ValidationError(f"--name {name!r}: must be a file name without a directory")
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _log_run(args, argv: list[str], code: int, elapsed: float) -> None:
     """Append one line for this invocation to run.log under --out."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     try:
-        with open(Path(args.out) / "run.log", "a") as fh:
+        with open(Path(args.out) / "run.log", "a", encoding="utf-8") as fh:
             fh.write(f"{stamp} {args.cmd} {argv} exit={code} elapsed={elapsed:.3f}s\n")
     except OSError as exc:
         print(f"warning: cannot append to run.log: {exc}", file=sys.stderr)
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    from .attribution import _REPORT_COLUMNS
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def cmd_synth(args, out: Path) -> dict:
@@ -193,13 +182,6 @@ def _parse_index_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _normalized(values) -> list[float] | None:
-    total = float(values.sum())
-    if total == 0:
-        return None
-    return [float(v) / total for v in values]
-
-
 def _chart_for_report(report, mean_report) -> str | None:
     """Bars of the report's scores, its mean-reference companion's scores
     (``mean_report``, None for a mean report) and its normalized SHAP values;
@@ -214,9 +196,9 @@ def _chart_for_report(report, mean_report) -> str | None:
         series.append(
             ("mean score", [float(v) for v in mean_report.scores.first_order])
         )
-    shap_norm = _normalized(report.shap.values)
-    if shap_norm is not None:
-        series.append(("SHAP (normalized)", shap_norm))
+    shap_total = float(report.shap.values.sum())
+    if shap_total != 0:
+        series.append(("SHAP (normalized)", [float(v) / shap_total for v in report.shap.values]))
     if not series:
         return None
     ref = (
@@ -232,9 +214,7 @@ def _chart_for_report(report, mean_report) -> str | None:
 
 
 def cmd_explain(args, out: Path) -> dict:
-    from .attribution import (
-        ExplainSettings, _check_enumerable, explain_many, report_rows, report_to_json,
-    )
+    from .attribution import ExplainSettings, _check_enumerable, explain_many
     from .mixtures import FeaturePriors, _command_seeds, fit_priors
     from .models import load_model
     data = load_csv(args.data, args.label)
@@ -272,16 +252,15 @@ def cmd_explain(args, out: Path) -> dict:
     reports, *companions = explain_many(model, priors, data, indices, references, settings)
     mean_reports = companions[0] if companions else [None] * len(indices)
 
-    rows = []
+    docs = []
     for report, mean_report in zip(reports, mean_reports):
         index = report.observation_index
-        doc = report_to_json(report)
-        _write_json(out / f"report_{index}.json", doc)
-        rows.extend(report_rows(doc))
+        docs.append(report_to_json(report))
+        _write_json(out / f"report_{index}.json", docs[-1])
         if args.svg:
             chart = _chart_for_report(report, mean_report)
             if chart is not None:
-                (out / f"chart_{index}.svg").write_text(chart)
+                (out / f"chart_{index}.svg").write_text(chart, encoding="utf-8")
         if report.scores.degenerate:
             print(
                 f"index {index}: degenerate ({report.reference_kind} reference, "
@@ -294,8 +273,8 @@ def cmd_explain(args, out: Path) -> dict:
             )
             print(f"index {index}: {report.reference_kind} scores {score_text}")
     if len(indices) > 1:
-        _write_csv(out / "reports.csv", rows)
-        print(f"wrote {out / 'reports.csv'} ({len(rows)} rows)")
+        count = write_report_csv(out / "reports.csv", docs)
+        print(f"wrote {out / 'reports.csv'} ({count} rows)")
     return {
         "data": args.data,
         "label": args.label,
@@ -315,18 +294,8 @@ def cmd_explain(args, out: Path) -> dict:
 
 
 def cmd_compare(args, out: Path) -> dict:
-    from .attribution import REPORT_SCHEMA, report_rows
-    rows = []
-    for path in args.reports:
-        doc = _read_json(path)
-        if not isinstance(doc, dict) or doc.get("schema") != REPORT_SCHEMA:
-            raise IngestionError(f"{path}: unsupported report schema")
-        try:
-            rows.extend(report_rows(doc))
-        except (KeyError, IndexError, TypeError) as exc:
-            raise IngestionError(f"{path}: malformed report ({exc!r})") from exc
-    _write_csv(out / args.name, rows)
-    print(f"wrote {out / args.name} ({len(rows)} rows from {len(args.reports)} reports)")
+    count = write_report_csv(out / args.name, [read_report(path) for path in args.reports])
+    print(f"wrote {out / args.name} ({count} rows from {len(args.reports)} reports)")
     return {"reports": list(args.reports), "name": args.name}
 
 

@@ -1,9 +1,13 @@
-"""Data model, synthetic multimodal generator, CSV ingestion, and splitting.
+"""Data model, synthetic multimodal generator, input and result files.
 
 A :class:`Dataset` is an immutable bundle of an ``N x d`` feature matrix and
 a length-``N`` label vector.  Synthetic data is drawn feature-by-feature from
 1-D Gaussian mixtures and combined additively, which is the generating
 process the rest of the package is demonstrated on.
+
+It also owns the file formats: every input file is read, and every JSON and
+CSV result written, as UTF-8, and the report format lives here, apart from
+the pipeline, so ``compare`` loads no pipeline module.
 """
 
 from __future__ import annotations
@@ -296,6 +300,81 @@ def _json_doc(obj):
     if isinstance(obj, float) and math.isnan(obj):
         return None
     return obj
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+REPORT_SCHEMA = 1
+
+# the columns of a CSV of report_rows, in order
+_REPORT_COLUMNS = (
+    "observation_index", "feature", "reference_kind", "mode_index", "y_obs", "y_ref",
+    "z", "z_m", "delta", "score", "shap", "degenerate",
+)
+
+
+def report_to_json(report) -> dict:
+    """An ``attribution.ExplanationReport`` as its JSON document."""
+    return {"schema": REPORT_SCHEMA, **_json_doc(report)}
+
+
+def report_rows(doc: dict) -> list[dict]:
+    """One flat dict per feature of a report document (``report_to_json``),
+    for CSV export and cross-report tables.  A per-feature list whose length
+    is not the number of feature names is a ValueError."""
+    scores = doc["scores"]
+    degenerate = scores["degenerate"]
+    per_feature = zip(
+        doc["feature_names"], doc["decomposition"]["first_order"], scores["first_order"],
+        doc["shap"]["values"], strict=True,
+    )
+    return [
+        {
+            "observation_index": doc["observation_index"],
+            "feature": name,
+            "reference_kind": doc["reference_kind"],
+            "mode_index": "" if doc["mode_index"] is None else doc["mode_index"],
+            "y_obs": doc["y_obs"],
+            "y_ref": doc["y_ref"],
+            "z": doc["z"],
+            "z_m": "" if doc["z_m"] is None else doc["z_m"],
+            "delta": delta,
+            "score": "" if degenerate or score is None else score,
+            "shap": shap,
+            "degenerate": degenerate,
+        }
+        for name, delta, score, shap in per_feature
+    ]
+
+
+def read_report(path: str | Path) -> dict:
+    """The report document in ``path``.  One whose schema is not the JSON
+    integer ``REPORT_SCHEMA``, whose ``feature_names`` are not a list of
+    strings, or that ``report_rows`` cannot tabulate is an IngestionError."""
+    doc = _read_json(path)
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if type(schema) is not int or schema != REPORT_SCHEMA:  # true == 1 in Python
+        raise IngestionError(f"{path}: unsupported report schema")
+    names = doc.get("feature_names")
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise IngestionError(f"{path}: feature_names must be a list of strings")
+    try:
+        report_rows(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestionError(f"{path}: malformed report ({exc!r})") from exc
+    return doc
+
+
+def write_report_csv(path: Path, docs) -> int:
+    """Write the ``report_rows`` of ``docs`` as one CSV; returns the row count."""
+    rows = [row for doc in docs for row in report_rows(doc)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    return len(rows)
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:

@@ -524,7 +524,7 @@ def _finite(value, name: str):
 
 def model_from_json(doc: dict) -> PredictiveModel:
     schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != MODEL_SCHEMA:
+    if type(schema) is not int or schema != MODEL_SCHEMA:  # true == 1 in Python
         raise ValidationError(f"unsupported model schema {schema!r}")
     kind = doc.get("kind")
     try:

@@ -26,7 +26,6 @@ from devexplain.attribution import (
     ExplainSettings,
     explain,
     mean_based_scores_equal_shap_check,
-    report_to_json,
     responsible_scores,
     shapley_values,
 )
@@ -34,6 +33,7 @@ from devexplain.dataset import (
     Dataset,
     generate_synthetic,
     load_csv,
+    report_to_json,
     trimodal_benchmark_spec,
     river_fixture_path,
 )

@@ -17,8 +17,8 @@ from devexplain.anova import (
     first_order_effect,
     second_order_effect,
 )
-from devexplain.attribution import ExplainSettings, explain, report_to_json
-from devexplain.dataset import Dataset
+from devexplain.attribution import ExplainSettings, explain
+from devexplain.dataset import Dataset, report_to_json
 from devexplain.errors import ValidationError
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D
 from devexplain.models import GbtParams, fit_gbt

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -17,12 +18,10 @@ from devexplain.attribution import (
     explain,
     explain_many,
     mean_based_scores_equal_shap_check,
-    report_rows,
-    report_to_json,
     responsible_scores,
     shapley_values,
 )
-from devexplain.dataset import Dataset
+from devexplain.dataset import Dataset, report_rows, report_to_json
 from devexplain.errors import ValidationError
 from devexplain.inverse import default_budget
 from devexplain.mixtures import FeaturePriors, GaussianMixture1D, fit_priors
@@ -475,6 +474,27 @@ class TestExplainMany:
         for index, report in enumerate(batch):
             solo = explain(model, fixture_priors, fixture_data, index, "mean", settings)
             assert report_to_json(report) == report_to_json(solo)
+
+    def test_one_full_table_alive_per_row(
+        self, fixture_model, fixture_priors, fixture_data, monkeypatch
+    ):
+        # how many full tables of earlier rows are still referenced each time
+        # a table starts: a row's table is dropped before the next row's
+        full, alive = [], []
+        table = anova._Coalitions.table
+
+        def spy(coalitions, x, size, features=None):
+            alive.append(sum(ref() is not None for ref in full))
+            out = table(coalitions, x, size, features)
+            if size == fixture_data.d_x:
+                full.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(anova._Coalitions, "table", spy)
+        settings = ExplainSettings(seed=5, np_count=40)
+        explain_many(fixture_model, fixture_priors, fixture_data, range(4), ["mean"], settings)
+        assert len(full) == 4
+        assert alive == [0] * 5
 
     def test_priors_read_only_by_the_map_search_and_a_prior_background(
         self, fixture_model, fixture_priors, fixture_data

@@ -743,6 +743,31 @@ class TestCompare:
         rc = run("compare", str(bad), "--out", str(tmp_path))
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "reference", [["--mean"], ["--mode", "0", "--budget-runs", "3"]], ids=["mean", "mode"]
+    )
+    def test_reproduces_the_explain_table(self, river_ws, tmp_path, reference):
+        # river row 19 sits on the label mean: its mean report is degenerate
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"), "--index-range", "0:20",
+            *reference, "--np", "50", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        reports = [str(tmp_path / f"report_{i}.json") for i in range(20)]
+        assert run("compare", *reports, "--out", str(tmp_path)) == 0
+        table = (tmp_path / "compare.csv").read_bytes()
+        assert table == (tmp_path / "reports.csv").read_bytes()
+        assert len(table.splitlines()) == 1 + 20 * 3
+
+
+# the fields of a two-feature report that compare reads; the malformed cases edit it
+REPORT = (
+    '{"schema": 1, "observation_index": 0, "feature_names": ["a", "b"], '
+    '"reference_kind": "mean", "mode_index": null, "y_obs": 1.0, "y_ref": 0.0, '
+    '"z": 1.0, "z_m": null, "scores": {"first_order": [0.5, 0.5], "degenerate": false}, '
+    '"decomposition": {"first_order": [0.5, 0.5]}, "shap": {"values": [0.5, 0.5]}}'
+)
 
 # one split on the fixture's first feature; the malformed cases edit it
 GBT_STUMP = (
@@ -879,8 +904,18 @@ class TestMalformedInput:
                         '"coefficients": [1, 1, 1]}', 2),
             ("explain", '{"schema": 1, "kind": "linear", "intercept": 0, '
                         '"coefficients": [1, -Infinity, 1]}', 2),
+            ("explain", '{"schema": true, "kind": "linear", "intercept": 0, '
+                        '"coefficients": [1, 1, 1]}', 2),
             ("compare", "[1]", 3),
             ("compare", '{"schema": 1}', 3),
+            ("compare", REPORT, 0),
+            ("compare", REPORT.replace('"schema": 1', '"schema": true'), 3),
+            ("compare", REPORT.replace('"schema": 1', '"schema": 1.0'), 3),
+            ("compare", REPORT.replace('["a", "b"]', '"ab"'), 3),
+            ("compare", REPORT.replace('["a", "b"]', '["a", 2]'), 3),
+            ("compare", REPORT.replace('["a", "b"]', '["a"]'), 3),
+            ("compare", REPORT.replace('"values": [0.5, 0.5]', '"values": [0.5]'), 3),
+            ("compare", REPORT.replace('"degenerate": false', '"degen": false'), 3),
             ("synth", '{"features": [{"weights": [1], "means": [0], "stds": [1]}], '
                       '"noise_std": "abc"}', 2),
         ],
@@ -888,8 +923,11 @@ class TestMalformedInput:
              "gbt-feature-out-of-range", "gbt-short-value", "gbt-null-split-threshold",
              "gbt-nan-learning-rate", "gbt-infinite-base-score",
              "gbt-nan-split-threshold", "gbt-nan-leaf-value",
-             "linear-nan-intercept", "linear-infinite-coefficient",
-             "report-not-object", "report-schema-only", "spec-bad-noise"],
+             "linear-nan-intercept", "linear-infinite-coefficient", "model-schema-true",
+             "report-not-object", "report-schema-only", "report-minimal",
+             "report-schema-true", "report-schema-float", "report-names-string",
+             "report-names-not-strings", "report-names-short", "report-shap-short",
+             "report-no-degenerate-flag", "spec-bad-noise"],
     )
     def test_exit_code(self, tmp_path, command, content, code):
         path = tmp_path / "input.json"
@@ -1251,3 +1289,46 @@ class TestImportFootprint:
         if argv[0] == "explain":
             argv = argv + ["--model", str(river_ws / "model.json")]
         assert self.loaded(argv + ["--out", str(tmp_path)]) == sorted(self.BASE + stages)
+
+    def test_compare_loads_the_frame_only(self, two_reports, tmp_path):
+        argv = ["compare", *map(str, two_reports), "--out", str(tmp_path)]
+        assert self.loaded(argv) == self.BASE
+
+
+class TestResultEncoding:
+    """Result files are written as UTF-8 whatever the locale."""
+
+    ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+             "PYTHONIOENCODING": "utf-8"}
+
+    def test_ascii_locale_writes_the_utf8_bytes(self, tmp_path):
+        lines = Path(FIXTURE).read_text().splitlines(keepends=True)
+        outputs = {}
+        for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", self.ASCII)):
+            env = {**os.environ, **env,
+                   "PYTHONPATH": str(Path(devexplain.__file__).resolve().parents[1])}
+            # the ASCII run must really run under an ASCII preferred encoding
+            check = [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"]
+            encoding = subprocess.run(check, env=env, capture_output=True, text=True).stdout
+            assert (encoding.strip().lower() == "utf-8") is (name == "utf8")
+            d = tmp_path / name
+            d.mkdir()
+            (d / "data.csv").write_bytes(("hé,hp,ww,njr\n" + "".join(lines[1:])).encode())
+            data = ["--data", "data.csv", "--label", "njr", "--seed", "1"]
+            for argv in (
+                ["fit", *data, "--split", "1"],
+                ["explain", *data, "--model", "model.json", "--index-range", "0:2",
+                 "--mean", "--svg", "--np", "20"],
+                ["compare", "report_0.json", "report_1.json"],
+            ):
+                done = subprocess.run(
+                    [sys.executable, "-m", "devexplain.cli", *argv],
+                    cwd=d, env=env, capture_output=True,
+                )
+                assert done.returncode == 0, (name, argv[0], done.stderr)
+            outputs[name] = {
+                p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.name != "run.log"
+            }
+        assert outputs["ascii"] == outputs["utf8"]
+        assert {"reports.csv", "chart_0.svg", "compare.csv"} <= set(outputs["utf8"])
+        assert "hé".encode() in outputs["utf8"]["compare.csv"]

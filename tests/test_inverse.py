@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from devexplain import inverse
-from devexplain.attribution import ExplainSettings, explain, report_to_json
-from devexplain.dataset import _json_doc, load_csv, river_fixture_path
+from devexplain.attribution import ExplainSettings, explain
+from devexplain.dataset import _json_doc, load_csv, report_to_json, river_fixture_path
 from devexplain.errors import NumericalError, SearchFailureError, ValidationError
 from devexplain.inverse import (
     PosteriorObjective,
