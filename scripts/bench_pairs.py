@@ -19,10 +19,11 @@ is set), so both sides run their committed files.  Two kinds of pair,
   --index 0 --k-max 4 --seed 3`` run in process against a 300-tree GBT
   of depth 3 fitted (``fit --seed 3``) to the same data; the CPU time of
   its MAP search (``direct_search_map``, 423 starts).
-- ``shapley``: in a fresh interpreter per side, ``shapley_values(model,
-  bg, x)`` of one row of a random linear model over 200 random background
-  rows at d = 12 and d = 14: the best CPU time of 3 calls, each predicting
-  its 2^d pinned batches.
+- ``shapley``: in a fresh interpreter per side and per d, ``shapley_values(
+  model, bg, x)`` of one row of a random linear model over 200 random
+  background rows at d = 12 and d = 14: the best CPU time of 3 calls, each
+  predicting its 2^d pinned batches, and the interpreter's peak RSS
+  (``ru_maxrss``), so a d = 14 peak cannot mask the d = 12 one.
 - ``perfbench``: ``perfbench/run.py --workload W --seed SEED --trace 0``
   from each side's checkout, at the run length it configures; its
   end-to-end metrics.
@@ -78,23 +79,24 @@ print(code, *spent)
 """
 
 SHAPLEY = """
-import time
+import resource, sys, time
 import numpy as np
 from devexplain.anova import BackgroundSample
 from devexplain.attribution import shapley_values
 from devexplain.models import LinearModel
-for d in (12, 14):
-    rng = np.random.default_rng(d)
-    model = LinearModel(float(rng.normal()), rng.normal(size=d))
-    bg = BackgroundSample(rng.normal(size=(200, d)))
-    x = rng.normal(size=d)
-    best = []
-    for _ in range(3):
-        start = time.process_time()
-        shapley_values(model, bg, x)
-        best.append(time.process_time() - start)
-    print(d, min(best))
+d = int(sys.argv[1])
+rng = np.random.default_rng(d)
+model = LinearModel(float(rng.normal()), rng.normal(size=d))
+bg = BackgroundSample(rng.normal(size=(200, d)))
+x = rng.normal(size=d)
+best = []
+for _ in range(3):
+    start = time.process_time()
+    shapley_values(model, bg, x)
+    best.append(time.process_time() - start)
+print(min(best), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
+SHAPLEY_DIMS = (12, 14)
 
 
 def export(rev: str, into: Path) -> Path:
@@ -193,14 +195,17 @@ def main(argv=None) -> int:
 
         record["tree_map_cpu_s"] = summary(*interleave(sides, map_seconds).values())
 
-        def shapley_seconds(tree):
-            return dict(line.split() for line in python(tree, "-c", SHAPLEY, cwd=tmp).splitlines())
+        def shapley_run(tree):
+            """Per d: (CPU seconds, peak RSS in MB) of its own interpreter."""
+            return {d: tuple(map(float, python(tree, "-c", SHAPLEY, str(d), cwd=tmp).split()))
+                    for d in SHAPLEY_DIMS}
 
-        runs = interleave(sides, shapley_seconds)
-        record["shapley_cpu_s"] = {
-            f"d{d}": summary(*([float(r[d]) for r in runs[side]] for side in sides))
-            for d in runs["base"][0]
-        }
+        runs = interleave(sides, shapley_run)
+        for key, at in (("shapley_cpu_s", 0), ("shapley_peak_rss_mb", 1)):
+            record[key] = {
+                f"d{d}": summary(*([r[d][at] for r in runs[side]] for side in sides))
+                for d in SHAPLEY_DIMS
+            }
         for workload in args.workloads:
 
             def run(tree):

@@ -104,20 +104,26 @@ class _Coalitions:
         self._background = bg.points
         self.empty = model.predict_batch(bg.points.copy())
 
-    def table(self, x, size: int, features=None) -> np.ndarray:
-        """f per background row for every coalition of at most ``size`` of
-        ``features`` (all by default) set from ``x``, a full vector or a dict
-        of pins: one table row per bitmask of ``_masks(len(features), size)``."""
+    def table(self, x, size: int, features=None, keep=math.inf) -> tuple[np.ndarray, np.ndarray]:
+        """One pass over the coalitions of at most ``size`` of ``features`` (all
+        by default) set from ``x``, a vector or a dict of pins, in ``_masks``
+        order: v, each one's mean by bitmask (NaN past ``size``), and f per
+        background row for those of at most ``keep`` features (all)."""
         features = range(self._background.shape[1]) if features is None else features
-        masks = _masks(len(features), size)
-        table = np.empty((masks.size, self.empty.size))
-        table[0] = self.empty
-        for row, mask in enumerate(masks[1:].tolist(), 1):
-            coalition = list(_features(mask, features))
-            pinned = self._background.copy()
-            pinned[:, coalition] = [x[i] for i in coalition]
-            table[row] = self.model.predict_batch(pinned)
-        return table
+        kept = sum(math.comb(len(features), k) for k in range(min(size, keep) + 1))
+        masks, v = _masks(len(features), size), np.full(1 << len(features), math.nan)
+        # the kept rows, then the rest 256 at a time: each mean reads one NP row
+        edges = [0, *range(kept, masks.size, 256), masks.size]
+        for lo, hi in zip(edges, edges[1:]):
+            block = np.empty((hi - lo, self.empty.size))
+            for row, mask in enumerate(masks[lo:hi].tolist()):
+                coalition = list(_features(mask, features))
+                pinned = self._background.copy()
+                pinned[:, coalition] = [x[i] for i in coalition]
+                block[row] = self.model.predict_batch(pinned) if mask else self.empty
+            v[masks[lo:hi]] = block.mean(axis=1)
+            rows = block if lo == 0 else rows
+        return v, rows
 
 
 def _term(table: np.ndarray, row: int, term: tuple) -> np.ndarray:
@@ -156,9 +162,9 @@ def _effect(model, bg: BackgroundSample, pins: dict) -> tuple[float, float]:
     pins = {_feature_index(i, bg.d_x): value for i, value in pins.items()}
     if not all(math.isfinite(value) for value in pins.values()):
         raise ValidationError("pinned values must be finite")
-    # the table of the pinned features alone, the k-th as feature k
-    table = _Coalitions(model, bg).table(pins, len(pins), tuple(pins))
-    return _mean_and_stderr(_term(table, len(table) - 1, tuple(range(len(pins)))))
+    # the coalitions of the pinned features alone, the k-th as feature k
+    _, rows = _Coalitions(model, bg).table(pins, len(pins), tuple(pins))
+    return _mean_and_stderr(_term(rows, len(rows) - 1, tuple(range(len(pins)))))
 
 
 def first_order_effect(
@@ -249,12 +255,12 @@ def decompose_deviation(
     if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
         raise ValidationError("pinned value must be finite")
     coalitions = _Coalitions(model, bg)
-    obs, ref = coalitions.table(x_obs, order), coalitions.table(x_ref, order)
+    (_, obs), (_, ref) = coalitions.table(x_obs, order), coalitions.table(x_ref, order)
     return _decompose(obs, ref, x_obs, x_ref, y_obs, y_ref, order)
 
 
 def _decompose(obs, ref, x_obs, x_ref, y_obs, y_ref, order: int) -> DeviationDecomposition:
-    """The deviation terms from the coalition tables of the observation and
+    """The deviation terms from the coalition rows of the observation and of
     the reference, each holding at least the coalitions of ``order`` features."""
     d = x_obs.size
     first, first_se = np.empty(d), np.empty(d)

@@ -23,7 +23,6 @@ from .anova import (
     DeviationDecomposition,
     _Coalitions,
     _decompose,
-    _masks,
     draw_background,
 )
 from .dataset import Dataset
@@ -120,15 +119,12 @@ def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
     if not np.all(np.isfinite(x_obs)):
         raise ValidationError("x contains non-finite entries")
     _check_enumerable(d)
-    return _shapley(_Coalitions(model, bg).table(x_obs, d))
+    return _shapley(_Coalitions(model, bg).table(x_obs, d, keep=0)[0], bg.np_used)
 
 
-def _shapley(table: np.ndarray) -> ShapleyAttribution:
-    """Shapley values from a full coalition table, one row per bitmask of
-    ``_masks(d, d)``."""
-    d = table.shape[0].bit_length() - 1
-    v = np.empty(1 << d)
-    v[_masks(d, d)] = table.mean(axis=1)
+def _shapley(v: np.ndarray, np_used: int) -> ShapleyAttribution:
+    """Shapley values from the coalition values v of d features, by bitmask."""
+    d = v.size.bit_length() - 1
     # phi_i = sum over S without i of weight[|S|] (v(S + i) - v(S)), fsum exactly rounded
     masks = np.arange(1 << d)
     size = sum(masks >> i & 1 for i in range(d))
@@ -138,7 +134,7 @@ def _shapley(table: np.ndarray) -> ShapleyAttribution:
     for i in range(d):
         out = masks[masks >> i & 1 == 0]
         values[i] = math.fsum(weight[size[out]] * (v[out | 1 << i] - v[out]))
-    return ShapleyAttribution(values=values, base_value=float(v[0]), np_used=table.shape[1])
+    return ShapleyAttribution(values=values, base_value=float(v[0]), np_used=np_used)
 
 
 def mean_based_scores_equal_shap_check(model, report: "ExplanationReport") -> float:
@@ -275,10 +271,10 @@ def explain_many(
     what a single `explain` call would produce.
 
     The background draw and plain rows are computed once, the residuals and
-    label mixture at most once, a MAP search and a coalition table once per
-    reference, and per row one table that its Shapley values and all its
-    decompositions read.  Only the MAP search (residuals, priors) and a prior
-    background (priors) read the priors; they may be None when nothing does.
+    label mixture at most once, a MAP search and the rows of at most ``order``
+    features once per reference, and per row each coalition's mean and those
+    rows.  Only the MAP search (residuals, priors) and a prior background
+    (priors) read the priors; they may be None when nothing does.
     """
     indices = [int(i) for i in indices]
     for observation_index in indices:
@@ -353,18 +349,17 @@ def explain_many(
     label_std = float(data.labels.std())
     coalitions = _Coalitions(model, bg)
     with _stage("decompose"):
-        ref_tables = [coalitions.table(shared["x_ref"], settings.order) for _, shared in refs]
+        ref_rows = [coalitions.table(shared["x_ref"], settings.order)[1] for _, shared in refs]
     reports = [[] for _ in refs]
     for observation_index in indices:
         x_obs, y_obs = data.row(observation_index)
         with _stage("shapley"):
-            # one full table per row: its Shapley values and every decomposition read it
-            table = coalitions.table(x_obs, data.d_x)
-            shap = _shapley(table)
-        for (mode, shared), ref_table, out in zip(refs, ref_tables, reports):
+            v, rows = coalitions.table(x_obs, data.d_x, keep=settings.order)
+            shap = _shapley(v, bg.np_used)
+        for (mode, shared), ref, out in zip(refs, ref_rows, reports):
             with _stage("decompose"):
                 decomp = _decompose(
-                    table, ref_table, x_obs, shared["x_ref"], y_obs, shared["y_ref"],
+                    rows, ref, x_obs, shared["x_ref"], y_obs, shared["y_ref"],
                     settings.order,
                 )
             with _stage("scores"):
@@ -385,5 +380,4 @@ def explain_many(
                     **shared,
                 )
             )
-        del table  # so the next row's table is never built beside this one
     return reports

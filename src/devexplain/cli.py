@@ -70,6 +70,21 @@ def _check_name(name: str) -> None:
         raise ValidationError(f"--name {name!r}: must be a file name without a directory")
 
 
+def _echo(value):
+    """``value`` with each string as the UTF-8 text of its command-line bytes,
+    so the config echo does not depend on the locale that decoded them."""
+    if isinstance(value, dict):
+        return {key: _echo(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_echo(item) for item in value]
+    if isinstance(value, str):
+        try:
+            return os.fsencode(value).decode("utf-8", "surrogateescape")
+        except UnicodeEncodeError:  # not text this locale decoded from bytes
+            return value
+    return value
+
+
 def _log_run(args, argv: list[str], code: int, elapsed: float) -> None:
     """Append one line for this invocation to run.log under --out."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -380,6 +395,9 @@ def _run(args) -> int:
     """Run one command in the frame every command shares: make --out,
     resolve the seed, check --name, call the command and echo the config it
     returns; map an error to its exit code."""
+    if hasattr(sys.stdout, "reconfigure"):
+        # a name the stdout encoding cannot hold is printed escaped, not an error
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         out = Path(args.out)
         try:
@@ -393,7 +411,7 @@ def _run(args) -> int:
         if "name" in args:  # synth and compare write one file into --out
             _check_name(args.name)
         config = args.func(args, out)
-        _write_json(out / f"{args.cmd}_config.json", {"command": args.cmd, **config})
+        _write_json(out / f"{args.cmd}_config.json", {"command": args.cmd, **_echo(config)})
         return 0
     except DevexplainError as exc:
         print(f"error: {exc}", file=sys.stderr)

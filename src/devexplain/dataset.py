@@ -352,7 +352,9 @@ def report_rows(doc: dict) -> list[dict]:
 def read_report(path: str | Path) -> dict:
     """The report document in ``path``.  One whose schema is not the JSON
     integer ``REPORT_SCHEMA``, whose ``feature_names`` are not a list of
-    strings, or that ``report_rows`` cannot tabulate is an IngestionError."""
+    strings, that ``report_rows`` cannot tabulate, or whose per-feature lists
+    hold anything but JSON numbers is an IngestionError.  Null, the writer's
+    NaN, is allowed only in a degenerate report's scores."""
     doc = _read_json(path)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if type(schema) is not int or schema != REPORT_SCHEMA:  # true == 1 in Python
@@ -364,6 +366,15 @@ def read_report(path: str | Path) -> dict:
         report_rows(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestionError(f"{path}: malformed report ({exc!r})") from exc
+    for part, key in (("decomposition", "first_order"), ("scores", "first_order"),
+                      ("shap", "values")):
+        nullable = part == "scores" and doc["scores"]["degenerate"] is True
+        entries = doc[part][key]
+        # type, not isinstance: a JSON true is not a number here
+        if not isinstance(entries, list) or not all(
+            type(x) in (int, float) or (x is None and nullable) for x in entries
+        ):
+            raise IngestionError(f"{path}: {part}.{key} must be a list of numbers")
     return doc
 
 

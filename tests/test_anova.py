@@ -234,7 +234,8 @@ class TestSecondOrderEffect:
 class TestCoalitions:
     def test_table_predicts_each_coalition_once(self, exact_priors):
         # the plain rows once per evaluator, then each coalition of at most
-        # size features once per table, by size and then bitmask
+        # size features once per pass, by size and then bitmask; the pass
+        # keeps every mean, and the rows of those of at most keep features
         points = np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 6.0], [1.0, 2.0, 3.0]])
         bg = draw_background(exact_priors, 5, seed=0)
         model = CountingModel(3)
@@ -244,15 +245,25 @@ class TestCoalitions:
         for size in range(4):
             order = table_order(3, size)
             for x in points:
-                table = coalitions.table(x, size)
+                v, rows = coalitions.table(x, size)
                 batches += len(order) - 1
-                assert table.shape == (len(order), 5)
-                for row, c in zip(table, order):
+                assert v.shape == (8,)
+                assert rows.shape == (len(order), 5)
+                for c in table_order(3, 3):
+                    mask = sum(1 << i for i in c)
+                    if len(c) > size:
+                        assert math.isnan(v[mask])
+                        continue
                     pinned = bg.points.copy()
                     pinned[:, list(c)] = x[list(c)]
-                    assert row.tobytes() == model.predict_batch(pinned).tobytes()
-                # a smaller table's rows lead the full one's
-                assert np.array_equal(coalitions.table(x, 3)[: len(order)], table)
+                    batch = model.predict_batch(pinned)
+                    assert v[mask] == batch.mean()
+                    assert rows[order.index(c)].tobytes() == batch.tobytes()
+                # a larger pass keeps the same means, and with keep the same rows
+                full, kept = coalitions.table(x, 3, keep=size)
+                known = ~np.isnan(v)
+                assert full[known].tobytes() == v[known].tobytes()
+                assert kept.tobytes() == rows.tobytes()
                 batches += 7
         assert counting.rows == [5] * batches
 
@@ -272,12 +283,18 @@ class TestCoalitions:
         model = {"linear": linear_outlier, "gbt": small_gbt}[kind]
         counting = RowCountingModel(model)
         x = outlier_data.features[17]
-        table = _Coalitions(counting, bg).table(x, 3)
+        coalitions = _Coalitions(counting, bg)
+        v, table = coalitions.table(x, 3)
         for row, c in zip(table, table_order(3, 3), strict=True):
             pinned = bg.points.copy()
             pinned[:, list(c)] = x[list(c)]
             assert row.tobytes() == model.predict_batch(pinned).tobytes()
-        assert counting.rows == [400] * 8
+            assert v[sum(1 << i for i in c)] == row.mean()
+        # keeping no rows past the plain ones changes no batch and no mean
+        means, [plain] = coalitions.table(x, 3, keep=0)
+        assert means.tobytes() == v.tobytes()
+        assert plain.tobytes() == table[0].tobytes()
+        assert counting.rows == [400] * 15
 
     def test_signed_zeros_are_distinct_rows(self):
         # 0.0 == -0.0, but a model may tell them apart: it sees both
@@ -286,9 +303,11 @@ class TestCoalitions:
         )
         bg = draw_background(data, 50, seed=0)
         sign = SignModel()
-        [got] = _Coalitions(sign, bg).table(np.zeros(2), 0)
+        v, [got] = _Coalitions(sign, bg).table(np.zeros(2), 0)
         assert got.tobytes() == sign.predict_batch(bg.points).tobytes()
-        assert abs(got.mean()) < 1.0
+        assert v[0] == got.mean()
+        assert abs(v[0]) < 1.0
+        assert np.isnan(v[1:]).all()
 
 
 class TestDecomposeDeviation:

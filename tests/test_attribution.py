@@ -3,7 +3,7 @@
 import hashlib
 import json
 import math
-import weakref
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -475,26 +475,30 @@ class TestExplainMany:
             solo = explain(model, fixture_priors, fixture_data, index, "mean", settings)
             assert report_to_json(report) == report_to_json(solo)
 
-    def test_one_full_table_alive_per_row(
-        self, fixture_model, fixture_priors, fixture_data, monkeypatch
-    ):
-        # how many full tables of earlier rows are still referenced each time
-        # a table starts: a row's table is dropped before the next row's
-        full, alive = [], []
-        table = anova._Coalitions.table
-
-        def spy(coalitions, x, size, features=None):
-            alive.append(sum(ref() is not None for ref in full))
-            out = table(coalitions, x, size, features)
-            if size == fixture_data.d_x:
-                full.append(weakref.ref(out))
-            return out
-
-        monkeypatch.setattr(anova._Coalitions, "table", spy)
-        settings = ExplainSettings(seed=5, np_count=40)
-        explain_many(fixture_model, fixture_priors, fixture_data, range(4), ["mean"], settings)
-        assert len(full) == 4
-        assert alive == [0] * 5
+    @pytest.mark.parametrize("call", ["shapley_values", "explain_many"])
+    def test_peak_below_one_full_table(self, call):
+        # a point's 2**d coalitions over NP background rows would take
+        # 2**d * NP * 8 bytes (6.6 MB here) as one table; no pass builds one
+        d, np_count = 12, 200
+        rng = np.random.default_rng(0)
+        model = LinearModel(0.5, rng.normal(size=d))
+        data = Dataset(
+            features=rng.normal(size=(np_count, d)),
+            labels=rng.normal(size=np_count),
+            feature_names=tuple(f"x{i}" for i in range(d)),
+        )
+        settings = ExplainSettings(seed=0, np_count=np_count)
+        bg = draw_background(data, np_count, seed=0)
+        tracemalloc.start()
+        try:
+            if call == "shapley_values":
+                shapley_values(model, bg, data.features[0])
+            else:
+                explain_many(model, None, data, [0], ["mean"], settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << d) * np_count * 8
 
     def test_priors_read_only_by_the_map_search_and_a_prior_background(
         self, fixture_model, fixture_priors, fixture_data
@@ -545,7 +549,7 @@ class TestExplainMany:
         def spy(name, inner):
             def spied(*args, **kwargs):
                 out = inner(*args, **kwargs)
-                calls.append((name, args, out))
+                calls.append((name, args, kwargs, out))
                 return out
 
             return spied
@@ -566,22 +570,25 @@ class TestExplainMany:
                 fixture_model, fixture_priors, fixture_data, range(3), references, settings
             )
             assert [len(reports) for reports in batch] == [3] * len(references)
-            # a table of order-many features per reference, then per row one
-            # full table that Shapley and every decomposition read
+            # a pass over the coalitions of order-many features per reference,
+            # then per row one pass over all of them: Shapley reads its means,
+            # every decomposition its rows of at most order features
             row = ["table", "_shapley"] + ["_decompose"] * len(references)
-            assert [name for name, _, _ in calls] == (
+            assert [name for name, *_ in calls] == (
                 fits + ["table"] * len(references) + row * 3
             ), references
-            sizes = [args[2] for name, args, _ in calls if name == "table"]
-            assert sizes == [2] * len(references) + [d] * 3
-            ref_tables = [out for _, _, out in calls[len(fits):][: len(references)]]
-            for name, args, out in calls[len(fits) + len(references):]:
+            tables = [(args[2], kwargs) for name, args, kwargs, _ in calls if name == "table"]
+            assert tables == [(2, {})] * len(references) + [(d, {"keep": 2})] * 3
+            ref_rows = [out[1] for *_, out in calls[len(fits):][: len(references)]]
+            assert all(rows.shape == (1 + d + math.comb(d, 2), 40) for rows in ref_rows)
+            for name, args, _, out in calls[len(fits) + len(references):]:
                 if name == "table":
-                    table, refs_read = out, iter(ref_tables)
+                    (v, rows), refs_read = out, iter(ref_rows)
+                    assert v.shape == (1 << d,) and rows.shape == ref_rows[0].shape
                 elif name == "_shapley":
-                    assert args[0] is table
+                    assert args[0] is v
                 else:
-                    assert args[0] is table and args[1] is next(refs_read)
+                    assert args[0] is rows and args[1] is next(refs_read)
 
     def test_matches_single_calls(self, fixture_model, fixture_priors, fixture_data):
         # work shared across rows and across references must not change any report

@@ -916,6 +916,18 @@ class TestMalformedInput:
             ("compare", REPORT.replace('["a", "b"]', '["a"]'), 3),
             ("compare", REPORT.replace('"values": [0.5, 0.5]', '"values": [0.5]'), 3),
             ("compare", REPORT.replace('"degenerate": false', '"degen": false'), 3),
+            ("compare", REPORT.replace('"values": [0.5, 0.5]', '"values": "ab"'), 3),
+            ("compare", REPORT.replace('"decomposition": {"first_order": [0.5, 0.5]',
+                                       '"decomposition": {"first_order": ["x", "y"]'), 3),
+            ("compare", REPORT.replace('"scores": {"first_order": [0.5, 0.5]',
+                                       '"scores": {"first_order": [true, 0.5]'), 3),
+            ("compare", REPORT.replace('"scores": {"first_order": [0.5, 0.5]',
+                                       '"scores": {"first_order": [null, 0.5]'), 3),
+            ("compare", REPORT.replace('"scores": {"first_order": [0.5, 0.5], '
+                                       '"degenerate": false',
+                                       '"scores": {"first_order": [null, null], '
+                                       '"degenerate": true'), 0),
+            ("compare", REPORT.replace('"values": [0.5, 0.5]', '"values": [null, 0.5]'), 3),
             ("synth", '{"features": [{"weights": [1], "means": [0], "stds": [1]}], '
                       '"noise_std": "abc"}', 2),
         ],
@@ -927,7 +939,9 @@ class TestMalformedInput:
              "report-not-object", "report-schema-only", "report-minimal",
              "report-schema-true", "report-schema-float", "report-names-string",
              "report-names-not-strings", "report-names-short", "report-shap-short",
-             "report-no-degenerate-flag", "spec-bad-noise"],
+             "report-no-degenerate-flag", "report-shap-string",
+             "report-delta-strings", "report-score-bool", "report-score-null",
+             "report-degenerate-null-scores", "report-shap-null", "spec-bad-noise"],
     )
     def test_exit_code(self, tmp_path, command, content, code):
         path = tmp_path / "input.json"
@@ -1296,39 +1310,76 @@ class TestImportFootprint:
 
 
 class TestResultEncoding:
-    """Result files are written as UTF-8 whatever the locale."""
+    """Result files and config echoes are the same bytes whatever the locale."""
 
-    ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
-             "PYTHONIOENCODING": "utf-8"}
+    UTF8 = {"PYTHONUTF8": "1"}
+    ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
-    def test_ascii_locale_writes_the_utf8_bytes(self, tmp_path):
+    @staticmethod
+    def environ(locale_vars: dict) -> dict:
+        """The test's environment under ``locale_vars``, with no stdout
+        encoding of its own unless ``locale_vars`` names one."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        return {**env, **locale_vars,
+                "PYTHONPATH": str(Path(devexplain.__file__).resolve().parents[1])}
+
+    def outputs(self, d: Path, env: dict, commands) -> dict:
+        """Run each command line in ``d``; every file it holds after, less run.log."""
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "devexplain.cli", *argv],
+                cwd=d, env=env, capture_output=True,
+            )
+            assert done.returncode == 0, (argv[0], done.stderr)
+        return {p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.name != "run.log"}
+
+    def explained(self, tmp_path: Path, runs: dict) -> dict:
+        """The files of fit, explain --svg over two rows and compare, on the
+        fixture with a non-ASCII first column name, under each of ``runs``."""
         lines = Path(FIXTURE).read_text().splitlines(keepends=True)
         outputs = {}
-        for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", self.ASCII)):
-            env = {**os.environ, **env,
-                   "PYTHONPATH": str(Path(devexplain.__file__).resolve().parents[1])}
-            # the ASCII run must really run under an ASCII preferred encoding
+        for name, locale_vars in runs.items():
+            env = self.environ(locale_vars)
+            # the ASCII runs must really run under an ASCII preferred encoding
             check = [sys.executable, "-c", "import locale; print(locale.getpreferredencoding())"]
             encoding = subprocess.run(check, env=env, capture_output=True, text=True).stdout
-            assert (encoding.strip().lower() == "utf-8") is (name == "utf8")
+            assert (encoding.strip().lower() == "utf-8") is (locale_vars is self.UTF8)
             d = tmp_path / name
             d.mkdir()
             (d / "data.csv").write_bytes(("hé,hp,ww,njr\n" + "".join(lines[1:])).encode())
             data = ["--data", "data.csv", "--label", "njr", "--seed", "1"]
-            for argv in (
+            outputs[name] = self.outputs(d, env, (
                 ["fit", *data, "--split", "1"],
                 ["explain", *data, "--model", "model.json", "--index-range", "0:2",
                  "--mean", "--svg", "--np", "20"],
                 ["compare", "report_0.json", "report_1.json"],
-            ):
-                done = subprocess.run(
-                    [sys.executable, "-m", "devexplain.cli", *argv],
-                    cwd=d, env=env, capture_output=True,
-                )
-                assert done.returncode == 0, (name, argv[0], done.stderr)
-            outputs[name] = {
-                p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.name != "run.log"
-            }
+            ))
+        return outputs
+
+    def test_ascii_locale_writes_the_utf8_bytes(self, tmp_path):
+        outputs = self.explained(
+            tmp_path, {"utf8": self.UTF8, "ascii": {**self.ASCII, "PYTHONIOENCODING": "utf-8"}}
+        )
         assert outputs["ascii"] == outputs["utf8"]
         assert {"reports.csv", "chart_0.svg", "compare.csv"} <= set(outputs["utf8"])
         assert "hé".encode() in outputs["utf8"]["compare.csv"]
+
+    def test_ascii_stdout_prints_names_escaped(self, tmp_path):
+        # printing "hé" to an ASCII stdout escapes it instead of failing the command
+        outputs = self.explained(tmp_path, {"utf8": self.UTF8, "ascii": self.ASCII})
+        assert outputs["ascii"] == outputs["utf8"]
+        assert {"report_1.json", "reports.csv", "explain_config.json"} <= set(outputs["utf8"])
+
+    def test_config_echo_is_the_utf8_text_of_the_arguments(self, tmp_path):
+        # under the ASCII locale Python decodes "donnés.csv" to surrogate escapes;
+        # the file opens by that path, and the echo holds the UTF-8 text
+        outputs = {}
+        for name, locale_vars in (("utf8", self.UTF8), ("ascii", self.ASCII)):
+            d = tmp_path / name
+            d.mkdir()
+            Path(d / "donnés.csv").write_text("h,y\n1,2\n2,3\n3,5\n4,4\n5,7\n6,6\n")
+            outputs[name] = self.outputs(
+                d, self.environ(locale_vars), [["modes", "--data", "donnés.csv", "--k-max", "2"]]
+            )
+        assert outputs["ascii"] == outputs["utf8"]
+        assert b'"data": "donn\\u00e9s.csv"' in outputs["utf8"]["modes_config.json"]
