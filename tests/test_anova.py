@@ -296,6 +296,22 @@ class TestCoalitions:
         assert plain.tobytes() == table[0].tobytes()
         assert counting.rows == [400] * 15
 
+    def test_means_past_the_first_block_are_each_batchs_own(self):
+        # 512 coalitions of 9 features, 10 kept rows: the rest are predicted
+        # in blocks, and each mean still has the bits of its own batch's mean
+        rng = np.random.default_rng(4)
+        bg = BackgroundSample(rng.normal(size=(7, 9)))
+        x = rng.normal(size=9)
+        counting = RowCountingModel(CountingModel(9))
+        v, rows = _Coalitions(counting, bg).table(x, 9, keep=1)
+        assert rows.shape == (10, 7)
+        assert counting.rows == [7] * 512
+        for mask in range(512):
+            pinned = bg.points.copy()
+            coalition = [i for i in range(9) if mask >> i & 1]
+            pinned[:, coalition] = x[coalition]
+            assert v[mask].tobytes() == np.mean(counting.model.predict_batch(pinned)).tobytes()
+
     def test_signed_zeros_are_distinct_rows(self):
         # 0.0 == -0.0, but a model may tell them apart: it sees both
         data = Dataset(
