@@ -30,13 +30,18 @@ is set), so both sides run their committed files.  Two kinds of pair,
 
 Odd pairs run the base first, even pairs the change first.  For each
 number the record keeps every pair, both medians, the base's quartiles
-(inclusive interpolation) and the pairs where the change is strictly lower.
+(inclusive interpolation) and the pairs where the change is strictly lower;
+and each pair's difference (change - base), their median and quartiles, and
+a two-sided sign-test p-value over the pairs that differ.  ``summary`` makes
+that record from two lists alone, so an older record is summarised again by
+calling it on the lists the record stores.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -119,8 +124,19 @@ def python(tree: Path, *args: str, cwd: Path) -> str:
     return done.stdout
 
 
+def sign_test_p(differences: list[float]) -> float:
+    """Two-sided sign-test p-value of ``differences``, ties (zeros) dropped."""
+    above = sum(d > 0 for d in differences)
+    below = sum(d < 0 for d in differences)
+    n = above + below
+    tail = sum(math.comb(n, i) for i in range(min(above, below) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def summary(base: list[float], change: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    differences = [c - b for b, c in zip(base, change)]
+    d1, _, d3 = statistics.quantiles(differences, n=4, method="inclusive")
     return {
         "base": base,
         "change": change,
@@ -129,6 +145,10 @@ def summary(base: list[float], change: list[float]) -> dict:
         "base_iqr": q3 - q1,
         "change_lower_in": sum(c < b for b, c in zip(base, change)),
         "pairs": len(base),
+        "differences": differences,
+        "difference_median": statistics.median(differences),
+        "difference_quartiles": [d1, d3],
+        "sign_test_p": sign_test_p(differences),
     }
 
 

@@ -459,41 +459,75 @@ def select_k(samples, k_max: int, seed: int) -> GaussianMixture1D:
     return best
 
 
-def _mean_shift(gmm: GaussianMixture1D, y0: float) -> float:
-    """Fixed point of m(y) = sum_k r_k(y) mu_k with r_k ~ w_k phi_k(y)/var_k.
+def _shift_target(gmm: GaussianMixture1D, y: float) -> float:
+    """m(y) = sum_k r_k(y) mu_k with r_k ~ w_k phi_k(y)/var_k.
 
-    The weighting by 1/var_k makes the fixed points exactly the stationary
-    points of the mixture density.
+    The weighting by 1/var_k makes m(y) - y a positive multiple of the
+    density's slope at y, so the fixed points of m are exactly the
+    stationary points of the mixture density.
     """
-    means = gmm.means
-    variances = gmm.variances
+    log_r = _component_log_pdfs(gmm, y) - np.log(gmm.variances)
+    r = np.exp(log_r - np.logaddexp.reduce(log_r))
+    return float(np.dot(r, gmm.means))
+
+
+def _mean_shift(gmm: GaussianMixture1D, y0: float) -> float:
+    """The stationary point that mean-shift steps y <- m(y) climb to from y0.
+
+    On a flat top each step is tiny, and a climb can reach the step cap
+    short of the maximum; it then finishes by bisection (``_climb_to_max``).
+    """
     y = float(y0)
     for _ in range(_MODE_MAX_ITERS):
-        log_r = _component_log_pdfs(gmm, y) - np.log(variances)
-        r = np.exp(log_r - np.logaddexp.reduce(log_r))
-        y_next = float(np.dot(r, means))
+        y_next = _shift_target(gmm, y)
         if abs(y_next - y) < _MODE_TOL:
             return y_next
         y = y_next
-    return y
+    return _climb_to_max(gmm, y)
+
+
+def _climb_to_max(gmm: GaussianMixture1D, y: float) -> float:
+    """The density maximum that the slope at y climbs toward.
+
+    Steps uphill from y, doubling from the mean-shift step, until the slope
+    (the sign of m(y) - y) no longer points on, then bisects that bracket.
+    The slope turns back past the outermost component mean at the latest.
+    """
+    step = _shift_target(gmm, y) - y
+    up = math.copysign(1.0, step)
+
+    def climbing(at: float) -> bool:
+        return (_shift_target(gmm, at) - at) * up > 0.0
+
+    lo, width = y, abs(step)
+    while climbing(lo + up * width):
+        lo += up * width
+        width *= 2.0
+    hi = lo + up * width
+    while abs(hi - lo) > _MODE_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if climbing(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def modes(gmm: GaussianMixture1D) -> list[ModeInfo]:
     """Local maxima of the mixture density, sorted by density descending.
 
-    Ascent starts from every component mean; converged points closer than
-    1e-3 times the smallest component std are merged.  The first entry is
-    the dominant mode.
+    Ascent starts from every component mean (``_mean_shift``; a start that
+    reaches the step cap on a flat top is finished by bisection).  A point
+    that is not a density maximum is dropped; then maxima closer than 1e-3
+    times the smallest component std are merged.  The first entry is the
+    dominant mode.
     """
     dedup = 1e-3 * float(gmm.stds.min())
-    found: list[float] = []
+    out: list[ModeInfo] = []
     for start in gmm.means:
         y = _mean_shift(gmm, float(start))
-        if any(abs(y - other) <= dedup for other in found):
-            continue
-        found.append(y)
-    out = []
-    for y in found:
         resp = _component_log_pdfs(gmm, y)
         comp = int(np.argmax(resp))
         sigma_m = float(gmm.stds[comp])
@@ -501,6 +535,8 @@ def modes(gmm: GaussianMixture1D) -> list[ModeInfo]:
         dens = float(density(gmm, y))
         probe = 1e-4 * sigma_m
         if dens < float(density(gmm, y - probe)) or dens < float(density(gmm, y + probe)):
+            continue
+        if any(abs(y - other.location) <= dedup for other in out):
             continue
         out.append(
             ModeInfo(

@@ -71,6 +71,14 @@ TARGET_Y = 15.7
 REPORTED_POINT = np.array([7.97, 7.94, -0.11])
 FIXTURE = str(river_fixture_path())
 DEGENERATE_ROW = 19
+# the explain runs of the CLI pass, each rerun by criterion 10: model, reference
+EXPLAIN_RUNS = {
+    "mean": ("linear", ["--index", str(DEGENERATE_ROW), "--mean"]),
+    "mode": ("linear", ["--index", str(DEGENERATE_ROW), "--mode", "0"]),
+    # the GBT's cell path, over resampled rows and over prior draws
+    **{f"cells-{bg}": ("gbt", ["--index-range", "0:3", "--mean", "--order", "2", "--bg", bg])
+       for bg in ("resample", "prior")},
+}
 
 
 @pytest.fixture(scope="module")
@@ -350,19 +358,13 @@ def cli_workspace(tmp_path_factory):
             "modes", "--data", FIXTURE, "--label", "njr", "--k-max", "6",
             "--seed", "3", "--out", str(ws / "modes"),
         ),
-        "explain_mean": _cli(
-            "explain", "--data", FIXTURE, "--label", "njr",
-            "--model", str(ws / "linear" / "model.json"),
-            "--index", str(DEGENERATE_ROW), "--mean", "--seed", "3",
-            "--out", str(ws / "mean"),
-        ),
-        "explain_mode": _cli(
-            "explain", "--data", FIXTURE, "--label", "njr",
-            "--model", str(ws / "linear" / "model.json"),
-            "--index", str(DEGENERATE_ROW), "--mode", "0", "--seed", "3",
-            "--out", str(ws / "mode"),
-        ),
     }
+    for name, (model, ref_args) in EXPLAIN_RUNS.items():
+        steps[f"explain_{name}"] = _cli(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(ws / model / "model.json"),
+            *ref_args, "--seed", "3", "--out", str(ws / name),
+        )
     steps["compare"] = _cli(
         "compare",
         str(ws / "mean" / f"report_{DEGENERATE_ROW}.json"),
@@ -407,26 +409,17 @@ def test_criterion_09_cli_pipeline_on_bundled_fixture(cli_workspace):
 
 def test_criterion_10_reports_are_byte_identical(cli_workspace, tmp_path):
     ws, _ = cli_workspace
-    rerun_specs = [
-        (
-            "mean",
-            ["--index", str(DEGENERATE_ROW), "--mean"],
-        ),
-        (
-            "mode",
-            ["--index", str(DEGENERATE_ROW), "--mode", "0"],
-        ),
-    ]
-    for name, ref_args in rerun_specs:
+    for name, (model, ref_args) in EXPLAIN_RUNS.items():
         proc = _cli(
             "explain", "--data", FIXTURE, "--label", "njr",
-            "--model", str(ws / "linear" / "model.json"),
+            "--model", str(ws / model / "model.json"),
             *ref_args, "--seed", "3", "--out", str(tmp_path / name),
         )
         assert proc.returncode == 0, proc.stderr
-        first = (ws / name / f"report_{DEGENERATE_ROW}.json").read_bytes()
-        second = (tmp_path / name / f"report_{DEGENERATE_ROW}.json").read_bytes()
-        assert first == second
+        reports = sorted(p.name for p in (ws / name).iterdir() if p.name.startswith("report"))
+        assert reports
+        for report in reports:
+            assert (tmp_path / name / report).read_bytes() == (ws / name / report).read_bytes()
 
     proc = _cli(
         "modes", "--data", FIXTURE, "--label", "njr", "--k-max", "6",
@@ -437,6 +430,7 @@ def test_criterion_10_reports_are_byte_identical(cli_workspace, tmp_path):
         ws / "modes" / "modes.json"
     ).read_bytes()
     print(
-        "PASS criterion 10: mean and mode reports plus the mode table are "
-        "byte-identical across reruns with the same seeds"
+        "PASS criterion 10: mean and mode reports, a GBT's mean reports over "
+        "resampled and prior backgrounds, and the mode table are byte-identical "
+        "across reruns with the same seeds"
     )

@@ -1085,6 +1085,14 @@ class TestCommandFrame:
         assert seen == [("none" if command == "compare" else 7, tmp_path / "new")]
         assert (tmp_path / "new").is_dir()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_builds(self, command, capsys):
+        # the shared options come from parent parsers; each command's help must build
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: devexplain {command} ")
+
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
     def test_out_that_cannot_be_a_directory(self, sub, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -1105,59 +1113,6 @@ class TestCommandFrame:
             f"error: --name {name!r}: must be a file name without a directory\n"
         )
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "run.log"]
-
-
-def run_in_subprocess(*commands):
-    """Run each CLI command through main() in one fresh interpreter; return
-    the exit codes and the scipy modules loaded by the end."""
-    script = (
-        "import json, sys\n"
-        "from devexplain.cli import main\n"
-        f"codes = [main(argv) for argv in {[list(c) for c in commands]!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
-    )
-    env_path = str(Path(devexplain.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": env_path},
-    )
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-class TestScipyLoading:
-    def test_mean_explanations_never_load_scipy(self, tmp_path):
-        common = ("--data", FIXTURE, "--label", "njr", "--seed", "0", "--out", str(tmp_path))
-        codes, loaded = run_in_subprocess(
-            ("synth", "--preset", "trimodal", "--n", "50", "--seed", "0", "--out", str(tmp_path)),
-            ("fit", "--kind", "gbt", "--trees", "5", "--split", "1", *common),
-            ("modes", "--k-max", "3", *common),
-            ("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
-             "--mean", "--np", "50", *common),
-        )
-        assert codes == [0, 0, 0, 0]
-        assert loaded == []
-
-    def test_linear_map_search_never_loads_scipy(self, tmp_path):
-        common = ("--data", FIXTURE, "--label", "njr", "--seed", "0", "--out", str(tmp_path))
-        codes, loaded = run_in_subprocess(
-            ("fit", "--kind", "linear", "--split", "1", *common),
-            ("fit", "--kind", "linear", "--split", "0.8", *common),
-            ("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
-             "--mode", "0", "--np", "50", "--budget-runs", "3", *common),
-        )
-        assert codes == [0, 0, 0]
-        assert loaded == []
-
-    def test_tree_map_search_never_loads_scipy(self, tmp_path):
-        common = ("--data", FIXTURE, "--label", "njr", "--seed", "0", "--out", str(tmp_path))
-        codes, loaded = run_in_subprocess(
-            ("fit", "--kind", "gbt", "--trees", "20", "--split", "1", *common),
-            ("explain", "--model", str(tmp_path / "model.json"), "--index", "0",
-             "--mode", "0", "--np", "50", "--budget-runs", "3", *common),
-        )
-        assert codes == [0, 0]
-        assert loaded == []
 
 
 class TestTraceHarness:
@@ -1264,23 +1219,37 @@ class TestBlasThreads:
         assert env == ["2", "1", "1"]
 
 
+@pytest.fixture(scope="module")
+def river_gbt(tmp_path_factory):
+    """The fixture data fitted with a 20-tree GBT, no test split."""
+    d = tmp_path_factory.mktemp("river_gbt")
+    assert run("fit", "--data", FIXTURE, "--label", "njr", "--kind", "gbt", "--trees", "20",
+               "--split", "1", "--seed", "0", "--out", str(d)) == 0
+    return d
+
+
 class TestImportFootprint:
     """Each command loads only the package modules of the stages it runs,
-    counted in a fresh interpreter per case once the command returns."""
+    and no module of a test extra (scipy above all: numpy is the one
+    dependency), counted in a fresh interpreter per case once the command
+    returns."""
 
     BASE = ["cli", "dataset", "errors"]
     PIPELINE = ["anova", "attribution", "inverse", "mixtures", "models"]
+    EXTRAS = ["hypothesis", "pytest", "scipy"]
 
-    @staticmethod
-    def loaded(argv):
-        code, modules = run_fresh(
+    @classmethod
+    def loaded(cls, argv):
+        code, modules, extras = run_fresh(
             "import devexplain.cli\n"
             f"argv = {list(argv)!r}\n"
             "code = devexplain.cli.main(argv) if argv else 0\n"
+            "tops = {m.split('.')[0] for m in sys.modules}\n"
             "print(json.dumps([code, sorted(m.split('.')[1] for m in sys.modules\n"
-            "    if m.startswith('devexplain.'))]))"
+            f"    if m.startswith('devexplain.')), sorted(tops & set({cls.EXTRAS!r}))]))"
         )
         assert code == 0
+        assert extras == []
         return modules
 
     def test_import_loads_the_frame_only(self):
@@ -1291,17 +1260,24 @@ class TestImportFootprint:
         [
             (["synth", "--preset", "trimodal", "--n", "20"], ["mixtures"]),
             (["fit", "--kind", "linear", "--split", "1"], ["models"]),
+            (["fit", "--kind", "gbt", "--trees", "5", "--split", "1"], ["models"]),
             (["modes", "--k-max", "2"], ["mixtures"]),
-            (["explain", "--index", "0", "--mean", "--np", "20"], PIPELINE),
-            (["explain", "--index", "0", "--mean", "--np", "20", "--svg"], PIPELINE + ["svgchart"]),
+            (["explain", "--model", "{linear}", "--index", "0", "--mean", "--np", "20"], PIPELINE),
+            (["explain", "--model", "{linear}", "--index", "0", "--mean", "--np", "20", "--svg"],
+             PIPELINE + ["svgchart"]),
+            (["explain", "--model", "{linear}", "--index", "0", "--mode", "0", "--np", "50",
+              "--budget-runs", "3"], PIPELINE),
+            (["explain", "--model", "{gbt}", "--index", "0", "--mode", "0", "--np", "50",
+              "--budget-runs", "3"], PIPELINE),
         ],
-        ids=["synth", "fit", "modes", "explain", "explain-svg"],
+        ids=["synth", "fit", "fit-gbt", "modes", "explain", "explain-svg", "explain-linear-map",
+             "explain-tree-map"],
     )
-    def test_command_loads_its_stages(self, river_ws, tmp_path, argv, stages):
+    def test_command_loads_its_stages(self, river_ws, river_gbt, tmp_path, argv, stages):
+        models = {"linear": river_ws / "model.json", "gbt": river_gbt / "model.json"}
+        argv = [a.format(**models) for a in argv]
         if argv[0] != "synth":
             argv = argv + ["--data", FIXTURE, "--label", "njr"]
-        if argv[0] == "explain":
-            argv = argv + ["--model", str(river_ws / "model.json")]
         assert self.loaded(argv + ["--out", str(tmp_path)]) == sorted(self.BASE + stages)
 
     def test_compare_loads_the_frame_only(self, two_reports, tmp_path):
@@ -1310,7 +1286,8 @@ class TestImportFootprint:
 
 
 class TestResultEncoding:
-    """Result files and config echoes are the same bytes whatever the locale."""
+    """Result files and config echoes are the same bytes whatever the locale
+    and the BLAS thread count."""
 
     UTF8 = {"PYTHONUTF8": "1"}
     ASCII = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
@@ -1369,6 +1346,23 @@ class TestResultEncoding:
         outputs = self.explained(tmp_path, {"utf8": self.UTF8, "ascii": self.ASCII})
         assert outputs["ascii"] == outputs["utf8"]
         assert {"report_1.json", "reports.csv", "explain_config.json"} <= set(outputs["utf8"])
+
+    def test_two_blas_threads_write_the_bytes_of_one(self, tmp_path):
+        # the CLI defaults to one BLAS thread; a user's two must give the same bytes
+        outputs = {}
+        for threads in ("1", "2"):
+            d = tmp_path / threads
+            d.mkdir()
+            env = self.environ({**self.UTF8, "OPENBLAS_NUM_THREADS": threads})
+            data = ["--data", "synthetic.csv"]
+            outputs[threads] = self.outputs(d, env, (
+                ["synth", "--preset", "trimodal", "--n", "300", "--seed", "0"],
+                ["fit", *data, "--kind", "linear", "--split", "1"],
+                ["explain", *data, "--model", "model.json", "--index-range", "0:2",
+                 "--mode", "0", "--k-max", "4", "--svg"],
+            ))
+        assert outputs["2"] == outputs["1"]
+        assert {"model.json", "report_1.json", "reports.csv", "chart_1.svg"} <= set(outputs["1"])
 
     def test_config_echo_is_the_utf8_text_of_the_arguments(self, tmp_path):
         # under the ASCII locale Python decodes "donnés.csv" to surrogate escapes;

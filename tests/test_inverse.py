@@ -354,6 +354,27 @@ def line_values(obj, x, i, points):
 class TestCellAscent:
     @settings(max_examples=150, deadline=None)
     @given(case=tree_objectives())
+    # feature 1's prior has a flat top near 0.2014 that mean-shift reaches
+    # only past its step cap; its in-cell maximum must still be a candidate
+    @example(case=(
+        PosteriorObjective(
+            model=model_from_json({
+                "schema": 1, "kind": "gbt", "learning_rate": 0.1, "base_score": 0.0,
+                "n_features": 2,
+                "trees": [{"feature": [-1], "threshold": [None], "left": [-1],
+                           "right": [-1], "value": [0.0]}],
+            }),
+            priors=FeaturePriors((
+                GaussianMixture1D(components=((1.0, 0.0, 1.0),)),
+                GaussianMixture1D(components=(
+                    (1 / 3, 0.0, 0.2 * 0.2), (1 / 3, 3.0, 0.25), (1 / 3, 0.4, 0.2 * 0.2),
+                )),
+            )),
+            y_target=0.0,
+            sigma_e_squared=1.0,
+        ),
+        np.zeros(2),
+    ))
     def test_cell_candidates_are_the_cell_maxima(self, case):
         obj, _ = case
         candidates = inverse._cell_candidates(obj)

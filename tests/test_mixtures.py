@@ -629,6 +629,19 @@ class TestModes:
         assert dens == sorted(dens, reverse=True)
         assert found[0].location == pytest.approx(0.0, abs=1e-6)
 
+    def test_flat_top_keeps_its_maximum(self):
+        # two components 2 std apart merge into one flat top, where mean-shift
+        # from 0 and 0.4 stops at the step cap near 0.1976 and 0.2025
+        gmm = GaussianMixture1D(
+            components=((1 / 3, 0.0, 0.2 * 0.2), (1 / 3, 3.0, 0.25), (1 / 3, 0.4, 0.2 * 0.2))
+        )
+        found = modes(gmm)
+        grid = np.linspace(0.0, 0.4, 400_001)
+        assert len(found) == 2
+        assert abs(found[0].location - grid[np.argmax(density(gmm, grid))]) <= 1e-6
+        assert found[0].density == pytest.approx(0.8066, abs=1e-4)
+        assert found[1].location == pytest.approx(3.0, abs=1e-6)
+
     def test_mode_density_consistent(self):
         gmm = GaussianMixture1D(components=((0.4, -2.0, 0.5), (0.6, 3.0, 2.0)))
         for m in modes(gmm):
