@@ -38,6 +38,8 @@ from .mixtures import (
 )
 from .models import PredictiveModel, clamp_sigma_e_squared, residual_stats
 
+# Most features that exact enumeration takes.  A point's table holds 2^d
+# means, never 2^d batches of rows, so this bounds time, not memory.
 _ENUMERATION_LIMIT = 20
 
 
@@ -123,9 +125,12 @@ def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
 
 
 def _shapley(v: np.ndarray, np_used: int) -> ShapleyAttribution:
-    """Shapley values from the coalition values v of d features, by bitmask."""
+    """Shapley values from the coalition values v of d features, by bitmask.
+
+    phi_i is one exactly rounded ``math.fsum`` of the weighted marginals
+    weight[|S|] (v(S + i) - v(S)) over the S without i, so the summation
+    order moves no bit."""
     d = v.size.bit_length() - 1
-    # phi_i = sum over S without i of weight[|S|] (v(S + i) - v(S)), fsum exactly rounded
     masks = np.arange(1 << d)
     size = sum(masks >> i & 1 for i in range(d))
     fact = [math.factorial(i) for i in range(d + 1)]
@@ -274,7 +279,8 @@ def explain_many(
     label mixture at most once, a MAP search and the rows of at most ``order``
     features once per reference, and per row each coalition's mean and those
     rows.  Only the MAP search (residuals, priors) and a prior background
-    (priors) read the priors; they may be None when nothing does.
+    (priors) read the priors; they may be None when nothing does.  A mean
+    reference runs no MAP search, so its settings echo a null ``budget``.
     """
     indices = [int(i) for i in indices]
     for observation_index in indices:

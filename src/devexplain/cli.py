@@ -10,6 +10,13 @@ sidecar.
 Exit codes: 0 success, otherwise the ``exit_code`` of the package error
 raised (2 validation, 3 ingestion, 4 numerical failure, 5 other), and 5 for
 any other exception.
+
+Importing this module loads the command frame only (``cli``, ``dataset``,
+``errors``), and each command imports the stages it runs: ``synth``
+``mixtures`` (for the generator spec), ``fit`` ``models``, ``modes``
+``mixtures``, ``explain`` ``attribution``, ``anova``, ``inverse``,
+``mixtures`` and ``models`` (``svgchart`` only with --svg), and ``compare``
+nothing more: the report format lives in ``dataset``.
 """
 
 from __future__ import annotations
@@ -257,7 +264,7 @@ def cmd_explain(args, out: Path) -> dict:
     if args.priors:
         priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors
-    elif args.mean and args.bg == "resample":  # nothing reads them
+    elif args.mean and args.bg == "resample":  # nothing reads them; echoed as null
         priors = priors_source = None
     else:
         priors = fit_priors(data, args.k_max, priors_seed)
@@ -314,6 +321,16 @@ def cmd_compare(args, out: Path) -> dict:
     return {"reports": list(args.reports), "name": args.name}
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Each option's help ends with its default, except where the default is
+    None: there the help says what happens when the option is left out."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="devexplain",
@@ -323,15 +340,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     # options shared by several commands, declared once
     out_opt = argparse.ArgumentParser(add_help=False)
-    out_opt.add_argument("--out", default=".", help="output directory")
+    out_opt.add_argument(
+        "--out", default=".", help="output directory, made if missing; run.log is appended here"
+    )
     seed_opt = argparse.ArgumentParser(add_help=False)
-    seed_opt.add_argument("--seed", type=int, default=None)
+    seed_opt.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="random seed, a non-negative integer (default: $DEVEXPLAIN_SEED, else 0)",
+    )
     data_opts = argparse.ArgumentParser(add_help=False)
-    data_opts.add_argument("--data", required=True)
-    data_opts.add_argument("--label", default="y")
+    data_opts.add_argument("--data", required=True, help="numeric CSV with one header row")
+    data_opts.add_argument(
+        "--label", default="y", help="label column; every other column is a feature"
+    )
     data_run = [data_opts, seed_opt, out_opt]  # fit, modes, explain
 
-    p = sub.add_parser("synth", parents=[seed_opt, out_opt], help="generate a synthetic dataset")
+    def command(name, parents, summary):
+        return sub.add_parser(name, parents=parents, help=summary, formatter_class=_HelpFormatter)
+
+    p = command("synth", [seed_opt, out_opt], "generate a synthetic dataset")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="JSON generator spec (features + noise_std)")
     src.add_argument(
@@ -340,23 +369,35 @@ def _build_parser() -> argparse.ArgumentParser:
         help="built-in three-feature trimodal additive benchmark",
     )
     p.add_argument("--n", type=int, required=True, help="number of observations")
-    p.add_argument("--name", default="synthetic.csv", help="output file name")
+    p.add_argument("--name", default="synthetic.csv", help="output file name inside --out")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", parents=data_run, help="fit a forward model")
-    p.add_argument("--kind", choices=["linear", "gbt"], default="linear")
-    p.add_argument("--split", type=float, default=0.8, help="train fraction; 1 = no test split")
-    p.add_argument("--trees", type=int, default=300)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--min-leaf", type=int, default=1)
+    p = command("fit", data_run, "fit a forward model")
+    p.add_argument(
+        "--kind",
+        choices=["linear", "gbt"],
+        default="linear",
+        help="least squares, or gradient-boosted regression trees",
+    )
+    p.add_argument(
+        "--split",
+        type=float,
+        default=0.8,
+        help="train fraction, drawn with --seed; 1 = no test split",
+    )
+    p.add_argument("--trees", type=int, default=300, help="gbt: number of trees")
+    p.add_argument("--depth", type=int, default=3, help="gbt: maximum tree depth")
+    p.add_argument("--lr", type=float, default=0.1, help="gbt: learning rate, positive and finite")
+    p.add_argument("--min-leaf", type=int, default=1, help="gbt: fewest training rows in a leaf")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("modes", parents=data_run, help="fit a label mixture and list its modes")
-    p.add_argument("--k-max", type=int, default=6)
+    p = command("modes", data_run, "fit a label mixture and list its modes")
+    p.add_argument(
+        "--k-max", type=int, default=6, help="most mixture components tried; BIC picks the count"
+    )
     p.set_defaults(func=cmd_modes)
 
-    p = sub.add_parser("explain", parents=data_run, help="explain one or more observations")
+    p = command("explain", data_run, "explain one or more observations")
     p.add_argument("--model", required=True, help="model JSON from `fit`")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--index", type=int, help="observation index")
@@ -364,19 +405,49 @@ def _build_parser() -> argparse.ArgumentParser:
     ref = p.add_mutually_exclusive_group(required=True)
     ref.add_argument("--mean", action="store_true", help="mean reference")
     ref.add_argument("--mode", type=int, help="mode reference (0 = dominant)")
-    p.add_argument("--np", type=int, default=None, help="background size (default min(N, 2000))")
-    p.add_argument("--order", type=int, choices=[1, 2], default=1)
-    p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--bg", choices=["resample", "prior"], default="resample")
-    p.add_argument("--priors", help="exact priors from a generator-spec JSON (default: fit from data)")
-    p.add_argument("--tau", type=float, default=0.05, help="degeneracy threshold (fraction of label std)")
-    p.add_argument("--budget-runs", type=int, default=None, help="override restart count")
+    p.add_argument(
+        "--np", type=int, default=None, help="background size, at least 2 (default: min(N, 2000))"
+    )
+    p.add_argument(
+        "--order",
+        type=int,
+        choices=[1, 2],
+        default=1,
+        help="highest ANOVA term order; 2 adds the pairwise terms",
+    )
+    p.add_argument(
+        "--k-max",
+        type=int,
+        default=6,
+        help="most mixture components of the label mixture and of fitted feature priors",
+    )
+    p.add_argument(
+        "--bg",
+        choices=["resample", "prior"],
+        default="resample",
+        help="background rows: resampled from the data, or drawn from the feature priors",
+    )
+    p.add_argument(
+        "--priors", help="exact priors from a generator-spec JSON (default: fit from data)"
+    )
+    p.add_argument(
+        "--tau",
+        type=float,
+        default=0.05,
+        help="degeneracy threshold (fraction of label std), positive and finite",
+    )
+    p.add_argument(
+        "--budget-runs",
+        type=int,
+        default=None,
+        help="MAP restart count, at least 1 (default: from the priors' component counts)",
+    )
     p.add_argument("--svg", action="store_true", help="emit grouped bar charts")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("compare", parents=[out_opt], help="tabulate reports into one CSV")
+    p = command("compare", [out_opt], "tabulate reports into one CSV")
     p.add_argument("reports", nargs="*", help="report JSON files")
-    p.add_argument("--name", default="compare.csv")
+    p.add_argument("--name", default="compare.csv", help="output file name inside --out")
     p.set_defaults(func=cmd_compare)
 
     return parser

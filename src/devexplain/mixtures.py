@@ -35,7 +35,8 @@ class GaussianMixture1D:
     """Weighted sum of 1-D normals; components are (weight, mean, variance).
 
     Every parameter is finite; weights are nonnegative and sum to 1 within
-    1e-12; variances are positive.  The read-only ``weights``, ``means``,
+    1e-12; variances are positive; a mixture breaking any of these is a
+    ValidationError naming the parameter.  The read-only ``weights``, ``means``,
     ``variances`` and ``stds`` arrays and the constants of every log-density
     evaluation, log w_k - 0.5 log(2 pi var_k), mu_k and 2 var_k, are
     computed once here.
@@ -611,6 +612,7 @@ def log_prior(priors: FeaturePriors, x) -> float:
 
 
 def mixture_to_json(gmm: GaussianMixture1D) -> dict:
+    """The JSON form of spec files and ``modes.json``: weights, means, stds."""
     return {
         "weights": list(gmm.weights),
         "means": list(gmm.means),

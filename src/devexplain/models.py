@@ -65,14 +65,6 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def depth(self) -> int:
-        def walk(i: int) -> int:
-            if self.feature[i] < 0:
-                return 0
-            return 1 + max(walk(self.left[i]), walk(self.right[i]))
-
-        return walk(0)
-
     def leaf_numbers(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, count): leaves are numbered left to right; node i's subtree
         holds leaves first[i] .. first[i] + count[i] - 1."""
@@ -188,6 +180,9 @@ def _exit_leaves(reach: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GbtParams:
+    """Boosting settings (``fit --trees/--depth/--lr/--min-leaf``); a
+    learning rate that is not positive and finite is a ValidationError."""
+
     n_trees: int = 300
     max_depth: int = 3
     learning_rate: float = 0.1
@@ -373,7 +368,9 @@ def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
 
     base_score is the label mean; each tree greedily fits the current
     residuals by variance reduction with midpoint thresholds, ties broken
-    by lowest feature index then lowest threshold.
+    by lowest feature index then lowest threshold (``_grow_tree``).  A fit
+    whose boosted values overflow raises NumericalError, so no model with
+    NaN or infinite leaves is returned.
     """
     if train.n < 2 * params.min_samples_leaf:
         raise ValidationError(
@@ -523,6 +520,14 @@ def _finite(value, name: str):
 
 
 def model_from_json(doc: dict) -> PredictiveModel:
+    """The model of a ``model_to_json`` document, checked.
+
+    A schema other than the integer ``MODEL_SCHEMA``, a missing or
+    malformed field, a tree ``_tree_problem`` names (the first bad tree is
+    named), or NaN or +-Infinity in the learning rate, the base score, a
+    leaf value, or a linear intercept or coefficient is a ValidationError.
+    An infinite split threshold is a well-defined split and is kept.
+    """
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if type(schema) is not int or schema != MODEL_SCHEMA:  # true == 1 in Python
         raise ValidationError(f"unsupported model schema {schema!r}")
@@ -552,4 +557,5 @@ def model_from_json(doc: dict) -> PredictiveModel:
 
 
 def load_model(path: str | Path) -> PredictiveModel:
+    """``model_from_json`` of the JSON file at ``path`` (read as ``_read_json``)."""
     return model_from_json(_read_json(path))

@@ -24,7 +24,9 @@ def grouped_bar_svg(
     """Render one bar per (group, series) pair with numeric value labels.
 
     ``series`` is a list of (name, values) where each values list has one
-    entry per group.  Negative values hang below the zero baseline.
+    entry per group.  Negative values hang below the zero baseline.  The
+    title, the series names and the group labels are XML-escaped, so a
+    label such as ``R&D`` or ``x<1`` leaves the file well formed.
     """
     from html import escape  # here, so a command that draws no chart never imports it
     if not series:

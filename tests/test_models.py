@@ -32,6 +32,17 @@ from devexplain.models import (
 )
 
 
+def tree_depth(tree) -> int:
+    """Levels of splits on the longest root-to-leaf path of a ``_Tree``."""
+
+    def walk(i: int) -> int:
+        if tree.feature[i] < 0:
+            return 0
+        return 1 + max(walk(tree.left[i]), walk(tree.right[i]))
+
+    return walk(0)
+
+
 def linear_data(n: int = 50, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 2, size=(n, 2))
@@ -501,13 +512,13 @@ class TestFitGbt:
 
     def test_depth_cap(self, synth10k):
         model = fit_gbt(synth10k, GbtParams(n_trees=5, max_depth=2))
-        assert all(tree.depth() <= 2 for tree in model.trees)
+        assert all(tree_depth(tree) <= 2 for tree in model.trees)
 
     def test_min_samples_leaf_limits_depth(self):
         data = linear_data(20, 5)
         # a 10-per-side floor allows the root split but nothing below it
         model = fit_gbt(data, GbtParams(n_trees=3, min_samples_leaf=10))
-        assert all(tree.depth() <= 1 for tree in model.trees)
+        assert all(tree_depth(tree) <= 1 for tree in model.trees)
 
     def test_too_few_rows_for_leaf_floor(self):
         data = linear_data(20, 5)
