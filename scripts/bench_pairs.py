@@ -24,6 +24,12 @@ is set), so both sides run their committed files.  Two kinds of pair,
   background rows at d = 12 and d = 14: the best CPU time of 3 calls, each
   predicting its 2^d pinned batches, and the interpreter's peak RSS
   (``ru_maxrss``), so a d = 14 peak cannot mask the d = 12 one.
+- ``em``: in a fresh interpreter per side, with one BLAS thread as each
+  CLI command runs, the CPU time of the mixture fits of a mode-linear
+  ``explain --k-max 4 --seed 3`` on the same 2,000 rows (``fit_priors``
+  and the label ``select_k``, 16 ``fit_gmm`` calls), and of
+  ``select_k(labels, 6, 3)`` on the labels of the 10,000 seed-3 trimodal
+  rows.
 - ``perfbench``: ``perfbench/run.py --workload W --seed SEED --trace 0``
   from each side's checkout, at the run length it configures; its
   end-to-end metrics.
@@ -102,6 +108,23 @@ for _ in range(3):
 print(min(best), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 SHAPLEY_DIMS = (12, 14)
+
+EM = """
+import sys, time
+import devexplain.cli  # one BLAS thread, as each CLI command runs
+from devexplain.dataset import generate_synthetic, load_csv, trimodal_benchmark_spec
+from devexplain.mixtures import _command_seeds, fit_priors, select_k
+data = load_csv(sys.argv[1], "y")
+labels = generate_synthetic(trimodal_benchmark_spec(), 10000, 3).labels
+priors_seed, _, label_seed = _command_seeds(3)
+start = time.process_time()
+fit_priors(data, 4, priors_seed)
+select_k(data.labels, 4, label_seed)
+mode_linear = time.process_time() - start
+start = time.process_time()
+select_k(labels, 6, 3)
+print(mode_linear, time.process_time() - start)
+"""
 
 
 def export(rev: str, into: Path) -> Path:
@@ -226,6 +249,11 @@ def main(argv=None) -> int:
                 f"d{d}": summary(*([r[d][at] for r in runs[side]] for side in sides))
                 for d in SHAPLEY_DIMS
             }
+
+        runs = interleave(sides, lambda tree: tuple(
+            map(float, python(tree, "-c", EM, csv, cwd=tmp).split())))
+        for key, at in (("em_mode_linear_cpu_s", 0), ("em_select_k_10k_cpu_s", 1)):
+            record[key] = summary(*([r[at] for r in runs[side]] for side in sides))
         for workload in args.workloads:
 
             def run(tree):

@@ -168,7 +168,7 @@ class ExplainSettings:
     """Knobs for one explanation run; everything that affects the output."""
 
     seed: int
-    np_count: int = 1000
+    np_count: int | None = None  # background rows; None takes min(N, 2000)
     order: int = 1
     k_max: int = 6
     budget_runs: int | None = None  # MAP restarts; None keeps default_budget's
@@ -176,9 +176,8 @@ class ExplainSettings:
     bg_source: str = "resample"
 
     def __post_init__(self):
-        if self.np_count < 2:
-            # a Monte Carlo standard error needs two background rows
-            raise ValidationError("np_count must be >= 2")
+        if self.np_count is not None:
+            self.background_size(self.np_count)  # an explicit count is checked now
         if self.order not in (1, 2):
             raise ValidationError("order must be 1 or 2")
         if self.k_max < 1:
@@ -189,6 +188,15 @@ class ExplainSettings:
             raise ValidationError("degeneracy_tau must be positive and finite")
         if self.bg_source not in ("resample", "prior"):
             raise ValidationError("bg_source must be 'resample' or 'prior'")
+
+    def background_size(self, n_rows: int) -> int:
+        """The background rows drawn for a data set of ``n_rows`` rows:
+        ``np_count``, or min(n_rows, 2000) when it is None."""
+        size = min(n_rows, 2000) if self.np_count is None else self.np_count
+        if size < 2:
+            # a Monte Carlo standard error needs two background rows
+            raise ValidationError("np_count must be >= 2")
+        return size
 
 
 @dataclass(frozen=True)
@@ -299,6 +307,7 @@ def explain_many(
     if not indices or not parsed:
         return [[] for _ in parsed]
 
+    np_count = settings.background_size(data.n)
     gmm_seed, map_seed, bg_seed = _stage_seeds(settings.seed)
 
     if searched:
@@ -308,7 +317,7 @@ def explain_many(
 
     echo = {
         "seed": settings.seed,
-        "np": settings.np_count,
+        "np": np_count,
         "order": settings.order,
         "k_max": settings.k_max,
         "degeneracy_tau": settings.degeneracy_tau,
@@ -350,7 +359,7 @@ def explain_many(
 
     with _stage("background"):
         source = priors if settings.bg_source == "prior" else data
-        bg = draw_background(source, settings.np_count, bg_seed)
+        bg = draw_background(source, np_count, bg_seed)
 
     label_std = float(data.labels.std())
     coalitions = _Coalitions(model, bg)

@@ -249,18 +249,18 @@ def cmd_explain(args, out: Path) -> dict:
     reference = "mean" if args.mean else ("mode", args.mode)
 
     priors_seed, explain_seed, _ = _command_seeds(args.seed)
-    np_count = args.np if args.np is not None else min(data.n, 2000)
     # checked first, so a bad setting is refused before any prior is fitted
     _check_enumerable(data.d_x)
     settings = ExplainSettings(
         seed=explain_seed,
-        np_count=np_count,
+        np_count=args.np,
         order=args.order,
         k_max=args.k_max,
         budget_runs=args.budget_runs,
         degeneracy_tau=args.tau,
         bg_source=args.bg,
     )
+    np_count = settings.background_size(data.n)
     if args.priors:
         priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors

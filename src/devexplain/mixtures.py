@@ -20,6 +20,8 @@ from .errors import NumericalError, ValidationError
 _EM_REL_TOL = 1e-8
 _EM_MAX_ITERS = 500
 _EM_RESTARTS = 5
+# E-steps the restarts of a fit take together before only the leader goes on
+_EM_SHORT_RUN = 30
 # large enough that BIC cannot buy likelihood with singleton spike
 # components on small samples, small next to any real component variance
 _VARIANCE_FLOOR_FRAC = 1e-4
@@ -265,9 +267,11 @@ def _em_map(theta: np.ndarray, powers: np.ndarray, floor: float,
     return log_l, np.stack((mass / powers.shape[1], means, variances), axis=1)
 
 
-def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[GaussianMixture1D]:
+def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float,
+                 cut: int | None = None) -> list[GaussianMixture1D]:
     """SQUAREM-accelerated EM from one start per generator in ``rngs``, all
-    advanced together.
+    advanced together; with ``cut``, only the leader goes on past ``cut``
+    E-steps.
 
     The loop runs ``_em_map`` on the standardized samples
     z = (x - mean) / std.  Each cycle of SQUAREM (Varadhan and Roland 2008,
@@ -296,6 +300,16 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[Gaussi
     converges.  All three evaluations of a cycle reuse one R x k x n buffer.
     Every other operation is elementwise or reduces one restart's own
     entries, so each restart's iterates are bitwise those it takes alone.
+
+    Without ``cut`` every restart runs to its own stop and all are
+    returned, in ``rngs`` order.  With ``cut``, the first cycle that
+    brings the stack to ``cut`` E-steps ends by picking the leader: the
+    restart whose last kept iterate has the highest log-likelihood (a
+    stopped restart counts with its final fit; ties go to the first in
+    ``rngs`` order).  Only the leader is returned.  A live leader goes on
+    alone with its own theta and stepmax, so it ends exactly where its full
+    run ends; every other live restart is dropped.  A stack that stops
+    before ``cut`` returns every restart.
     """
     n = samples.size
     center, scale = samples.mean(), samples.std()
@@ -319,6 +333,7 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[Gaussi
     final = np.empty_like(theta)
     steps = np.full(live.size, _EM_MAX_ITERS)
     converged_at = np.zeros(live.size, dtype=bool)
+    returned = np.arange(live.size)
     spent = 0
 
     def record(log_l, rows=slice(None)):
@@ -375,6 +390,15 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[Gaussi
             np.maximum(step_max / 4.0, 1.0),
         )
         theta = np.where(scored[:, None, None], theta3, theta2)
+        if cut is not None and spent >= cut:
+            cut = None
+            # the first of the best, as restarts are listed
+            returned = np.argmax(history[np.arange(len(rngs)), kept - 1], keepdims=True)
+            lead = live == returned[0]
+            if not lead.any():
+                break
+            live, theta, step_max = live[lead], theta[lead], step_max[lead]
+    final = final[returned]
     final[:, 1] = center + scale * final[:, 1]
     final[:, 2] *= scale * scale
     return [
@@ -386,29 +410,38 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float) -> list[Gaussi
             converged=bool(conv),
             n_iter=int(used),
         )
-        for comps, hist, last, used, conv in zip(final, history, kept, steps, converged_at)
+        for comps, hist, last, used, conv in zip(
+            final, history[returned], kept[returned], steps[returned], converged_at[returned]
+        )
     ]
 
 
 def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
-    """Fit a k-component mixture by EM, best of 5 seeded restarts.
+    """Fit a k-component mixture by EM: short runs from 5 seeded restarts,
+    then one long run from the leader.
 
     Each restart is k-means++ seeded from its own child stream of ``seed``
     and iterated by SQUAREM-accelerated EM (see ``_em_restarts``) until the
     relative log-likelihood change over one plain EM step drops below 1e-8,
-    or for at most 500 E-steps; the restarts advance together and each ends
-    exactly where it ends run alone.  ``log_likelihood`` (also the last
-    ``history`` entry; ``history`` holds one entry per accepted iterate) is
-    always the log-likelihood of the returned components, which restarts
-    and BIC compare; ``n_iter`` counts the E-steps the winning restart
-    spent, and ``converged`` says whether it met the tolerance or stopped at
-    the 500-step cap.  Variances are floored at 1e-4 times the sample
-    variance: this both prevents numerical collapse and keeps model
-    selection from spending components on single points.  EM runs in moment
-    form on the standardized samples (see ``_em_map``): one map evaluation
-    agrees with the textbook x-unit step up to a relative error on the
-    order of n * 1e-12 in the variances, and components and
-    log-likelihoods are returned in x units.
+    or for at most 500 E-steps.  The restarts first advance together for
+    30 E-steps (``_EM_SHORT_RUN``, at the end of the SQUAREM cycle that
+    reaches them); then only the leader, the restart of highest
+    log-likelihood so far, goes on, and it ends exactly where it ends run
+    alone.  A leader that has already stopped is returned as it stopped.
+    This is the short-runs-then-long-run strategy ("emEM"; Biernacki,
+    Celeux and Govaert 2003): a losing restart is usually behind after the
+    short runs, and the steps it no longer takes are the saving.
+    ``log_likelihood`` (also the last ``history`` entry; ``history`` holds
+    one entry per accepted iterate) is always the log-likelihood of the
+    returned components, which restarts and BIC compare; ``n_iter`` counts
+    the E-steps the returned restart spent, and ``converged`` says whether
+    it met the tolerance or stopped at the 500-step cap.  Variances are
+    floored at 1e-4 times the sample variance: this both prevents numerical
+    collapse and keeps model selection from spending components on single
+    points.  EM runs in moment form on the standardized samples (see
+    ``_em_map``): one map evaluation agrees with the textbook x-unit step
+    up to a relative error on the order of n * 1e-12 in the variances, and
+    components and log-likelihoods are returned in x units.
 
     Parameters
     ----------
@@ -431,8 +464,9 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
         raise NumericalError("all samples identical; mixture fit is degenerate")
     floor = _VARIANCE_FLOOR_FRAC * spread
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(_EM_RESTARTS)]
+    fits = _em_restarts(samples, k, rngs, floor, cut=_EM_SHORT_RUN)
     # the first of the best, as restarts are listed
-    return max(_em_restarts(samples, k, rngs, floor), key=lambda fit: fit.log_likelihood)
+    return max(fits, key=lambda fit: fit.log_likelihood)
 
 
 def bic(gmm: GaussianMixture1D) -> float:

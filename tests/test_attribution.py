@@ -703,6 +703,16 @@ class TestExplainValidation:
         with pytest.raises(ValidationError):
             ExplainSettings(seed=0, **kwargs)
 
+    @pytest.mark.parametrize(("n_rows", "size"), [(2, 2), (57, 57), (2000, 2000), (10001, 2000)])
+    def test_background_size(self, n_rows, size):
+        # the one default of the library and the CLI: every row, at most 2,000
+        assert ExplainSettings(seed=0).background_size(n_rows) == size
+        assert ExplainSettings(seed=0, np_count=7).background_size(n_rows) == 7
+
+    def test_default_background_needs_two_rows(self):
+        with pytest.raises(ValidationError, match="np_count must be >= 2"):
+            ExplainSettings(seed=0).background_size(1)
+
 
 class TestShapCheckGuards:
     def test_rejects_nonlinear_model(self, gbt10k):

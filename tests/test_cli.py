@@ -15,8 +15,10 @@ import pytest
 import devexplain
 import devexplain.cli
 from devexplain.cli import BLAS_THREAD_VARS, main
+from devexplain.attribution import ExplainSettings, explain
 from devexplain.dataset import (
     load_csv,
+    report_to_json,
     trimodal_benchmark_spec,
     river_fixture_path,
     synthetic_spec_to_json,
@@ -29,6 +31,7 @@ from devexplain.errors import (
     SingularFitError,
     ValidationError,
 )
+from devexplain.mixtures import _command_seeds
 from devexplain.models import load_model
 
 FIXTURE = str(river_fixture_path())
@@ -381,6 +384,23 @@ class TestExplain:
         assert not scores["degenerate"]
         closure = sum(scores["first_order"]) + scores["residual_share"]
         assert closure == pytest.approx(1.0, abs=1e-9)
+
+    def test_default_np_is_the_library_default(self, river_ws, tmp_path):
+        """Without --np, explain draws the background that a library
+        ``explain`` with default settings draws: here every row."""
+        rc = run(
+            "explain", "--data", FIXTURE, "--label", "njr",
+            "--model", str(river_ws / "model.json"),
+            "--index", "2", "--mean", "--seed", "5", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        data = load_csv(FIXTURE, "njr")
+        settings = ExplainSettings(seed=_command_seeds(5)[1])
+        report = explain(load_model(river_ws / "model.json"), None, data, 2, "mean", settings)
+        doc = json.loads((tmp_path / "report_2.json").read_text())
+        assert doc == json.loads(json.dumps(report_to_json(report)))
+        assert doc["settings"]["np"] == data.n
+        assert json.loads((tmp_path / "explain_config.json").read_text())["np"] == data.n
 
     def test_near_mean_row_is_degenerate(self, river_ws, tmp_path, capsys):
         rc = run(
