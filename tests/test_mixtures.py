@@ -581,11 +581,11 @@ def trimodal2k():
 
 
 class TestShortRuns:
-    # 8.7e-7 relative (0.0055 nats, the label fit at seed 7) is the largest
-    # loss a sweep over seeds 3, 4, 5, 7, 11, 13, 17 and 19 found (6 of 32
-    # selected fits moved, no k did); the bound is ten times that, about
-    # 0.06 nats here, and far below the 3 ln(2000) = 22.8 an extra
-    # component costs in BIC
+    # on these rows, a sweep over the command seeds 3, 4, 5, 7, 11, 13, 17
+    # and 19 moved 6 of 32 selected fits and no k; the largest loss was
+    # 8.7e-7 relative (0.0055 nats, the label fit at seed 7).  The bound is
+    # ten times that, 0.04-0.06 nats here, far below the 3 ln(2000) = 22.8
+    # an extra component costs in BIC
     LOSS_BOUND = 1e-5
 
     @pytest.mark.parametrize("seed", [3, 5, 7])
