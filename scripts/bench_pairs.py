@@ -29,7 +29,8 @@ is set), so both sides run their committed files.  Two kinds of pair,
   ``explain --k-max 4 --seed 3`` on the same 2,000 rows (``fit_priors``
   and the label ``select_k``, 16 ``fit_gmm`` calls), and of
   ``select_k(labels, 6, 3)`` on the labels of the 10,000 seed-3 trimodal
-  rows.
+  rows; then, in a second, untimed pass, the restart-steps of each: the
+  E-steps summed over restarts, counted at ``_em_map``.
 - ``perfbench``: ``perfbench/run.py --workload W --seed SEED --trace 0``
   from each side's checkout, at the run length it configures; its
   end-to-end metrics.
@@ -112,18 +113,30 @@ SHAPLEY_DIMS = (12, 14)
 EM = """
 import sys, time
 import devexplain.cli  # one BLAS thread, as each CLI command runs
+from devexplain import mixtures
 from devexplain.dataset import generate_synthetic, load_csv, trimodal_benchmark_spec
-from devexplain.mixtures import _command_seeds, fit_priors, select_k
 data = load_csv(sys.argv[1], "y")
 labels = generate_synthetic(trimodal_benchmark_spec(), 10000, 3).labels
-priors_seed, _, label_seed = _command_seeds(3)
-start = time.process_time()
-fit_priors(data, 4, priors_seed)
-select_k(data.labels, 4, label_seed)
-mode_linear = time.process_time() - start
-start = time.process_time()
-select_k(labels, 6, 3)
-print(mode_linear, time.process_time() - start)
+priors_seed, _, label_seed = mixtures._command_seeds(3)
+def mode_linear():
+    mixtures.fit_priors(data, 4, priors_seed)
+    mixtures.select_k(data.labels, 4, label_seed)
+def select_k_10k():
+    mixtures.select_k(labels, 6, 3)
+seconds = []
+for fits in (mode_linear, select_k_10k):
+    start = time.process_time()
+    fits()
+    seconds.append(time.process_time() - start)
+em_map, steps = mixtures._em_map, []
+def counted(theta, *args):
+    steps[-1] += len(theta)
+    return em_map(theta, *args)
+mixtures._em_map = counted
+for fits in (mode_linear, select_k_10k):
+    steps.append(0)
+    fits()
+print(*seconds, *steps)
 """
 
 
@@ -252,7 +265,9 @@ def main(argv=None) -> int:
 
         runs = interleave(sides, lambda tree: tuple(
             map(float, python(tree, "-c", EM, csv, cwd=tmp).split())))
-        for key, at in (("em_mode_linear_cpu_s", 0), ("em_select_k_10k_cpu_s", 1)):
+        for key, at in (("em_mode_linear_cpu_s", 0), ("em_select_k_10k_cpu_s", 1),
+                        ("em_mode_linear_restart_steps", 2),
+                        ("em_select_k_10k_restart_steps", 3)):
             record[key] = summary(*([r[at] for r in runs[side]] for side in sides))
         for workload in args.workloads:
 

@@ -205,7 +205,9 @@ class DeviationDecomposition:
     ``second_order`` is an upper-triangular d x d matrix (zeros elsewhere)
     or None when only first order was requested.  ``residual`` is defined
     as total minus the computed terms, so the closure identity holds by
-    construction; it absorbs observation noise and truncated higher orders.
+    construction.  As the coalition of every feature predicts f(x), it is
+    (y_obs - f(x_obs)) - (y_ref - f(x_ref)) + sum_{|T| > order} delta_T, the
+    model errors' difference plus the terms of more than ``order`` features.
     """
 
     observation: np.ndarray

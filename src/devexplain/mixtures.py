@@ -288,28 +288,28 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float,
     1, grows 4-fold after a kept step at the bound and shrinks 4-fold (not
     below 1) after one that was not kept.
 
-    A restart stops when the relative log-likelihood change over the plain
-    step theta0 -> theta1 is at most 1e-8, returning theta1, or after
-    ``_EM_MAX_ITERS`` map evaluations (E-steps), returning the last kept
-    iterate the E-steps scored.  ``history`` holds the x-unit
-    log-likelihood (the z-unit one minus n log(std)) of each kept iterate,
-    so it is nondecreasing up to rounding and ends with the returned
-    components' ``log_likelihood``; ``n_iter`` counts the E-steps spent.
+    The one stop test follows the plain step theta0 -> theta1, after
+    3c + 2 E-steps in cycle c (c = 0, 1, ...): a restart stops there,
+    returning theta1, when that step changes the log-likelihood by at most
+    ``_EM_REL_TOL`` relative (``converged``) or when its E-steps reach
+    ``_EM_MAX_ITERS`` (500 = 3 * 166 + 2; a cap of another residue mod 3
+    stops at the first 3c + 2 past it).  Its fit is built then, from its
+    list of the x-unit log-likelihoods (the z-unit ones minus n log(std))
+    of the iterates it kept, which ends with theta1's.
 
     The live restarts form one stack, and a restart leaves it when it
-    converges.  All three evaluations of a cycle reuse one R x k x n buffer.
+    stops.  All three evaluations of a cycle reuse one R x k x n buffer.
     Every other operation is elementwise or reduces one restart's own
     entries, so each restart's iterates are bitwise those it takes alone.
 
-    Without ``cut`` every restart runs to its own stop and all are
-    returned, in ``rngs`` order.  With ``cut``, the first cycle that
-    brings the stack to ``cut`` E-steps ends by picking the leader: the
-    restart whose last kept iterate has the highest log-likelihood (a
-    stopped restart counts with its final fit; ties go to the first in
-    ``rngs`` order).  Only the leader is returned.  A live leader goes on
-    alone with its own theta and stepmax, so it ends exactly where its full
-    run ends; every other live restart is dropped.  A stack that stops
-    before ``cut`` returns every restart.
+    Without ``cut`` every restart runs to its stop, and all are returned
+    in ``rngs`` order.  With ``cut``, one fit is returned: the leader's,
+    the restart whose last kept log-likelihood is highest (ties go to the
+    first in ``rngs`` order), picked at the end of the first cycle that
+    brings the stack to ``cut`` E-steps, or when every restart stops
+    before that.  A live leader goes on alone with its own theta and
+    stepmax, so it stops exactly where its full run stops; every other
+    live restart is dropped.
     """
     n = samples.size
     center, scale = samples.mean(), samples.std()
@@ -328,39 +328,40 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float,
 
     live = np.arange(len(rngs))
     step_max = np.ones(live.size)
-    history = np.empty((live.size, _EM_MAX_ITERS))
-    kept = np.zeros(live.size, dtype=int)
-    final = np.empty_like(theta)
-    steps = np.full(live.size, _EM_MAX_ITERS)
-    converged_at = np.zeros(live.size, dtype=bool)
-    returned = np.arange(live.size)
+    histories = [[] for _ in rngs]
+    fits = [None] * len(rngs)
+    lead = None
     spent = 0
 
-    def record(log_l, rows=slice(None)):
-        history[live[rows], kept[live[rows]]] = log_l[rows]
-        kept[live[rows]] += 1
+    def leader():
+        # the first of the best, as restarts are listed
+        return max(range(len(rngs)), key=lambda i: histories[i][-1])
 
-    while True:
+    while live.size:
         log_0, theta1 = evaluate(theta)
-        spent += 1
-        record(log_0)
-        if spent == _EM_MAX_ITERS:
-            final[live] = theta
-            break
         log_1, theta2 = evaluate(theta1)
-        spent += 1
-        record(log_1)
+        spent += 2
+        for i, at_0, at_1 in zip(live.tolist(), log_0.tolist(), log_1.tolist()):
+            histories[i] += at_0, at_1
         converged = np.abs(log_1 - log_0) <= _EM_REL_TOL * np.maximum(1.0, np.abs(log_1))
-        stop = converged | (spent == _EM_MAX_ITERS)
+        stop = converged | (spent >= _EM_MAX_ITERS)
         if stop.any():
-            final[live[stop]] = theta1[stop]
-            steps[live[stop]] = spent
-            converged_at[live[stop]] = converged[stop]
-            if stop.all():
-                break
+            for row in np.flatnonzero(stop):
+                weights, means, variances = theta1[row]
+                history = histories[live[row]]
+                fits[live[row]] = GaussianMixture1D(
+                    components=zip(weights, center + scale * means, variances * (scale * scale)),
+                    fitted_n=n,
+                    log_likelihood=history[-1],
+                    history=history,
+                    converged=bool(converged[row]),
+                    n_iter=spent,
+                )
             keep = ~stop
             live, theta, theta1, theta2 = live[keep], theta[keep], theta1[keep], theta2[keep]
             log_1, step_max = log_1[keep], step_max[keep]
+            if not live.size:
+                break
         r = theta1 - theta
         v = theta2 - theta1 - r
         # |v| = 0 at a fixed point: a ratio of inf takes stepmax, 0/0 takes
@@ -381,39 +382,20 @@ def _em_restarts(samples: np.ndarray, k: int, rngs, floor: float,
         spent += 1
         accept = valid & (log_2 >= log_1)
         scored = accept | ~valid
-        record(log_2, scored)
-        if spent == _EM_MAX_ITERS:
-            final[live] = np.where(scored[:, None, None], at, theta1)
-            break
+        for i, at_2 in zip(live[scored].tolist(), log_2[scored].tolist()):
+            histories[i].append(at_2)
         step_max = np.where(
             accept, np.where(alpha == step_max, 4.0 * step_max, step_max),
             np.maximum(step_max / 4.0, 1.0),
         )
         theta = np.where(scored[:, None, None], theta3, theta2)
-        if cut is not None and spent >= cut:
-            cut = None
-            # the first of the best, as restarts are listed
-            returned = np.argmax(history[np.arange(len(rngs)), kept - 1], keepdims=True)
-            lead = live == returned[0]
-            if not lead.any():
-                break
-            live, theta, step_max = live[lead], theta[lead], step_max[lead]
-    final = final[returned]
-    final[:, 1] = center + scale * final[:, 1]
-    final[:, 2] *= scale * scale
-    return [
-        GaussianMixture1D(
-            components=comps.T,
-            fitted_n=n,
-            log_likelihood=float(hist[last - 1]),
-            history=tuple(hist[:last].tolist()),
-            converged=bool(conv),
-            n_iter=int(used),
-        )
-        for comps, hist, last, used, conv in zip(
-            final, history[returned], kept[returned], steps[returned], converged_at[returned]
-        )
-    ]
+        if lead is None and cut is not None and spent >= cut:
+            lead = leader()
+            keep = live == lead
+            live, theta, step_max = live[keep], theta[keep], step_max[keep]
+    if cut is None:
+        return fits
+    return [fits[leader() if lead is None else lead]]
 
 
 def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
@@ -421,27 +403,25 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
     then one long run from the leader.
 
     Each restart is k-means++ seeded from its own child stream of ``seed``
-    and iterated by SQUAREM-accelerated EM (see ``_em_restarts``) until the
-    relative log-likelihood change over one plain EM step drops below 1e-8,
-    or for at most 500 E-steps.  The restarts first advance together for
-    30 E-steps (``_EM_SHORT_RUN``, at the end of the SQUAREM cycle that
-    reaches them); then only the leader, the restart of highest
-    log-likelihood so far, goes on, and it ends exactly where it ends run
-    alone.  A leader that has already stopped is returned as it stopped.
-    This is the short-runs-then-long-run strategy ("emEM"; Biernacki,
-    Celeux and Govaert 2003): a losing restart is usually behind after the
-    short runs, and the steps it no longer takes are the saving.
-    ``log_likelihood`` (also the last ``history`` entry; ``history`` holds
-    one entry per accepted iterate) is always the log-likelihood of the
-    returned components, which restarts and BIC compare; ``n_iter`` counts
-    the E-steps the returned restart spent, and ``converged`` says whether
-    it met the tolerance or stopped at the 500-step cap.  Variances are
-    floored at 1e-4 times the sample variance: this both prevents numerical
-    collapse and keeps model selection from spending components on single
-    points.  EM runs in moment form on the standardized samples (see
-    ``_em_map``): one map evaluation agrees with the textbook x-unit step
-    up to a relative error on the order of n * 1e-12 in the variances, and
-    components and log-likelihoods are returned in x units.
+    and iterated by SQUAREM-accelerated EM (``_em_restarts``).  The
+    restarts advance together for about 30 E-steps (``_EM_SHORT_RUN``);
+    then only the leader, the restart of highest log-likelihood so far, goes
+    on, and the fit returned is the one it reaches run alone.  This is the
+    short-runs-then-long-run strategy ("emEM"; Biernacki, Celeux and Govaert
+    2003): a losing restart is usually behind after the short runs, and the
+    steps it no longer takes are the saving.  A restart stops when one plain
+    EM step changes the log-likelihood by at most 1e-8 relative
+    (``converged``) or at the 500-step cap; ``n_iter`` counts the E-steps
+    the returned restart spent.  ``log_likelihood`` (also the last
+    ``history`` entry; ``history`` holds one entry per kept iterate) is
+    always the log-likelihood of the returned components, which restarts
+    and BIC compare.  Variances are floored at 1e-4 times the sample
+    variance: this both prevents numerical collapse and keeps model
+    selection from spending components on single points.  EM runs in moment
+    form on the standardized samples (see ``_em_map``): one map evaluation
+    agrees with the textbook x-unit step up to a relative error on the
+    order of n * 1e-12 in the variances, and components and log-likelihoods
+    are returned in x units.
 
     Parameters
     ----------
@@ -464,9 +444,7 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
         raise NumericalError("all samples identical; mixture fit is degenerate")
     floor = _VARIANCE_FLOOR_FRAC * spread
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(_EM_RESTARTS)]
-    fits = _em_restarts(samples, k, rngs, floor, cut=_EM_SHORT_RUN)
-    # the first of the best, as restarts are listed
-    return max(fits, key=lambda fit: fit.log_likelihood)
+    return _em_restarts(samples, k, rngs, floor, cut=_EM_SHORT_RUN)[0]
 
 
 def bic(gmm: GaussianMixture1D) -> float:

@@ -374,6 +374,27 @@ class TestDecomposeDeviation:
                 decomp.total_delta, abs=1e-12
             )
 
+    def test_residual_is_the_model_error_past_the_terms(self):
+        """residual = (y_obs - f(x_obs)) - (y_ref - f(x_ref)) + the terms of
+        more than ``order`` features: at d = 2 and order 2 none is left
+        out, and at order 1 the one left out is the pair's term."""
+        rng = np.random.default_rng(20)
+        x = 3.0 * rng.standard_normal((400, 2))
+        y = np.sin(x[:, 0]) * x[:, 1] + rng.standard_normal(400)
+        model = fit_gbt(Dataset(features=x, labels=y, feature_names=("a", "b")),
+                        GbtParams(n_trees=30))
+        bg = draw_background(standard_normal_priors(2), 300, seed=21)
+        for obs, ref in ((0, 1), (2, 3), (4, 5)):
+            f_obs, f_ref = model.predict_batch(x[[obs, ref]])
+            error = (y[obs] - f_obs) - (y[ref] - f_ref)
+            pair = decompose_deviation(model, bg, x[obs], x[ref], y[obs], y[ref], order=2)
+            assert pair.residual == pytest.approx(error, rel=0, abs=1e-12)
+            single = decompose_deviation(model, bg, x[obs], x[ref], y[obs], y[ref])
+            assert abs(pair.second_order[0, 1]) > 0.01
+            assert single.residual == pytest.approx(
+                error + pair.second_order[0, 1], rel=0, abs=1e-12
+            )
+
     def test_stderr_paired(self, gbt10k, outlier_data):
         # common random numbers: the error bar of delta is the stderr of the
         # per-row differences between the observation and reference terms

@@ -802,3 +802,85 @@ class TestMeanReferenceUnderRelabelling:
             shap = a * before.shap.values[order]
             assert np.max(np.abs(after.shap.values - shap)) <= 2.5e-12 * np.max(np.abs(shap))
             assert abs(after.z - before.z) <= 1.1e-12
+
+
+RELABEL_SETTINGS = ExplainSettings(seed=3, np_count=500, k_max=4)
+
+
+def linear_mode_reports(data):
+    """Rows 0-9 against mode 0 under a linear model, priors fitted at seed 3."""
+    return explain_many(fit_linear(data), fit_priors(data, 4, 3), data, range(10),
+                        [("mode", 0)], RELABEL_SETTINGS)[0]
+
+
+def gbt_mean_reports(data):
+    """Rows 0-9 against the mean under a 30-tree GBT."""
+    return explain_many(fit_gbt(data, GbtParams(n_trees=30)), None, data, range(10),
+                        ["mean"], RELABEL_SETTINGS)[0]
+
+
+@pytest.fixture(scope="module")
+def trimodal2k():
+    """The benchmark's 2,000 trimodal rows (data seed 3), and their linear
+    mode and GBT mean reports."""
+    data = generate_synthetic(trimodal_benchmark_spec(), 2000, 3)
+    return data, linear_mode_reports(data), gbt_mean_reports(data)
+
+
+def relabelled(data, order, a, c):
+    return Dataset(
+        features=data.features[:, order],
+        labels=a * data.labels + c,
+        feature_names=tuple(data.feature_names[i] for i in order),
+    )
+
+
+class TestReferencesUnderRelabelling:
+    """The linear mode and the GBT mean references of the same 2,000 rows
+    under reordered columns and mapped labels.  Each bound is ten times the
+    worst gap of a sweep; the cases below lie in its ranges."""
+
+    # All six column orders times eight shifts c in [-1000, 1000] (a = 1) saw
+    # at most 1.07e-5 in the scores and 7.7e-6 in x_ref, 7.0e-14 in the
+    # Shapley values relative to the row's largest, 3.0e-14 in z, 5.8e-10 in
+    # z_m and 9.3e-10 in y_ref.  The scores and x_ref move because
+    # fit_priors seeds each column by its position, so a reordered prior is
+    # refitted from another seed and EM stops at its 1e-8 relative
+    # tolerance.  A scale a != 1 is left out: the stop test is relative to
+    # the log-likelihood, which y -> a y shifts by n ln a, so a = 2 stops
+    # the label fit at another step and moves y_ref by 4.4e-3 relative.
+    @pytest.mark.parametrize(
+        "order, c",
+        [((1, 2, 0), 0.0), ((2, 0, 1), 1000.0), ((0, 2, 1), -1000.0),
+         ((1, 0, 2), 371.5), ((2, 1, 0), -42.25)],
+    )
+    def test_linear_mode_reference(self, trimodal2k, order, c):
+        data, base, _ = trimodal2k
+        order = list(order)
+        for before, after in zip(base, linear_mode_reports(relabelled(data, order, 1.0, c))):
+            assert np.max(np.abs(after.scores.first_order - before.scores.first_order[order])) <= 1.1e-4
+            assert np.max(np.abs(after.x_ref - before.x_ref[order])) <= 7.7e-5
+            shap = before.shap.values[order]
+            assert np.max(np.abs(after.shap.values - shap)) <= 7e-13 * np.max(np.abs(shap))
+            assert abs(after.z - before.z) <= 3e-13
+            assert abs(after.z_m - before.z_m) <= 5.8e-9
+            assert abs(after.y_ref - (before.y_ref + c)) <= 9.3e-9
+
+    # All six orders at the corners a in {0.25, 4}, c in {-1000, 1000}, and
+    # 300 draws of (order, a in [0.25, 4], c in [-1000, 1000]), saw at most
+    # 5.9e-13 in the scores, 4.8e-13 in the Shapley values relative to the
+    # row's largest and 9.7e-14 in z: the 30 trees split no tie that the
+    # column order decides (tree 64 of the default 300-tree fit does).
+    @pytest.mark.parametrize(
+        "order, a, c",
+        [((2, 0, 1), 1.0, 0.0), ((0, 1, 2), 0.25, -1000.0), ((1, 2, 0), 4.0, 1000.0),
+         ((2, 1, 0), 0.25, 1000.0), ((1, 0, 2), 3.1, -640.0), ((0, 2, 1), 4.0, -1000.0)],
+    )
+    def test_gbt_mean_reference(self, trimodal2k, order, a, c):
+        data, _, base = trimodal2k
+        order = list(order)
+        for before, after in zip(base, gbt_mean_reports(relabelled(data, order, a, c))):
+            assert np.max(np.abs(after.scores.first_order - before.scores.first_order[order])) <= 5.9e-12
+            shap = a * before.shap.values[order]
+            assert np.max(np.abs(after.shap.values - shap)) <= 4.8e-12 * np.max(np.abs(shap))
+            assert abs(after.z - before.z) <= 9.7e-13

@@ -83,10 +83,12 @@ def em_map_x_units(samples, components, floor):
     return float(log_l - samples.size * math.log(scale)), mapped.T
 
 
-def one_restart_em(samples, k, rng, floor):
+def one_restart_em(samples, k, rng, floor, cut=None):
     """One restart's SQUAREM loop with its own k x n moment-form map, as a
     restart runs alone: the reference the stacked restarts must equal bit
-    for bit."""
+    for bit.  With ``cut``, the log-likelihood the cut weighs instead: the
+    last kept one at the end of the first cycle that reaches ``cut``
+    E-steps, or the final fit's when the restart stops before."""
     n = samples.size
     cap = mixtures_module._EM_MAX_ITERS
     center, scale = samples.mean(), samples.std()
@@ -128,16 +130,11 @@ def one_restart_em(samples, k, rng, floor):
     converged = False
     while True:
         log_0, theta1 = em_map(theta)
-        spent += 1
-        history.append(log_0)
-        if spent == cap:
-            break
         log_1, theta2 = em_map(theta1)
-        spent += 1
-        history.append(log_1)
+        spent += 2
+        history += [log_0, log_1]
         converged = abs(log_1 - log_0) <= 1e-8 * max(1.0, abs(log_1))
-        if converged or spent == cap:
-            theta = theta1
+        if converged or spent >= cap:
             break
         r = theta1 - theta
         v = theta2 - theta1 - r
@@ -158,15 +155,16 @@ def one_restart_em(samples, k, rng, floor):
         accept = valid and log_2 >= log_1
         if accept or not valid:
             history.append(log_2)
-        if spent == cap:
-            theta = at if accept or not valid else theta1
-            break
         if accept:
             step_max = 4.0 * step_max if alpha == step_max else step_max
         else:
             step_max = max(step_max / 4.0, 1.0)
         theta = theta3 if accept or not valid else theta2
-    weights, means, variances = theta
+        if cut is not None and spent >= cut:
+            break
+    if cut is not None:
+        return history[-1]
+    weights, means, variances = theta1
     return GaussianMixture1D(
         components=tuple(zip(weights, center + scale * means, variances * (scale * scale))),
         fitted_n=n,
@@ -388,11 +386,16 @@ class TestFitGmm:
         recomputed = float(np.sum(log_density(gmm, samples)))
         assert gmm.log_likelihood == pytest.approx(recomputed, rel=1e-9)
 
+    def test_cap_falls_on_the_stop_test(self):
+        # the one stop test follows E-step 3c + 2, so the cap is met exactly
+        assert _EM_MAX_ITERS % 3 == 2
+
     def test_reported_loglik_matches_density_at_cap(self, synth10k):
         # the winning restart stops at the E-step cap; what it reports must
-        # score the components it returns, not an iterate before them.  The
-        # three caps stop a SQUAREM cycle after each of its three evaluations.
-        for cap in (30, 31, 32):
+        # score the components it returns, not an iterate before them.  At
+        # cap 29 every restart stops before the cut; at 32 and 35 the leader
+        # goes on alone past it.
+        for cap in (29, 32, 35):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(mixtures_module, "_EM_MAX_ITERS", cap)
                 gmm = fit_gmm(synth10k.labels, 5, 3)
@@ -445,7 +448,7 @@ class TestFitGmm:
         n=st.integers(8, 1200),
         k=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
-        cap=st.sampled_from([1, 4, 30, _EM_MAX_ITERS]),
+        cap=st.sampled_from([2, 5, 32, _EM_MAX_ITERS]),
     )
     def test_stacked_restarts_equal_one_at_a_time(self, centers, n, k, seed, cap):
         """Restarts advanced together take each restart's own steps, to the
@@ -463,15 +466,12 @@ class TestFitGmm:
             stacked = _em_restarts(samples, k, rngs(), floor)
             alone = [one_restart_em(samples, k, r, floor) for r in rngs()]
             best = fit_gmm(samples, k, seed)
-            # capped where the cut falls, a run returns what the cut weighs:
-            # a stopped restart's final fit, a live one's last kept iterate
-            patch.setattr(mixtures_module, "_EM_MAX_ITERS", min(cap, _EM_SHORT_RUN))
-            short = [one_restart_em(samples, k, r, floor) for r in rngs()]
+            short = [one_restart_em(samples, k, r, floor, _EM_SHORT_RUN) for r in rngs()]
         for got, want in zip(stacked, alone, strict=True):
             assert got == want  # components, history, converged, n_iter, log-likelihood
             assert len(got.history) <= got.n_iter <= cap
         # the first of the best, as restarts are listed
-        lead = max(range(len(short)), key=lambda i: short[i].log_likelihood)
+        lead = max(range(len(short)), key=short.__getitem__)
         assert best == alone[lead]
 
     @settings(max_examples=25, deadline=None)
@@ -500,14 +500,14 @@ class TestFitGmm:
         assert fitted.log_likelihood >= plain - 1e-6 * abs(plain)
 
     def test_restarts_stop_at_different_steps(self):
-        # the stack shrinks as restarts stop: at a 100 E-step cap three
+        # the stack shrinks as restarts stop: at a 101 E-step cap three
         # restarts converge after 29, 29 and 65 E-steps and two stop at it
         samples = two_bump_samples(1000, 0)
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(0).spawn(5)]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mixtures_module, "_EM_MAX_ITERS", 100)
+            patch.setattr(mixtures_module, "_EM_MAX_ITERS", 101)
             fits = _em_restarts(samples, 4, rngs, 1e-4 * samples.var())
-        assert [fit.n_iter for fit in fits] == [100, 29, 65, 29, 100]
+        assert [fit.n_iter for fit in fits] == [101, 29, 65, 29, 101]
         assert [fit.converged for fit in fits] == [False, True, True, True, False]
 
     def test_deterministic(self):
