@@ -127,7 +127,6 @@ def one_restart_em(samples, k, rng, floor, cut=None):
     history = []
     step_max = 1.0
     spent = 0
-    converged = False
     while True:
         log_0, theta1 = em_map(theta)
         log_1, theta2 = em_map(theta1)
