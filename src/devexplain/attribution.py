@@ -61,6 +61,14 @@ class ResponsibleScores:
 
 @dataclass(frozen=True)
 class ShapleyAttribution:
+    """Interventional Shapley values of one row, by exact enumeration.
+
+    ``values`` holds phi_i per feature, and ``base_value`` is v(empty), the
+    background mean of f (f0): Monte Carlo estimates over the ``np_used``
+    background rows, without a standard error.  The values sum to the
+    all-features coalition mean minus ``base_value``, to rounding.
+    """
+
     values: np.ndarray
     base_value: float
     np_used: int
@@ -201,6 +209,23 @@ class ExplainSettings:
 
 @dataclass(frozen=True)
 class ExplanationReport:
+    """One row's explanation against one reference: what a report file holds.
+
+    Exact, read from the data and the settings: ``observation_index``,
+    ``feature_names``, ``y_obs``, ``z`` (the label's global z-score) and
+    ``settings`` (the echoed seed, NP, order, k_max, tau, background source
+    and MAP budget, null against the mean).  ``reference_kind`` is "mean"
+    or "mode", with ``mode_index`` the mode's rank by density (None against
+    the mean).  Against the mean, ``y_ref`` and ``x_ref`` are the label and
+    feature means, and ``z_m`` and ``map_result`` are None.  Against a mode,
+    ``y_ref`` is the mode's location in the BIC-selected label mixture,
+    ``z_m`` the z-score in the mode's width ``sigma_m``, and ``x_ref`` the
+    best point of the multistart MAP search in ``map_result``.
+    ``decomposition`` holds the ANOVA terms and residual, ``scores`` the
+    terms over the total deviation, and ``shap`` the row's Shapley values
+    over the same background rows.
+    """
+
     observation_index: int
     feature_names: tuple[str, ...]
     y_obs: float

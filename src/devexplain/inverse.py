@@ -62,6 +62,14 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class LocalOptimum:
+    """One distinct optimum of a MAP search.
+
+    ``point`` is the best endpoint that landed within ``dedup_radius`` of
+    the cluster, ``log_posterior`` its value, and ``hit_count`` the number
+    of converged restarts that landed there: of ``n_runs_executed``, an
+    estimate of its basin's probability under the prior.
+    """
+
     point: np.ndarray
     log_posterior: float
     hit_count: int
@@ -69,6 +77,14 @@ class LocalOptimum:
 
 @dataclass(frozen=True)
 class MapResult:
+    """A multistart MAP search: its best point and every distinct optimum.
+
+    ``map_point`` and ``map_log_posterior`` are those of the first of
+    ``local_optima``, which are sorted by log-posterior, best first.
+    ``n_runs_executed`` counts the restarts, and ``n_converged`` the ones
+    whose endpoints were clustered (at least one).
+    """
+
     map_point: np.ndarray
     map_log_posterior: float
     local_optima: tuple[LocalOptimum, ...]

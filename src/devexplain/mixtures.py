@@ -63,7 +63,6 @@ class GaussianMixture1D:
     _log_norm: np.ndarray = field(init=False, repr=False, compare=False)
     _mu: np.ndarray = field(init=False, repr=False, compare=False)
     _two_var: np.ndarray = field(init=False, repr=False, compare=False)
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple((float(w), float(m), float(v)) for w, m, v in self.components)
@@ -82,8 +81,6 @@ class GaussianMixture1D:
             raise ValidationError(f"mixture weights sum to {total!r}, expected 1")
         if (variances <= 0).any():
             raise ValidationError("component variances must be positive")
-        cdf = weights.cumsum()  # rng.choice's component table
-        cdf /= cdf[-1]
         with np.errstate(divide="ignore"):  # a zero weight's log is -inf, as padding
             log_w = np.log(weights)
         for name, value in (
@@ -94,7 +91,6 @@ class GaussianMixture1D:
             ("_log_norm", log_w - 0.5 * np.log(2.0 * math.pi * variances)),
             ("_mu", means),
             ("_two_var", 2.0 * variances),
-            ("_cdf", cdf),
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -108,8 +104,7 @@ class GaussianMixture1D:
         return float(np.dot(self.weights, self.means))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # rng.choice(k, size=n, p=weights) without its checks: the same draws
-        comps = self._cdf.searchsorted(rng.random(n), side="right")
+        comps = _weighted_draw(self.weights, rng, n)
         return self.means[comps] + self.stds[comps] * rng.standard_normal(n)
 
 
@@ -193,35 +188,34 @@ def density(gmm: GaussianMixture1D, y) -> np.ndarray | float:
     return np.exp(log_density(gmm, y))
 
 
-def _kmeanspp_centers(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = [samples[rng.integers(samples.size)]]
-    for _ in range(1, k):
-        d2 = np.min((samples[:, None] - np.array(centers)[None, :]) ** 2, axis=1)
-        total = d2.sum()
-        if total <= 0:
-            # remaining points coincide with a center; fall back to uniform
-            centers.append(samples[rng.integers(samples.size)])
-            continue
-        centers.append(samples[rng.choice(samples.size, p=d2 / total)])
-    return np.array(centers)
+def _weighted_draw(p: np.ndarray, rng: np.random.Generator, n: int | None = None):
+    """rng.choice(p.size, n, p=p)'s indices and stream use, without its checks."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
 
 
 def _em_start(samples: np.ndarray, k: int, rng: np.random.Generator,
               floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One restart's first (weights, means, variances): the samples nearest
-    each k-means++ center."""
-    centers = _kmeanspp_centers(samples, k, rng)
+    """One restart's first (weights, means, variances): the samples nearest each
+    k-means++ center (Arthur and Vassilvitskii 2007), drawn in proportion to d2,
+    the squared distance to the nearest center so far, and uniformly while the
+    total of d2 is 0 or infinite, as it is for the first center."""
+    centers, d2 = np.empty(k), np.full(samples.size, math.inf)
+    for j in range(k):
+        total = d2.sum()
+        at = _weighted_draw(d2 / total, rng) if 0 < total < math.inf else rng.integers(d2.size)
+        centers[j] = samples[at]
+        if j + 1 < k:  # the last center's distances are never read
+            d2 = np.minimum(d2, (samples - centers[j]) ** 2)
     assign = np.argmin(np.abs(samples[:, None] - centers[None, :]), axis=1)
-    weights = np.empty(k)
-    means = np.empty(k)
-    variances = np.empty(k)
+    weights, means, variances = np.empty((3, k))
     for j in range(k):
         members = samples[assign == j]
         weights[j] = max(members.size, 1) / samples.size
         means[j] = members.mean() if members.size else centers[j]
         variances[j] = max(members.var() if members.size else 0.0, floor)
-    weights /= weights.sum()
-    return weights, means, variances
+    return weights / weights.sum(), means, variances
 
 
 def _em_map(theta: np.ndarray, powers: np.ndarray, floor: float,
@@ -426,7 +420,8 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
     Parameters
     ----------
     samples : array_like
-        1-D observations, length >= 2k.
+        1-D finite observations, length >= 2k; a variance of 0 or past the
+        float range is a ``NumericalError``.
     k : int
         Number of components, >= 1.
     seed : int
@@ -439,9 +434,12 @@ def fit_gmm(samples, k: int, seed: int) -> GaussianMixture1D:
         raise ValidationError(f"need at least {2 * k} samples to fit k={k}")
     if not np.all(np.isfinite(samples)):
         raise ValidationError("samples contain non-finite entries")
-    spread = float(samples.var())
+    with np.errstate(over="ignore"):  # an overflowing variance is refused below
+        spread = float(samples.var())
     if spread == 0.0:
         raise NumericalError("all samples identical; mixture fit is degenerate")
+    if not math.isfinite(spread):
+        raise NumericalError("sample variance overflows float64; rescale the samples")
     floor = _VARIANCE_FLOOR_FRAC * spread
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(_EM_RESTARTS)]
     return _em_restarts(samples, k, rngs, floor, cut=_EM_SHORT_RUN)[0]

@@ -419,6 +419,14 @@ def predict(model: PredictiveModel, x) -> float:
 
 @dataclass(frozen=True)
 class ResidualStats:
+    """A model's residuals on its training split, and on a test split.
+
+    ``sigma_e_squared`` is the mean squared training residual, the noise
+    variance the posterior starts from; ``r_squared_train`` and
+    ``r_squared_test`` are the fractions of label variance explained on
+    each split, the latter None without a test split.
+    """
+
     sigma_e_squared: float
     r_squared_train: float
     r_squared_test: float | None = None

@@ -315,6 +315,41 @@ class TestShapleyBits:
         assert shap.values.tobytes() == oracle.tobytes()
 
 
+def harsanyi_shares(v):
+    """Per feature i, the sum over the coalitions T holding i of m(T) / |T|,
+    m the Moebius transform of the coalition values v (Harsanyi dividends),
+    and the sum of |m(T)| / |T| it adds up.  Each m(T) and each sum is one
+    exactly rounded fsum."""
+    d = v.size.bit_length() - 1
+    share = [0.0] + [
+        math.fsum((-1) ** (t.bit_count() - s.bit_count()) * v[s]
+                  for s in range(t + 1) if s & t == s) / t.bit_count()
+        for t in range(1, 1 << d)
+    ]
+    holding = [[share[t] for t in range(1 << d) if t >> i & 1] for i in range(d)]
+    return (np.array([math.fsum(h) for h in holding]),
+            np.array([math.fsum(map(abs, h)) for h in holding]))
+
+
+class TestShapleyHarsanyi:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), data=st.data())
+    def test_values_are_moebius_dividend_shares(self, d, data):
+        # a linear model, a small GBT or a product stub (stub_functions)
+        fn = data.draw(stub_functions(d))
+        points, x_obs = data.draw(backgrounds(d))
+        bg = BackgroundSample(points=points)
+        v = anova._Coalitions(StubModel(fn, d), bg).table(x_obs, d, keep=0)[0]
+        phi = attribution._shapley(v, bg.np_used).values
+        shares, spread = harsanyi_shares(v)
+        # _shapley rounds each weight, difference and product once before one
+        # exactly rounded fsum, and its weights sum to 1: at most 4 eps max|v|
+        # off the exact value.  Here each m(T) and sum is one exactly rounded
+        # fsum and each share one division: at most 2 eps times ``spread``.
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(phi - shares) <= 4 * eps * (np.abs(v).max() + spread))
+
+
 class TestExplainMeanReference:
     def test_reference_is_the_data_mean(self, mean_report, outlier_data):
         assert np.array_equal(mean_report.x_ref, outlier_data.features.mean(axis=0))

@@ -312,6 +312,14 @@ class TestModes:
         assert densities == sorted(densities, reverse=True)
         assert doc["modes"][0]["location"] == pytest.approx(12.1, abs=0.2)
 
+    def test_overflowing_labels_are_numerical_error(self, tmp_path, capsys):
+        # labels near 1e160 have a variance past float64's range
+        huge = tmp_path / "huge.csv"
+        huge.write_text("a,y\n" + "".join(f"{i}.0,{1 + i % 7}e160\n" for i in range(40)))
+        rc = run("modes", "--data", str(huge), "--seed", "0", "--out", str(tmp_path))
+        assert rc == 4
+        assert "sample variance overflows" in capsys.readouterr().err
+
     def test_k_max_one_gives_single_mode(self, tmp_path):
         rc = run(
             "modes", "--data", FIXTURE, "--label", "njr", "--k-max", "1",

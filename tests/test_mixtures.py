@@ -22,7 +22,6 @@ from devexplain.mixtures import (
     _em_map,
     _em_restarts,
     _em_start,
-    _kmeanspp_centers,
     _log_prior_and_resp,
     bic,
     density,
@@ -544,6 +543,56 @@ class TestFitGmm:
     def test_identical_samples_degenerate(self):
         with pytest.raises(NumericalError):
             fit_gmm(np.ones(50), 1, 0)
+
+    def test_overflowing_variance_is_numerical_error(self):
+        # x^2 overflows near 1e160: EM would standardize by an infinite scale
+        samples = np.random.default_rng(0).normal(1e160, 3e159, 200)
+        with pytest.raises(NumericalError, match="sample variance overflows"):
+            fit_gmm(samples, 2, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # few distinct values, so the centers can run out of new points
+        pool=st.lists(st.floats(-100, 100).map(lambda v: round(v, 3)), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=120),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seeding_draws_as_rng_choice(self, pool, picks, k, seed):
+        # the same start and stream position as k-means++ through rng.choice
+        samples = np.array([pool[i % len(pool)] for i in picks])
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _em_start(samples, k, rng, 1e-3)
+        expected = rng_choice_em_start(samples, k, twin, 1e-3)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert rng.random() == twin.random()
+
+
+def rng_choice_em_start(samples, k, rng, floor):
+    """``_em_start`` drawing each k-means++ center with ``rng.choice``.
+
+    The reference the seeding is checked against: every distance to every
+    center so far recomputed for each new center, and a uniform draw when
+    their total is 0.
+    """
+    centers = [samples[rng.integers(samples.size)]]
+    for _ in range(1, k):
+        d2 = np.min((samples[:, None] - np.array(centers)[None, :]) ** 2, axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(samples[rng.integers(samples.size)])
+        else:
+            centers.append(samples[rng.choice(samples.size, p=d2 / total)])
+    centers = np.array(centers)
+    assign = np.argmin(np.abs(samples[:, None] - centers[None, :]), axis=1)
+    weights, means, variances = np.empty(k), np.empty(k), np.empty(k)
+    for j in range(k):
+        members = samples[assign == j]
+        weights[j] = max(members.size, 1) / samples.size
+        means[j] = members.mean() if members.size else centers[j]
+        variances[j] = max(members.var() if members.size else 0.0, floor)
+    weights /= weights.sum()
+    return weights, means, variances
 
 
 def full_restarts_fit(samples, k, seed):
