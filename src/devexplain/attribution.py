@@ -214,7 +214,7 @@ class ExplanationReport:
     Exact, read from the data and the settings: ``observation_index``,
     ``feature_names``, ``y_obs``, ``z`` (the label's global z-score) and
     ``settings`` (the echoed seed, NP, order, k_max, tau, background source
-    and MAP budget, null against the mean).  ``reference_kind`` is "mean"
+    and MAP budget, the budget None against the mean).  ``reference_kind`` is "mean"
     or "mode", with ``mode_index`` the mode's rank by density (None against
     the mean).  Against the mean, ``y_ref`` and ``x_ref`` are the label and
     feature means, and ``z_m`` and ``map_result`` are None.  Against a mode,
