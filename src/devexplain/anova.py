@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _frozen_array
+from .dataset import Dataset, _finite_vector, _frozen_array
 from .errors import ValidationError
 from .mixtures import FeaturePriors
 
@@ -97,9 +97,7 @@ class _Coalitions:
 
     def __init__(self, model, bg: BackgroundSample):
         if model.d_x != bg.d_x:
-            raise ValidationError(
-                f"model expects d_x={model.d_x}, background has {bg.d_x} columns"
-            )
+            raise ValidationError(f"model takes {model.d_x} features, background has {bg.d_x}")
         self.model = model
         self._background = bg.points
         self.empty = model.predict_batch(bg.points.copy())
@@ -250,12 +248,8 @@ def decompose_deviation(
     """
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
-    x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
-    x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    if x_obs.size != bg.d_x or x_ref.size != bg.d_x:
-        raise ValidationError("observation/reference length must match background")
-    if not (np.all(np.isfinite(x_obs)) and np.all(np.isfinite(x_ref))):
-        raise ValidationError("pinned value must be finite")
+    x_obs = _finite_vector(x_obs, bg.d_x, "x_obs")
+    x_ref = _finite_vector(x_ref, bg.d_x, "x_ref")
     coalitions = _Coalitions(model, bg)
     (_, obs), (_, ref) = coalitions.table(x_obs, order), coalitions.table(x_ref, order)
     return _decompose(obs, ref, x_obs, x_ref, y_obs, y_ref, order)

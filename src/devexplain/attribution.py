@@ -13,7 +13,6 @@ batch, so the dummy and symmetry axioms hold exactly, efficiency to rounding.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -25,8 +24,8 @@ from .anova import (
     _decompose,
     draw_background,
 )
-from .dataset import Dataset
-from .errors import DevexplainError, ValidationError
+from .dataset import Dataset, _finite_vector
+from .errors import ValidationError, _stage
 from .inverse import MapResult, PosteriorObjective, default_budget, direct_search_map
 from .mixtures import (
     FeaturePriors,
@@ -122,12 +121,8 @@ def shapley_values(model, bg: BackgroundSample, x_obs) -> ShapleyAttribution:
     rows.  v(empty) is f0, and v(all features) the mean with every feature
     pinned, so the dummy axiom is exact and efficiency holds to rounding.
     """
-    x_obs = np.asarray(x_obs, dtype=float).reshape(-1)
     d = bg.d_x
-    if x_obs.size != d:
-        raise ValidationError(f"x_obs has {x_obs.size} entries, background has {d}")
-    if not np.all(np.isfinite(x_obs)):
-        raise ValidationError("x contains non-finite entries")
+    x_obs = _finite_vector(x_obs, d, "x_obs")
     _check_enumerable(d)
     return _shapley(_Coalitions(model, bg).table(x_obs, d, keep=0)[0], bg.np_used)
 
@@ -242,21 +237,6 @@ class ExplanationReport:
     settings: dict
 
 
-@contextmanager
-def _stage(name: str):
-    """Tag pipeline errors with the stage that raised them."""
-    try:
-        yield
-    except DevexplainError as exc:
-        if getattr(exc, "stage", None) is None:
-            exc.stage = name
-            if exc.args:
-                exc.args = (f"{name}: {exc.args[0]}",) + exc.args[1:]
-            else:
-                exc.args = (name,)
-        raise
-
-
 def explain(
     model: PredictiveModel,
     priors: FeaturePriors | None,
@@ -282,6 +262,19 @@ def explain(
     """
     batch = explain_many(model, priors, data, [observation_index], [reference], settings)
     return batch[0][0]
+
+
+def _check_inputs(model, data: Dataset, indices, settings: ExplainSettings) -> int:
+    """Every refusal of an explanation that needs no stage to have run: a row
+    index out of range, a model whose feature count is not the data's, more
+    features than exact enumeration takes, a background of fewer than two
+    rows.  Returns the background size, which the settings echo reports."""
+    for index in indices:
+        data.row(index)  # refuses an index out of range
+    if model.d_x != data.d_x:
+        raise ValidationError(f"model takes {model.d_x} features, data has {data.d_x}")
+    _check_enumerable(data.d_x)
+    return settings.background_size(data.n)
 
 
 def _parse_reference(reference) -> tuple[str, int | None]:
@@ -316,11 +309,7 @@ def explain_many(
     reference runs no MAP search, so its settings echo a null ``budget``.
     """
     indices = [int(i) for i in indices]
-    for observation_index in indices:
-        if not 0 <= observation_index < data.n:
-            raise ValidationError(
-                f"observation index {observation_index} out of range 0..{data.n - 1}"
-            )
+    np_count = _check_inputs(model, data, indices, settings)
     parsed = [_parse_reference(reference) for reference in references]
     searched = any(ref_kind == "mode" for ref_kind, _ in parsed)
     if priors is None:
@@ -328,11 +317,9 @@ def explain_many(
             raise ValidationError("a mode reference or a prior background needs priors")
     elif priors.d_x != data.d_x:
         raise ValidationError(f"priors cover {priors.d_x} features, data has {data.d_x}")
-    _check_enumerable(data.d_x)  # before any costly stage
     if not indices or not parsed:
         return [[] for _ in parsed]
 
-    np_count = settings.background_size(data.n)
     gmm_seed, map_seed, bg_seed = _stage_seeds(settings.seed)
 
     if searched:

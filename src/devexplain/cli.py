@@ -52,7 +52,7 @@ from .dataset import (
     synthetic_spec_to_json,
     write_report_csv,
 )
-from .errors import DevexplainError, ValidationError
+from .errors import DevexplainError, ValidationError, _stage
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -180,7 +180,8 @@ def cmd_fit(args, out: Path) -> dict:
 def cmd_modes(args, out: Path) -> dict:
     from .mixtures import _command_seeds, mixture_to_json, modes, select_k
     data = load_csv(args.data, args.label)
-    gmm = select_k(data.labels, args.k_max, _command_seeds(args.seed)[2])
+    with _stage(f"label {args.label!r}"):
+        gmm = select_k(data.labels, args.k_max, _command_seeds(args.seed)[2])
     mode_list = modes(gmm)
     doc = {"k": gmm.k, "mixture": mixture_to_json(gmm), "modes": _json_doc(mode_list)}
     _write_json(out / "modes.json", doc)
@@ -236,7 +237,7 @@ def _chart_for_report(report, mean_report) -> str | None:
 
 
 def cmd_explain(args, out: Path) -> dict:
-    from .attribution import ExplainSettings, _check_enumerable, explain_many
+    from .attribution import ExplainSettings, _check_inputs, explain_many
     from .mixtures import FeaturePriors, _command_seeds, fit_priors
     from .models import load_model
     data = load_csv(args.data, args.label)
@@ -249,8 +250,6 @@ def cmd_explain(args, out: Path) -> dict:
     reference = "mean" if args.mean else ("mode", args.mode)
 
     priors_seed, explain_seed, _ = _command_seeds(args.seed)
-    # checked first, so a bad setting is refused before any prior is fitted
-    _check_enumerable(data.d_x)
     settings = ExplainSettings(
         seed=explain_seed,
         np_count=args.np,
@@ -260,7 +259,8 @@ def cmd_explain(args, out: Path) -> dict:
         degeneracy_tau=args.tau,
         bg_source=args.bg,
     )
-    np_count = settings.background_size(data.n)
+    # checked first, so bad input is refused before any prior is fitted
+    np_count = _check_inputs(model, data, indices, settings)
     if args.priors:
         priors = FeaturePriors(load_synthetic_spec(args.priors).feature_specs)
         priors_source = args.priors

@@ -33,6 +33,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _finite_vector(x, d: int, name: str = "x") -> np.ndarray:
+    """``x`` flattened to a float vector; one that does not hold exactly ``d``
+    finite entries is a ValidationError naming it ``name``."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != d:
+        raise ValidationError(f"{name} has {x.size} entries, expected {d}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return x
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` of a C-order 2-D array: ``rows[first]`` holds each
     distinct row once, rows matching bit for bit, and ``rows[first][inverse]`` is ``rows``.

@@ -5,6 +5,8 @@ for it (``exit_code``).  New error types subclass one of the roots, and so
 inherit its code, rather than raising bare exceptions.
 """
 
+from contextlib import contextmanager
+
 
 class DevexplainError(Exception):
     """Base class for all package errors."""
@@ -53,3 +55,16 @@ class SearchFailureError(NumericalError):
     def __init__(self, message: str, diagnostics: list | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or []
+
+
+@contextmanager
+def _stage(name: str):
+    """Tag a package error raised inside with the stage or input ``name``: the
+    innermost tag sets ``stage`` and prefixes the message; outer ones add none."""
+    try:
+        yield
+    except DevexplainError as exc:
+        if getattr(exc, "stage", None) is None:
+            exc.stage = name
+            exc.args = (f"{name}: {exc.args[0]}" if exc.args else name, *exc.args[1:])
+        raise

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .dataset import _finite_vector
+from .errors import NumericalError, ValidationError, _stage
 
 _EM_REL_TOL = 1e-8
 _EM_MAX_ITERS = 500
@@ -207,7 +208,8 @@ def _em_start(samples: np.ndarray, k: int, rng: np.random.Generator,
         at = _weighted_draw(d2 / total, rng) if 0 < total < math.inf else rng.integers(d2.size)
         centers[j] = samples[at]
         if j + 1 < k:  # the last center's distances are never read
-            d2 = np.minimum(d2, (samples - centers[j]) ** 2)
+            with np.errstate(over="ignore"):  # an infinite total draws uniformly
+                d2 = np.minimum(d2, (samples - centers[j]) ** 2)
     assign = np.argmin(np.abs(samples[:, None] - centers[None, :]), axis=1)
     weights, means, variances = np.empty((3, k))
     for j in range(k):
@@ -600,25 +602,20 @@ def _command_seeds(seed: int) -> tuple[int, int, int]:
 
 def fit_priors(data, k_max: int, seed: int) -> FeaturePriors:
     """Per-column BIC-selected mixture fits of a ``Dataset``'s features; one
-    child seed per column.  A column that cannot be fitted (a constant one,
-    say) raises ``NumericalError`` naming it."""
+    child seed per column.  The error of a column that cannot be fitted (a
+    constant one, say) names it: "feature 'x1': ..."."""
     fitted = []
     for name, column, col_seed in zip(
         data.feature_names, data.features.T, _child_seeds(seed, data.d_x)
     ):
-        try:
+        with _stage(f"feature {name!r}"):
             fitted.append(select_k(column, k_max, col_seed))
-        except NumericalError as exc:
-            raise NumericalError(f"feature {name!r}: {exc}") from exc
     return FeaturePriors(per_feature=tuple(fitted))
 
 
 def log_prior(priors: FeaturePriors, x) -> float:
-    """sum_I ln p_I(x_I) under the independent per-feature priors."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != priors.d_x:
-        raise ValidationError(f"x has {x.size} entries, priors expect {priors.d_x}")
-    return float(_log_prior_and_resp(priors, x)[0])
+    """sum_I ln p_I(x_I) under the independent per-feature priors, x finite."""
+    return float(_log_prior_and_resp(priors, _finite_vector(x, priors.d_x))[0])
 
 
 def mixture_to_json(gmm: GaussianMixture1D) -> dict:

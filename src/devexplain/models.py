@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, _distinct_rows, _frozen_array, _json_doc, _read_json
+from .dataset import Dataset, _distinct_rows, _finite_vector, _frozen_array, _json_doc, _read_json
 from .errors import NumericalError, SingularFitError, ValidationError
 
 _RANK_TOL = 1e-10
@@ -409,12 +409,7 @@ def fit_gbt(train: Dataset, params: GbtParams = GbtParams()) -> GbtModel:
 
 def predict(model: PredictiveModel, x) -> float:
     """Evaluate f at one feature vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != model.d_x:
-        raise ValidationError(f"x has {x.size} entries, model expects {model.d_x}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("x contains non-finite entries")
-    return model.predict_one(x)
+    return model.predict_one(_finite_vector(x, model.d_x))
 
 
 @dataclass(frozen=True)

@@ -676,6 +676,19 @@ class TestExplainMany:
             )
         assert ran == []
 
+    @pytest.mark.parametrize("reference", [("mode", 0), "mean"])
+    def test_model_width_refused_before_any_stage(
+        self, monkeypatch, fixture_priors, fixture_data, reference
+    ):
+        for name in ("residual_stats", "select_k", "direct_search_map", "draw_background"):
+            monkeypatch.setattr(attribution, name, lambda *a, _name=name, **k: pytest.fail(_name))
+        settings = ExplainSettings(seed=0, np_count=10, budget_runs=5)
+        with pytest.raises(ValidationError, match="^model takes 2 features, data has 3$"):
+            explain_many(
+                LinearModel(0.0, np.ones(2)), fixture_priors, fixture_data, [0], [reference],
+                settings,
+            )
+
     def test_empty_indices(self, fixture_model, fixture_priors, fixture_data):
         settings = ExplainSettings(seed=0, np_count=10)
         assert explain_many(
@@ -684,7 +697,7 @@ class TestExplainMany:
 
     def test_any_bad_index_rejected(self, fixture_model, fixture_priors, fixture_data):
         settings = ExplainSettings(seed=0, np_count=10)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^observation index 99 out of range 0..19$"):
             explain_many(
                 fixture_model, fixture_priors, fixture_data, [0, 99], ["mean"], settings
             )

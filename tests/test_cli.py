@@ -320,6 +320,15 @@ class TestModes:
         assert rc == 4
         assert "sample variance overflows" in capsys.readouterr().err
 
+    def test_constant_labels_error_names_the_label(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("a,y\n" + "".join(f"{i}.0,2.5\n" for i in range(40)))
+        rc = run("modes", "--data", str(flat), "--seed", "0", "--out", str(tmp_path))
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: label 'y': all samples identical; mixture fit is degenerate\n"
+        )
+
     def test_k_max_one_gives_single_mode(self, tmp_path):
         rc = run(
             "modes", "--data", FIXTURE, "--label", "njr", "--k-max", "1",
@@ -535,6 +544,43 @@ class TestExplain:
         assert no_prior_fits == []
         assert not (tmp_path / "report_0.json").exists()
 
+    @pytest.fixture(scope="class")
+    def trimodal_ws(self, tmp_path_factory):
+        """2,000 trimodal rows, a linear model of their three features, and
+        the same rows without the column x2."""
+        d = tmp_path_factory.mktemp("trimodal_ws")
+        assert run("synth", "--preset", "trimodal", "--n", "2000", "--seed", "3",
+                   "--out", str(d), "--name", "data.csv") == 0
+        assert run("fit", "--data", str(d / "data.csv"), "--out", str(d)) == 0
+        rows = (line.split(",") for line in (d / "data.csv").read_text().splitlines())
+        (d / "narrow.csv").write_text("".join(f"{x0},{x1},{y}\n" for x0, x1, _, y in rows))
+        return d
+
+    @pytest.mark.parametrize(
+        "reference", [("--mode", "0"), ("--mean",), ("--mean", "--bg", "prior")]
+    )
+    @pytest.mark.parametrize(
+        "data, index, message",
+        [
+            ("data.csv", "5000", "observation index 5000 out of range 0..1999"),
+            ("narrow.csv", "0", "model takes 3 features, data has 2"),
+        ],
+        ids=["index", "model-width"],
+    )
+    def test_bad_input_refused_before_any_fit(
+        self, trimodal_ws, reference, data, index, message, tmp_path, capsys, no_prior_fits
+    ):
+        capsys.readouterr()
+        rc = run(
+            "explain", "--data", str(trimodal_ws / data), "--model",
+            str(trimodal_ws / "model.json"), "--index", index, *reference,
+            "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert no_prior_fits == []
+        assert not (tmp_path / f"report_{index}.json").exists()
+
     @pytest.mark.parametrize("flags", [["--mean", "--bg", "prior"], ["--mode", "0"]])
     def test_non_finite_priors_refused(self, flags, river_ws, tmp_path, capsys):
         spec = {"weights": [float("nan")], "means": [0.0], "stds": [1.0]}
@@ -560,7 +606,7 @@ class TestExplain:
             "--out", str(tmp_path),
         )
         assert rc == 2
-        assert "model expects d_x=3, background has 2 columns" in capsys.readouterr().err
+        assert "model takes 3 features, data has 2" in capsys.readouterr().err
 
     def test_chart_escapes_header_names(self, tmp_path):
         data = tmp_path / "markup.csv"
@@ -1258,9 +1304,8 @@ def river_gbt(tmp_path_factory):
 
 class TestImportFootprint:
     """Each command loads only the package modules of the stages it runs,
-    and no module of a test extra (scipy above all: numpy is the one
-    dependency), counted in a fresh interpreter per case once the command
-    returns."""
+    and no module of a test tool or of scipy (numpy is the one dependency),
+    counted in a fresh interpreter per case once the command returns."""
 
     BASE = ["cli", "dataset", "errors"]
     PIPELINE = ["anova", "attribution", "inverse", "mixtures", "models"]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from devexplain import mixtures as mixtures_module
 from devexplain.dataset import Dataset, generate_synthetic, trimodal_benchmark_spec
@@ -550,6 +549,17 @@ class TestFitGmm:
         with pytest.raises(NumericalError, match="sample variance overflows"):
             fit_gmm(samples, 2, 0)
 
+    def test_overflowing_distances_fit_without_warning(self):
+        # the outliers' squared distances overflow while the variance does
+        # not; an infinite total of d2 draws the next center uniformly
+        samples = np.random.default_rng(0).standard_normal(300)
+        samples[:2] = 0.8e154, -0.8e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gmm = fit_gmm(samples, 3, 0)
+        assert gmm.k == 3
+        assert gmm.converged
+
     @settings(max_examples=100, deadline=None)
     @given(
         # few distinct values, so the centers can run out of new points
@@ -712,7 +722,10 @@ class TestDensity:
         )
         lo = float(gmm.means.min() - 12 * gmm.stds.max())
         hi = float(gmm.means.max() + 12 * gmm.stds.max())
-        total, _ = quad(lambda y: density(gmm, y), lo, hi, limit=200)
+        # the trapezoid rule on a grid far finer than the narrowest component
+        grid, step = np.linspace(lo, hi, 200_001, retstep=True)
+        values = density(gmm, grid)
+        total = step * (values.sum() - (values[0] + values[-1]) / 2)
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_vector_input(self):
@@ -865,6 +878,11 @@ class TestPriors:
     def test_log_prior_length_check(self, exact_priors):
         with pytest.raises(ValidationError):
             log_prior(exact_priors, [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_log_prior_refuses_non_finite_entries(self, exact_priors, bad):
+        with pytest.raises(ValidationError, match="^x contains non-finite entries"):
+            log_prior(exact_priors, [1.0, bad, 2.0])
 
 
 class TestMixtureJson:
